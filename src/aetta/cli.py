@@ -39,8 +39,6 @@ def _config_from_args(args: argparse.Namespace) -> harness.ExperimentConfig:
         updates["seeds"] = tuple(args.seed)
     if args.scenario:
         updates["scenario"] = args.scenario
-    if args.out:
-        updates["out_dir"] = str(args.out)
     if args.alpha is not None or args.n_dropout is not None:
         est = config.estimator
         if args.alpha is not None:
@@ -66,8 +64,7 @@ def _config_from_args(args: argparse.Namespace) -> harness.ExperimentConfig:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     result = harness.run_experiment(config)
-    out_dir = Path(config.out_dir) if config.out_dir else Path("out")
-    written = harness.emit_outputs(result, out_dir)
+    written = harness.emit_outputs(result, args.out or Path("out"))
     for path in written:
         log.info("wrote %s", path)
     for row in harness.summarize(result):

@@ -1,14 +1,15 @@
 """Label-free accuracy estimators for (possibly adapted) classifiers.
 
-The headline estimator runs one deterministic forward plus N seeded dropout
-forwards, measures how often the dropout predictions flip against the base
-prediction, and reweights that disagreement by how concentrated the aggregated
-dropout distribution is: a confidently wrong model disagrees little under
-dropout but also collapses its aggregate entropy, and the weight blows the
-error estimate back up. The remaining estimators are the usual comparison
+The headline estimator runs N seeded dropout forwards, measures how often
+their predictions flip against the base (deterministic) prediction, and
+reweights that disagreement by how concentrated the aggregated dropout
+distribution is: a confidently wrong model disagrees little under dropout but
+also collapses its aggregate entropy, and the weight blows the error estimate
+back up. The remaining estimators are the usual comparison
 points: labeled source holdout accuracy, temperature-scaled max softmax,
 agreement with the previous model state, and agreement under a gradient-sign
-input perturbation.
+input perturbation. Estimators that read the current model's deterministic
+forward on the batch take its logits or labels, so one forward serves them all.
 
 Only ``src_valid`` ever sees labels, and those are source holdout labels; the
 test stream's labels stay out of this module entirely.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +37,6 @@ class AettaConfig:
     ema_coefficient: float = 0.9  # weight on history
     entropy_floor: float = 1e-8
     base_seed: int = 0
-    history_capacity: int = 10
 
     def __post_init__(self) -> None:
         if self.n_dropout < 1:
@@ -47,20 +47,19 @@ class AettaConfig:
             raise EstimatorError("ema_coefficient must lie in [0, 1)")
         if self.entropy_floor <= 0:
             raise EstimatorError("entropy_floor must be positive")
-        if self.history_capacity < 10:
-            raise EstimatorError("history_capacity must be at least 10")
 
 
 @dataclass
 class EstimatorState:
     """Carried between batches: EMA of the error plus recent smoothed accuracies."""
 
-    ema_error: float | None = None
-    history: deque[float] = field(default_factory=lambda: deque(maxlen=10))
+    ema_error: float | None
+    history: deque[float]
 
 
-def fresh_state(config: AettaConfig) -> EstimatorState:
-    return EstimatorState(ema_error=None, history=deque(maxlen=config.history_capacity))
+def fresh_state(capacity: int) -> EstimatorState:
+    """No EMA yet and an empty history that keeps the last ``capacity`` accuracies."""
+    return EstimatorState(ema_error=None, history=deque(maxlen=capacity))
 
 
 @dataclass(frozen=True)
@@ -73,23 +72,16 @@ class EstimateReport:
     smoothed_accuracy: float
 
 
-@dataclass(frozen=True)
-class DropoutEnsemble:
-    probs: np.ndarray  # (n_dropout, batch, class_count)
-    labels: np.ndarray  # (n_dropout, batch)
-
-
 def predicted_labels(probs: np.ndarray) -> np.ndarray:
     """Argmax along the class axis; ties resolve to the lowest index."""
     return np.argmax(probs, axis=-1)
 
 
-def dropout_ensemble(model: nn.MlpModel, x: np.ndarray, n_dropout: int, base_seed: int) -> DropoutEnsemble:
-    """n_dropout seeded dropout forwards, seeds base_seed .. base_seed+n-1."""
+def dropout_ensemble(model: nn.MlpModel, x: np.ndarray, n_dropout: int, base_seed: int) -> np.ndarray:
+    """(n_dropout, batch, class_count) probabilities, dropout seeds base_seed .. base_seed+n-1."""
     if n_dropout < 1:
         raise EstimatorError("n_dropout must be at least 1")
-    probs = np.stack([nn.forward(model, x, nn.Dropout(seed=base_seed + i)) for i in range(n_dropout)])
-    return DropoutEnsemble(probs=probs, labels=predicted_labels(probs))
+    return np.stack([nn.forward(model, x, nn.Dropout(seed=base_seed + i)) for i in range(n_dropout)])
 
 
 def pdd(base_labels: np.ndarray, ensemble_labels: np.ndarray) -> float:
@@ -131,22 +123,23 @@ def robust_weight(e_avg: float, class_count: int, alpha: float, entropy_floor: f
 def aetta_estimate(
     model: nn.MlpModel,
     x: np.ndarray,
+    base_labels: np.ndarray,
     config: AettaConfig,
-    state: EstimatorState | None = None,
+    state: EstimatorState,
 ) -> tuple[EstimateReport, EstimatorState]:
     """One batch of dropout-disagreement accuracy estimation.
 
+    ``base_labels`` are the deterministic predictions of ``model`` on ``x``.
     Returns the per-batch report and the successor state; the input state is
     left untouched so callers can replay or branch histories.
     """
-    if state is None:
-        state = fresh_state(config)
-    base_labels = predicted_labels(nn.forward(model, x, nn.Deterministic()))
-    ens = dropout_ensemble(model, x, config.n_dropout, config.base_seed)
-    disagreement = pdd(base_labels, ens.labels)
-    e_avg = nn.entropy_of(batch_aggregate(ens.probs))
+    ens_probs = dropout_ensemble(model, x, config.n_dropout, config.base_seed)
+    disagreement = pdd(base_labels, predicted_labels(ens_probs))
+    e_avg = nn.entropy_of(batch_aggregate(ens_probs))
     b = robust_weight(e_avg, model.class_count, config.alpha, config.entropy_floor)
-    raw_error = min(max(b * disagreement, 0.0), 1.0)
+    raw_error = b * disagreement
+    # a non-finite model reads as wholly wrong, which keeps the EMA and history finite
+    raw_error = min(max(raw_error, 0.0), 1.0) if math.isfinite(raw_error) else 1.0
     if state.ema_error is None:
         smoothed_error = raw_error
     else:
@@ -171,20 +164,18 @@ def aetta_estimate(
 # ---------------------------------------------------------------------------
 
 
-def softmax_score(model: nn.MlpModel, x: np.ndarray, temperature: float = 2.0) -> float:
+def softmax_score(logits: np.ndarray, temperature: float = 2.0) -> float:
     """Mean max softmax probability after temperature scaling of the logits."""
     if temperature <= 0:
         raise EstimatorError("temperature must be positive")
-    logits = nn.forward_logits(model, x, nn.Deterministic())
     probs = nn.softmax(logits / temperature)
     return float(probs.max(axis=1).mean())
 
 
-def gde_agreement(model: nn.MlpModel, previous_model: nn.MlpModel, x: np.ndarray) -> float:
-    """Fraction of matching argmax predictions between two model states."""
-    cur = predicted_labels(nn.forward(model, x, nn.Deterministic()))
+def gde_agreement(labels: np.ndarray, previous_model: nn.MlpModel, x: np.ndarray) -> float:
+    """Fraction of the current predictions ``labels`` that the previous model state matches on ``x``."""
     prev = predicted_labels(nn.forward(previous_model, x, nn.Deterministic()))
-    return float(np.mean(cur == prev))
+    return float(np.mean(labels == prev))
 
 
 def src_valid(model: nn.MlpModel, features: np.ndarray, labels: np.ndarray) -> float:

@@ -7,30 +7,28 @@ import csv
 import dataclasses
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import plots
+from . import nn, plots
 from .estimators import (
     AettaConfig,
     EstimateReport,
-    EstimatorState,
     adv_perturb_agreement,
     aetta_estimate,
     fresh_state,
     gde_agreement,
+    predicted_labels,
     softmax_score,
     src_valid,
 )
-from .nn import Deterministic, MlpModel, OptimizerState, clone, entropy_loss, forward
 from .streams import (
     Continual,
     CorruptionSpec,
     DatasetSpec,
     Fully,
-    StreamBatch,
     collapse_schedule,
     default_continual_schedule,
     make_stream,
@@ -64,16 +62,8 @@ CSV_COLUMNS = (
     "corruption",
     "severity",
     "true_acc",
-    "est_srcvalid",
-    "est_softmax",
-    "est_gde",
-    "est_advperturb",
-    "est_aetta",
-    "err_srcvalid",
-    "err_softmax",
-    "err_gde",
-    "err_advperturb",
-    "err_aetta",
+    *(f"est_{name}" for name in ESTIMATOR_NAMES),
+    *(f"err_{name}" for name in ESTIMATOR_NAMES),
     "reset",
     "trigger",
 )
@@ -104,7 +94,6 @@ class ExperimentConfig:
     softmax_temperature: float = 2.0
     adv_epsilon: float = 1.0 / 255.0
     mrs_ema: float = 0.9
-    out_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIO_KINDS:
@@ -198,16 +187,11 @@ def seed_mean_mae(records_by_seed: list[list[RunRecord]], estimator: str) -> flo
     return float(np.mean([mae(records, estimator) for records in records_by_seed]))
 
 
-def _batch_accuracy(model: MlpModel, batch: StreamBatch) -> float:
-    probs = forward(model, batch.features, Deterministic())
-    return float(np.mean(np.argmax(probs, axis=-1) == batch.hidden_labels))
-
-
 def _adaptation_step(
     config: ExperimentConfig,
-    model: MlpModel,
+    model: nn.MlpModel,
     x: np.ndarray,
-    optimizer: OptimizerState,
+    optimizer: nn.OptimizerState,
 ) -> None:
     method = config.adaptation.method
     if method == "tent":
@@ -256,8 +240,9 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
     )
 
     enabled = config.estimators_enabled
-    est_state: EstimatorState = fresh_state(config.estimator)
-    prev_model = clone(model)
+    # the window-degradation trigger compares the last two windows of accuracies
+    est_state = fresh_state(2 * config.recovery.window)
+    prev_model = nn.clone(model)
     entropy_ema: float | None = None
     episodic = config.recovery.kind == "episodic"
     records: list[RunRecord] = []
@@ -265,31 +250,42 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
     for batch in stream:
         x = batch.features
 
+        # one deterministic forward of the current model serves every consumer
+        logits = nn.forward_logits(model, x, nn.Deterministic())
+        probs = nn.softmax(logits)
+        labels = predicted_labels(probs)
+        # an infinite bias can vanish behind a relu or the softmax, so the
+        # parameters are checked as well as the predictions
+        params_finite = all(np.isfinite(p).all() for _, p in nn.named_parameters(model))
+        non_finite = not (params_finite and np.isfinite(probs).all())
+        true_accuracy = float(np.mean(labels == batch.hidden_labels))
+        batch_entropy = nn.entropy_loss(probs)
+        if entropy_ema is None:
+            entropy_ema = batch_entropy
+        else:
+            entropy_ema = config.mrs_ema * entropy_ema + (1.0 - config.mrs_ema) * batch_entropy
         estimates: dict[str, float] = {}
         report: EstimateReport | None = None
+        if "softmax" in enabled:
+            estimates["softmax"] = softmax_score(logits, temperature=config.softmax_temperature)
+        # dropped before the other estimators allocate, to keep the batch's peak memory down
+        del logits, probs
+
         if "srcvalid" in enabled:
             estimates["srcvalid"] = src_valid(model, holdout_x, holdout_y)
-        if "softmax" in enabled:
-            estimates["softmax"] = softmax_score(model, x, temperature=config.softmax_temperature)
         if "gde" in enabled:
-            estimates["gde"] = gde_agreement(model, prev_model, x)
+            estimates["gde"] = gde_agreement(labels, prev_model, x)
         if "advperturb" in enabled:
             estimates["advperturb"] = adv_perturb_agreement(
                 source, model, x, epsilon=config.adv_epsilon, feature_scale=feature_scale
             )
         if "aetta" in enabled:
-            report, est_state = aetta_estimate(model, x, config.estimator, est_state)
+            report, est_state = aetta_estimate(model, x, labels, config.estimator, est_state)
             estimates["aetta"] = report.smoothed_accuracy
 
-        true_accuracy = _batch_accuracy(model, batch)
-
-        batch_entropy = entropy_loss(forward(model, x, Deterministic()))
-        if entropy_ema is None:
-            entropy_ema = batch_entropy
-        else:
-            entropy_ema = config.mrs_ema * entropy_ema + (1.0 - config.mrs_ema) * batch_entropy
-
-        context = ResetContext(entropy_ema=entropy_ema, at_corruption_boundary=batch.at_boundary)
+        context = ResetContext(
+            entropy_ema=entropy_ema, at_corruption_boundary=batch.at_boundary, non_finite=non_finite
+        )
         fire, trigger = should_reset(config.recovery, est_state, context)
         did_reset = False
         if fire and not episodic:
@@ -298,7 +294,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
             if config.recovery.kind == "mrs":
                 entropy_ema = None
 
-        prev_model = clone(model)
+        prev_model = nn.clone(model)
         _adaptation_step(config, model, x, optimizer)
         if config.recovery.kind == "stochastic_restore":
             stochastic_restore_step(
@@ -376,61 +372,56 @@ def summarize(result: ExperimentResult) -> list[SummaryRow]:
     return rows
 
 
-def _csv_row(record: RunRecord, enabled: tuple[str, ...]) -> list[str]:
-    row = [
-        str(record.batch_index),
-        record.corruption_id,
-        str(record.severity),
-        repr(record.true_accuracy),
-    ]
-    for name in ESTIMATOR_NAMES:
-        row.append(repr(record.estimates[name]) if name in enabled else "")
-    for name in ESTIMATOR_NAMES:
-        row.append(repr(record.abs_error(name)) if name in enabled else "")
-    row.append("1" if record.reset else "0")
-    row.append(record.trigger)
+def _csv_row(record: RunRecord) -> dict[str, str]:
+    """Disabled estimators have no key, so their columns stay empty."""
+    row = {
+        "t": str(record.batch_index),
+        "corruption": record.corruption_id,
+        "severity": str(record.severity),
+        "true_acc": repr(record.true_accuracy),
+        "reset": "1" if record.reset else "0",
+        "trigger": record.trigger,
+    }
+    for name, value in record.estimates.items():
+        row[f"est_{name}"] = repr(value)
+        row[f"err_{name}"] = repr(record.abs_error(name))
     return row
 
 
 def write_run_csv(result: ExperimentResult, path: str | Path) -> None:
     """All seeds concatenated in seed order; batch index restarts per seed."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+        writer.writeheader()
         for records in result.records_by_seed:
-            for record in records:
-                writer.writerow(_csv_row(record, result.config.estimators_enabled))
+            writer.writerows(_csv_row(record) for record in records)
 
 
 def load_run_csv(path: str | Path) -> list[list[RunRecord]]:
     """Inverse of write_run_csv; seeds are split where the batch index restarts."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
-            raise HarnessError(f"unexpected CSV header {header}")
+        reader = csv.DictReader(fh)
+        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
+            raise HarnessError(f"unexpected CSV header {reader.fieldnames}")
         by_seed: list[list[RunRecord]] = []
         current: list[RunRecord] = []
         for row in reader:
-            t = int(row[0])
+            t = int(row["t"])
             if current and t <= current[-1].batch_index:
                 by_seed.append(current)
                 current = []
-            estimates = {
-                name: float(row[4 + i])
-                for i, name in enumerate(ESTIMATOR_NAMES)
-                if row[4 + i] != ""
-            }
             current.append(
                 RunRecord(
                     seed=len(by_seed),
                     batch_index=t,
-                    corruption_id=row[1],
-                    severity=int(row[2]),
-                    true_accuracy=float(row[3]),
-                    estimates=estimates,
-                    reset=row[14] == "1",
-                    trigger=row[15],
+                    corruption_id=row["corruption"],
+                    severity=int(row["severity"]),
+                    true_accuracy=float(row["true_acc"]),
+                    estimates={
+                        name: float(row[f"est_{name}"]) for name in ESTIMATOR_NAMES if row[f"est_{name}"]
+                    },
+                    reset=row["reset"] == "1",
+                    trigger=row["trigger"],
                 )
             )
         if current:
@@ -481,18 +472,6 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     return written
 
 
-def _dataclass_to_jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _dataclass_to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, tuple):
-        return [_dataclass_to_jsonable(v) for v in obj]
-    return obj
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return _dataclass_to_jsonable(config)
-
-
 _NESTED_FIELDS = {
     "dataset": DatasetSpec,
     "adaptation": AdaptConfig,
@@ -537,5 +516,5 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def save_config(config: ExperimentConfig, path: str | Path) -> None:
     with open(path, "w") as fh:
-        json.dump(config_to_dict(config), fh, indent=2)
+        json.dump(dataclasses.asdict(config), fh, indent=2)
         fh.write("\n")

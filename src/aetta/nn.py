@@ -339,18 +339,6 @@ def forward_logits(model: MlpModel, x: np.ndarray, mode: ForwardMode = Determini
     return _forward_cached(model, x, mode).logits
 
 
-def hidden_activations(model: MlpModel, x: np.ndarray, mode: ForwardMode = Deterministic()) -> list[np.ndarray]:
-    """Post-dropout activation of each hidden block (diagnostics and tests)."""
-    cache = _forward_cached(model, x, mode)
-    outs = []
-    for i, bc in enumerate(cache.blocks):
-        h = np.maximum(bc.bn_out, 0.0)
-        if bc.mask is not None:
-            h = h * bc.mask / (1.0 - model.dropout.rates[i])
-        outs.append(h)
-    return outs
-
-
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------

@@ -89,14 +89,12 @@ def exact_expected_err(space: FiniteHypothesisSpace) -> float:
     return float(np.dot(space.point_probs, per_point))
 
 
-def exact_expected_pdd(space: FiniteHypothesisSpace, n_dropout: int = 1) -> float:
+def exact_expected_pdd(space: FiniteHypothesisSpace) -> float:
     """Expected disagreement between i.i.d. prediction draws.
 
-    ``n_dropout`` is validated but cannot change the value: each extra draw has
-    the same marginal, so the expectation is draw-count-free.
+    Every dropout draw has the same marginal, so the expectation does not
+    depend on how many draws are averaged.
     """
-    if n_dropout < 1:
-        raise OracleError("n_dropout must be at least 1")
     per_point = np.sum(space.htilde * (1.0 - space.htilde), axis=1)
     return float(np.dot(space.point_probs, per_point))
 

@@ -11,10 +11,8 @@ only.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm
@@ -226,18 +224,6 @@ class StreamBatch:
 
 
 @dataclass(frozen=True)
-class ShiftStream:
-    batches: tuple[StreamBatch, ...]
-    batch_size: int
-
-    def __len__(self) -> int:
-        return len(self.batches)
-
-    def __iter__(self):
-        return iter(self.batches)
-
-
-@dataclass(frozen=True)
 class Fully:
     corruption: CorruptionSpec
     n_batches: int | None = None
@@ -272,7 +258,7 @@ def collapse_schedule(seed: int = 0, length: int = 15) -> tuple[CorruptionSpec, 
     return tuple(CorruptionSpec(kind=kinds[i % 4], severity=5, seed=seed * 100 + i) for i in range(length))
 
 
-def make_stream(scenario: Scenario, pool: Split, batch_size: int = 64, seed: int = 0) -> ShiftStream:
+def make_stream(scenario: Scenario, pool: Split, batch_size: int = 64, seed: int = 0) -> tuple[StreamBatch, ...]:
     """Materialise the batched test stream; sampling is without replacement per segment."""
     if batch_size < 1:
         raise StreamError("batch_size must be at least 1")
@@ -313,24 +299,7 @@ def make_stream(scenario: Scenario, pool: Split, batch_size: int = 64, seed: int
                 )
             )
             t += 1
-    return ShiftStream(batches=tuple(batches), batch_size=batch_size)
-
-
-def stream_to_csv(stream: ShiftStream, path: str | Path) -> None:
-    """One row per sample with batch metadata, for outside inspection."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        dim = stream.batches[0].features.shape[1] if stream.batches else 0
-        writer.writerow(
-            ["batch_index", "segment_index", "corruption", "severity", "label"]
-            + [f"f{i}" for i in range(dim)]
-        )
-        for b in stream:
-            for row, label in zip(b.features, b.hidden_labels):
-                writer.writerow(
-                    [b.batch_index, b.segment_index, b.corruption_id, b.severity, int(label)]
-                    + [repr(float(v)) for v in row]
-                )
+    return tuple(batches)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ RECOVERY_KINDS = ("aetta_reset", "episodic", "mrs", "stochastic_restore", "dist_
 TRIGGER_WINDOW = "window_degradation"
 TRIGGER_HARD = "hard_threshold"
 TRIGGER_EXTERNAL = "external"
+TRIGGER_NON_FINITE = "non_finite"
 
 
 class AdaptationError(ValueError):
@@ -103,12 +104,7 @@ class ResetContext:
 
     entropy_ema: float | None = None
     at_corruption_boundary: bool = False
-
-
-@dataclass(frozen=True)
-class ResetEvent:
-    batch_index: int
-    trigger: str
+    non_finite: bool = False  # the model or its predictions hold a NaN or an infinity
 
 
 def _window_degraded(policy: RecoveryPolicy, history: list[float]) -> bool:
@@ -138,7 +134,9 @@ def should_reset(
         if context.at_corruption_boundary:
             return True, TRIGGER_EXTERNAL
         return False, None
-    # aetta_reset: degradation across two windows, or outright low accuracy
+    # aetta_reset: a non-finite model, degradation across two windows, or outright low accuracy
+    if context.non_finite:
+        return True, TRIGGER_NON_FINITE
     history = list(state.history)
     if _window_degraded(policy, history):
         return True, TRIGGER_WINDOW

@@ -83,11 +83,11 @@ def test_criterion_03_estimator_unit_identities():
         model = nn.build_mlp(6, k, hidden=(12,), seed=int(rng.integers(0, 100_000)))
         x = rng.normal(size=(8, 6))
         config = AettaConfig(n_dropout=4, alpha=0.0, base_seed=i)
-        report, _ = aetta_estimate(model, x, config, fresh_state(config))
-
         base = np.argmax(nn.forward(model, x, nn.Deterministic()), axis=-1)
+        report, _ = aetta_estimate(model, x, base, config, fresh_state(10))
+
         ensemble = dropout_ensemble(model, x, n_dropout=4, base_seed=i)
-        expected = pdd(base, ensemble.labels)
+        expected = pdd(base, np.argmax(ensemble, axis=-1))
         bitwise = bitwise and report.smoothed_error == expected and report.pdd == expected
 
     unit_b = abs(robust_weight(_LN10, 10, alpha=3.0) - 1.0) <= 1e-12

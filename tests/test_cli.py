@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -39,7 +40,7 @@ def test_flags_override_config_file(tmp_path):
     assert config.seeds == (3,)
     assert config.estimator.n_dropout == 6
     assert config.estimator.alpha == 3.0
-    assert config.out_dir == "elsewhere"
+    assert args.out == Path("elsewhere")
     assert config.dataset == DatasetSpec(class_count=3, input_dim=4, samples_per_class=120, seed=0)
 
 

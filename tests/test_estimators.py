@@ -18,6 +18,17 @@ def model_and_batch(seed=0, rows=16, class_count=4):
     return model, x
 
 
+def labels_of(model, x):
+    return est.predicted_labels(nn.forward(model, x))
+
+
+def estimate(model, x, cfg, state=None):
+    """aetta_estimate with the base labels from a deterministic forward."""
+    if state is None:
+        state = est.fresh_state(10)
+    return est.aetta_estimate(model, x, labels_of(model, x), cfg, state)
+
+
 class TestPdd:
     def test_hand_counted_disagreements(self):
         base = np.array([0, 1, 2])
@@ -91,7 +102,7 @@ class TestAettaEstimate:
         """Re-derive every report field from raw forwards with the same seeds."""
         model, x = model_and_batch(seed=5)
         cfg = est.AettaConfig(n_dropout=6, alpha=2.5, base_seed=40)
-        report, _ = est.aetta_estimate(model, x, cfg)
+        report, _ = estimate(model, x, cfg)
 
         base = np.argmax(nn.forward(model, x), axis=1)
         probs = np.stack([nn.forward(model, x, nn.Dropout(seed=40 + i)) for i in range(6)])
@@ -113,7 +124,7 @@ class TestAettaEstimate:
         cfg = est.AettaConfig(alpha=0.0)
         for seed in range(20):
             model, x = model_and_batch(seed=seed, rows=8)
-            report, _ = est.aetta_estimate(model, x, cfg)
+            report, _ = estimate(model, x, cfg)
             assert report.b_weight == 1.0
             assert report.raw_error == report.pdd
 
@@ -123,25 +134,25 @@ class TestAettaEstimate:
         state = None
         expected = None
         for _ in range(6):
-            report, state = est.aetta_estimate(model, x, cfg, state)
+            report, state = estimate(model, x, cfg, state)
             expected = report.raw_error if expected is None else 0.9 * expected + 0.1 * report.raw_error
             assert_allclose(report.smoothed_error, expected, rtol=1e-14)
 
     def test_state_is_not_mutated(self):
         model, x = model_and_batch(seed=7)
         cfg = est.AettaConfig(n_dropout=3)
-        _, s1 = est.aetta_estimate(model, x, cfg)
+        _, s1 = estimate(model, x, cfg)
         frozen = list(s1.history)
-        est.aetta_estimate(model, x, cfg, s1)
+        estimate(model, x, cfg, s1)
         assert list(s1.history) == frozen
 
     def test_history_is_bounded_ring(self):
         model, x = model_and_batch(seed=1)
-        cfg = est.AettaConfig(n_dropout=2, history_capacity=10)
+        cfg = est.AettaConfig(n_dropout=2)
         state = None
         accs = []
         for _ in range(14):
-            report, state = est.aetta_estimate(model, x, cfg, state)
+            report, state = estimate(model, x, cfg, state)
             accs.append(report.smoothed_accuracy)
         assert len(state.history) == 10
         assert list(state.history) == accs[-10:]
@@ -151,7 +162,7 @@ class TestAettaEstimate:
         cfg = est.AettaConfig(alpha=5.0)
         state = None
         for _ in range(10):
-            report, state = est.aetta_estimate(model, x, cfg, state)
+            report, state = estimate(model, x, cfg, state)
             assert 0.0 <= report.raw_error <= 1.0
             assert 0.0 <= report.smoothed_accuracy <= 1.0
 
@@ -164,8 +175,6 @@ class TestAettaEstimate:
             est.AettaConfig(ema_coefficient=1.0)
         with pytest.raises(est.EstimatorError):
             est.AettaConfig(entropy_floor=0.0)
-        with pytest.raises(est.EstimatorError):
-            est.AettaConfig(history_capacity=5)
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 0.99))
     @settings(max_examples=50, deadline=None)
@@ -182,21 +191,21 @@ class TestComparisonEstimators:
         model.head.bias[...] = np.array([2.0, 0.0])
         x = np.zeros((5, 3))
         expected = math.exp(1.0) / (math.exp(1.0) + 1.0)
-        assert_allclose(est.softmax_score(model, x, temperature=2.0), expected, rtol=1e-15)
+        assert_allclose(est.softmax_score(nn.forward_logits(model, x), temperature=2.0), expected, rtol=1e-15)
 
     def test_softmax_score_bounds(self):
         model, x = model_and_batch(seed=11)
-        s = est.softmax_score(model, x)
+        s = est.softmax_score(nn.forward_logits(model, x))
         assert 1.0 / model.class_count <= s <= 1.0
 
     def test_temperature_must_be_positive(self):
         model, x = model_and_batch()
         with pytest.raises(est.EstimatorError):
-            est.softmax_score(model, x, temperature=0.0)
+            est.softmax_score(nn.forward_logits(model, x), temperature=0.0)
 
     def test_gde_self_agreement_is_one(self):
         model, x = model_and_batch(seed=3)
-        assert est.gde_agreement(model, nn.clone(model), x) == 1.0
+        assert est.gde_agreement(labels_of(model, x), nn.clone(model), x) == 1.0
 
     def test_gde_counts_matching_argmax(self):
         model, x = model_and_batch(seed=4)
@@ -204,7 +213,7 @@ class TestComparisonEstimators:
         other.head.weights[...] = np.roll(other.head.weights, 1, axis=1)
         a = np.argmax(nn.forward(model, x), axis=1)
         b = np.argmax(nn.forward(other, x), axis=1)
-        assert_allclose(est.gde_agreement(model, other, x), np.mean(a == b), rtol=1e-15)
+        assert_allclose(est.gde_agreement(labels_of(model, x), other, x), np.mean(a == b), rtol=1e-15)
 
     def test_src_valid_counts_correct_predictions(self):
         model, x = model_and_batch(seed=6, rows=32)
@@ -222,7 +231,7 @@ class TestComparisonEstimators:
         model, x = model_and_batch(seed=8)
         adapted = nn.clone(model)
         adapted.head.bias += 0.3
-        clean = est.gde_agreement(adapted, model, x)
+        clean = est.gde_agreement(labels_of(adapted, x), model, x)
         assert_allclose(est.adv_perturb_agreement(model, adapted, x, epsilon=0.0), clean, rtol=1e-15)
 
     def test_adv_perturb_identical_models_agree(self):
@@ -236,7 +245,7 @@ class TestComparisonEstimators:
         scale = np.linspace(0.5, 2.0, x.shape[1])
         x_adv = x + 0.01 * scale * np.sign(grad)
         # agreement computed on exactly that perturbed batch
-        expected = est.gde_agreement(model, model, x_adv)
+        expected = est.gde_agreement(labels_of(model, x_adv), model, x_adv)
         assert est.adv_perturb_agreement(model, nn.clone(model), x, 0.01, scale) == expected
 
     def test_negative_epsilon_rejected(self):

@@ -1,12 +1,17 @@
 import dataclasses
+import hashlib
+import itertools
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aetta import harness, plots
-from aetta.estimators import AettaConfig, softmax_score, src_valid
-from aetta.nn import named_parameters
+from aetta.estimators import AettaConfig, EstimateReport, EstimatorState, softmax_score, src_valid
+from aetta.nn import build_mlp, forward_logits, named_parameters
 from aetta.streams import CorruptionSpec, DatasetSpec, prepared_task
 from aetta.tta import RecoveryPolicy
 
@@ -52,8 +57,8 @@ def test_first_batch_estimates_come_from_unadapted_source():
     stream = make_stream(
         Fully(config.fully_corruption, n_batches=4), task.holdout, batch_size=16, seed=0
     )
-    batch0 = next(iter(stream))
-    assert first.estimates["softmax"] == softmax_score(task.checkpoint, batch0.features)
+    logits = forward_logits(task.checkpoint, stream[0].features)
+    assert first.estimates["softmax"] == softmax_score(logits)
     cap = min(config.holdout_cap, len(task.holdout))
     assert first.estimates["srcvalid"] == src_valid(
         task.checkpoint, task.holdout.features[:cap], task.holdout.labels[:cap]
@@ -87,15 +92,13 @@ def test_hidden_labels_only_affect_true_accuracy(monkeypatch):
     original = harness.make_stream
 
     def relabeled(*args, **kwargs):
-        stream = original(*args, **kwargs)
         rng = np.random.default_rng(99)
-        batches = tuple(
+        return tuple(
             dataclasses.replace(
                 b, hidden_labels=rng.integers(0, 3, size=b.hidden_labels.shape)
             )
-            for b in stream.batches
+            for b in original(*args, **kwargs)
         )
-        return dataclasses.replace(stream, batches=batches)
 
     monkeypatch.setattr(harness, "make_stream", relabeled)
     shuffled = harness.run_experiment(config).records_by_seed[0]
@@ -166,6 +169,99 @@ def test_run_csv_round_trips(tmp_path):
             assert b.estimates == a.estimates
             assert b.reset == a.reset
             assert b.trigger == a.trigger
+
+
+# run.csv digests of tiny_config over 9 batches of 8 rows, one policy per
+# recovery kind, each set so that it fires. They were recorded before the
+# estimators shared one deterministic forward per batch; a change to output
+# bytes has to record them again and say why in CHANGES.md.
+PINNED_RUN_CSV = {
+    "none": (RecoveryPolicy(), "6130fb4fdf037396bacc4ad1200b49fdd79d89873104769ffde5b789e64cf999"),
+    "aetta_reset": (
+        RecoveryPolicy(kind="aetta_reset", window=2, hard_threshold=0.65),
+        "904bec1a5653ed3554616a96e44fe63ffe272b1e37306019ffe8fea2d36af3c8",
+    ),
+    "episodic": (
+        RecoveryPolicy(kind="episodic"),
+        "7ddf3213dbc9c52579b3f880ef6833406b09268b57c21dffdebbd409cd038ed6",
+    ),
+    "mrs": (
+        RecoveryPolicy(kind="mrs", mrs_threshold=1.0),
+        "af10c2f99c551a359e12532be8e127f0399301689c4b36f7a93a4cba365179ea",
+    ),
+    "stochastic_restore": (
+        RecoveryPolicy(kind="stochastic_restore", restore_prob=0.5),
+        "e354a8a0f312650e0a9bfd0770e2b99edb08c434a08760201588ebf753c8fc79",
+    ),
+    "dist_shift": (
+        RecoveryPolicy(kind="dist_shift"),
+        "add2b7676e716223cb3a288d55b5ff924f4a8d2b611d8cdd60fc82fa9d97fbf4",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_RUN_CSV))
+def test_run_csv_bytes_are_pinned(tmp_path, kind):
+    policy, digest = PINNED_RUN_CSV[kind]
+    result = harness.run_experiment(tiny_config(recovery=policy, n_batches=9, batch_size=8))
+    harness.write_run_csv(result, tmp_path / "run.csv")
+    assert hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest() == digest
+
+
+def test_window_above_five_can_fire(monkeypatch):
+    accuracies = iter(np.linspace(0.9, 0.6, 14))
+
+    def falling(model, x, labels, config, state):
+        accuracy = float(next(accuracies))
+        history = state.history.copy()
+        history.append(accuracy)
+        report = EstimateReport(
+            pdd=0.0, e_avg=0.0, b_weight=1.0, raw_error=1.0 - accuracy,
+            smoothed_error=1.0 - accuracy, smoothed_accuracy=accuracy,
+        )
+        return report, EstimatorState(ema_error=1.0 - accuracy, history=history)
+
+    monkeypatch.setattr(harness, "aetta_estimate", falling)
+    config = tiny_config(
+        recovery=RecoveryPolicy(kind="aetta_reset", window=6, hard_threshold=0.0),
+        n_batches=14,
+        batch_size=4,
+    )
+    records = harness.run_experiment(config).records_by_seed[0]
+    # two full windows of six first exist at batch 11
+    assert [r.trigger for r in records] == [""] * 11 + ["window_degradation"] * 3
+
+
+PARAMETER_NAMES = [name for name, _ in named_parameters(build_mlp(4, 3, hidden=(8,)))]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=20, deadline=None)
+@given(
+    at=st.integers(1, 8),
+    name=st.sampled_from(PARAMETER_NAMES),
+    index=st.integers(0, 2**16),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_non_finite_model_is_rolled_back_on_that_batch(at, name, index, value):
+    config = tiny_config(
+        recovery=RecoveryPolicy(kind="aetta_reset", hard_threshold=0.0), n_batches=9, batch_size=8
+    )
+    real = harness._adaptation_step
+    steps = itertools.count(1)
+
+    def poison(cfg, model, x, optimizer):
+        # the step after batch at-1 leaves the model that batch at sees
+        real(cfg, model, x, optimizer)
+        if next(steps) == at:
+            param = dict(named_parameters(model))[name]
+            param.flat[index % param.size] = value
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_adaptation_step", poison)
+        records = harness.run_experiment(config).records_by_seed[0]
+    assert [r.trigger for r in records] == ["non_finite" if t == at else "" for t in range(9)]
+    assert all(math.isfinite(r.estimates["aetta"]) for r in records)
 
 
 def test_load_run_csv_rejects_foreign_header(tmp_path):
@@ -308,7 +404,7 @@ def test_collapse_preset_pins_adaptation_and_schedule():
 
 
 def test_config_json_round_trip(tmp_path):
-    config = tiny_config(out_dir="somewhere")
+    config = tiny_config(recovery=RecoveryPolicy(kind="aetta_reset", window=3))
     path = tmp_path / "config.json"
     harness.save_config(config, path)
     assert harness.load_config(path) == config
@@ -321,6 +417,11 @@ def test_config_from_dict_rejects_unknown_keys():
         harness.config_from_dict({"dataset": {"classcount": 3}})
     with pytest.raises(harness.HarnessError, match="must be an object"):
         harness.config_from_dict({"dataset": 7})
+    # keys of removed options
+    with pytest.raises(harness.HarnessError, match="unknown config keys"):
+        harness.config_from_dict({"out_dir": "results"})
+    with pytest.raises(harness.HarnessError, match="unknown estimator keys"):
+        harness.config_from_dict({"estimator": {"history_capacity": 10}})
 
 
 def test_config_from_dict_accepts_partial_updates():

@@ -155,11 +155,12 @@ class TestDropout:
         """Mean post-dropout activation over many seeds ~ deterministic activation."""
         model = tiny_model(hidden=(8,), input_dim=4, rates=(0.4,))
         x = batch(rows=4, cols=4)
-        det = nn.hidden_activations(model, x, nn.Deterministic())[0]
+        # with one hidden block the head input is that block's post-dropout activation
+        det = nn._forward_cached(model, x, nn.Deterministic()).head_in
         n = 10_000
         acc = np.zeros((n,) + det.shape)
         for s in range(n):
-            acc[s] = nn.hidden_activations(model, x, nn.Dropout(seed=s))[0]
+            acc[s] = nn._forward_cached(model, x, nn.Dropout(seed=s)).head_in
         mean = acc.mean(axis=0)
         sem = acc.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(mean - det) <= 3.0 * sem + 1e-12)

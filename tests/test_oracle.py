@@ -60,8 +60,6 @@ class TestClosedForms:
     def test_draw_validation(self):
         space = oracle.mis_calibrated_fixture()
         with pytest.raises(oracle.OracleError):
-            oracle.exact_expected_pdd(space, n_dropout=0)
-        with pytest.raises(oracle.OracleError):
             oracle.sampled_pdd(space, n_dropout=1, n_draws=0, seed=0)
 
 

@@ -250,13 +250,3 @@ class TestMakeStream:
         collapse = streams.collapse_schedule(seed=4)
         assert len(collapse) == 15
         assert all(c.severity == 5 for c in collapse)
-
-    def test_stream_csv_snapshot(self, tmp_path):
-        pool = self.pool()
-        scenario = streams.Fully(streams.CorruptionSpec(kind="rotation", severity=2, seed=1), n_batches=2)
-        stream = streams.make_stream(scenario, pool, batch_size=8, seed=0)
-        path = tmp_path / "stream.csv"
-        streams.stream_to_csv(stream, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("batch_index,segment_index,corruption,severity,label,f0")
-        assert len(lines) == 1 + 2 * 8

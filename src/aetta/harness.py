@@ -242,7 +242,9 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
     enabled = config.estimators_enabled
     # the window-degradation trigger compares the last two windows of accuracies
     est_state = fresh_state(2 * config.recovery.window)
-    prev_model = nn.clone(model)
+    # GDE compares against the model before the last adaptation step; nothing else reads it
+    gde = "gde" in enabled
+    prev_model = nn.clone(model) if gde else None
     entropy_ema: float | None = None
     episodic = config.recovery.kind == "episodic"
     records: list[RunRecord] = []
@@ -273,7 +275,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
 
         if "srcvalid" in enabled:
             estimates["srcvalid"] = src_valid(model, holdout_x, holdout_y)
-        if "gde" in enabled:
+        if gde:
             estimates["gde"] = gde_agreement(labels, prev_model, x)
         if "advperturb" in enabled:
             estimates["advperturb"] = adv_perturb_agreement(
@@ -294,7 +296,8 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
             if config.recovery.kind == "mrs":
                 entropy_ema = None
 
-        prev_model = nn.clone(model)
+        if gde:
+            prev_model = nn.clone(model)
         _adaptation_step(config, model, x, optimizer)
         if config.recovery.kind == "stochastic_restore":
             stochastic_restore_step(

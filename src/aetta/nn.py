@@ -12,6 +12,17 @@ package needs:
 
 Gradients are computed by hand so they can be checked against finite
 differences; there is no autograd anywhere.
+
+A training step works on 64-row batches and 64-wide layers, so numpy's
+per-call overhead, not arithmetic, sets its cost. Forward, backward and the
+optimizer step therefore reuse arrays they allocated themselves through in-place
+ufuncs, applying the same elementwise operations in the same order as the plain
+expressions, so every result is bitwise unchanged. They never write into the
+caller's input. Two cached arrays are written in place before they are cached:
+each block's ``xhat`` (the dense output, centred and scaled in place) and, under
+dropout, the masked activation that becomes the next block's ``x_in`` or
+``head_in``. Backward can still read them because nothing writes to an array
+once it is in the cache: backward writes only into the gradients it allocates.
 """
 
 from __future__ import annotations
@@ -260,9 +271,10 @@ def resolve_trainable(model: MlpModel, trainable: str) -> tuple[str, ...]:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    e = logits - logits.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 @dataclass
@@ -303,29 +315,42 @@ def _forward_cached(model: MlpModel, x: np.ndarray, mode: ForwardMode) -> _Forwa
     h = x
     for blk, rate in zip(model.blocks, model.dropout.rates):
         x_in = h
-        z = x_in @ blk.dense.weights + blk.dense.bias
+        z = x_in @ blk.dense.weights
+        z += blk.dense.bias
         if train_bn:
-            mean = z.mean(axis=0)
-            var = z.var(axis=0)
-            inv_std = 1.0 / np.sqrt(var + blk.norm.eps)
-            xhat = (z - mean) * inv_std
-            m = blk.norm.momentum
+            # np.mean and np.var both divide an axis-0 sum by n; z is centred once
             n = z.shape[0]
+            mean = z.sum(axis=0)
+            mean /= n
+            z -= mean
+            var = (z * z).sum(axis=0)
+            var /= n
+            inv_std = var + blk.norm.eps
+            np.sqrt(inv_std, out=inv_std)
+            np.divide(1.0, inv_std, out=inv_std)
+            m = blk.norm.momentum
             # torch convention: running_var tracks the unbiased estimate
             var_running = var * n / (n - 1) if n > 1 else var
-            blk.norm.running_mean[...] = (1.0 - m) * blk.norm.running_mean + m * mean
-            blk.norm.running_var[...] = (1.0 - m) * blk.norm.running_var + m * var_running
+            blk.norm.running_mean *= 1.0 - m
+            blk.norm.running_mean += m * mean
+            blk.norm.running_var *= 1.0 - m
+            blk.norm.running_var += m * var_running
         else:
             inv_std = 1.0 / np.sqrt(blk.norm.running_var + blk.norm.eps)
-            xhat = (z - blk.norm.running_mean) * inv_std
-        bn_out = blk.norm.gamma * xhat + blk.norm.beta
+            z -= blk.norm.running_mean
+        z *= inv_std
+        xhat = z
+        bn_out = blk.norm.gamma * xhat
+        bn_out += blk.norm.beta
         h = np.maximum(bn_out, 0.0)
         mask = None
         if rng is not None and rate > 0.0:
             mask = rng.random(h.shape) >= rate
-            h = h * mask / (1.0 - rate)
+            h *= mask
+            h /= 1.0 - rate
         caches.append(_BlockCache(x_in=x_in, xhat=xhat, inv_std=inv_std, bn_out=bn_out, mask=mask))
-    logits = h @ model.head.weights + model.head.bias
+    logits = h @ model.head.weights
+    logits += model.head.bias
     probs = softmax(logits)
     return _ForwardCache(blocks=caches, head_in=h, logits=logits, probs=probs)
 
@@ -375,14 +400,23 @@ def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray) -> float:
 
 def _entropy_logit_grad(probs: np.ndarray) -> np.ndarray:
     """d(mean row entropy)/d logits; rows with saturated softmax give ~0."""
-    logp = np.log(np.maximum(probs, _LOG_GUARD))
-    row_entropy = -np.sum(probs * logp, axis=1, keepdims=True)
-    return -probs * (logp + row_entropy) / probs.shape[0]
+    logp = np.maximum(probs, _LOG_GUARD)
+    np.log(logp, out=logp)
+    grad = probs * logp
+    row_entropy = grad.sum(axis=1, keepdims=True)
+    np.negative(row_entropy, out=row_entropy)
+    logp += row_entropy
+    np.negative(probs, out=grad)
+    grad *= logp
+    grad /= probs.shape[0]
+    return grad
 
 
 def _cross_entropy_logit_grad(probs: np.ndarray, target_probs: np.ndarray) -> np.ndarray:
     """d(mean CE)/d logits for softmax outputs; zero when probs match targets."""
-    return (probs - target_probs) / probs.shape[0]
+    grad = probs - target_probs
+    grad /= probs.shape[0]
+    return grad
 
 
 def _one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
@@ -427,13 +461,11 @@ def backward(
 
     wanted = set(resolve_trainable(model, trainable))
     grads: dict[str, np.ndarray] = {}
-
-    def keep(name: str, g: np.ndarray) -> None:
-        if name in wanted:
-            grads[name] = g
-
-    keep("head.weights", cache.head_in.T @ dlogits)
-    keep("head.bias", dlogits.sum(axis=0))
+    # every array written below was allocated here; the cache is only read
+    if "head.weights" in wanted:
+        grads["head.weights"] = cache.head_in.T @ dlogits
+    if "head.bias" in wanted:
+        grads["head.bias"] = dlogits.sum(axis=0)
     dh = dlogits @ model.head.weights.T
 
     train_bn = isinstance(mode, TrainBN)
@@ -442,24 +474,38 @@ def backward(
         bc = cache.blocks[i]
         rate = model.dropout.rates[i]
         if bc.mask is not None:
-            dh = dh * bc.mask / (1.0 - rate)
-        d_bn_out = dh * (bc.bn_out > 0.0)
-        keep(f"blocks.{i}.norm.gamma", np.sum(d_bn_out * bc.xhat, axis=0))
-        keep(f"blocks.{i}.norm.beta", d_bn_out.sum(axis=0))
-        dxhat = d_bn_out * blk.norm.gamma
-        if train_bn:
-            if dxhat.shape[0] == 1:
-                # one row: xhat == 0 whatever z is, so nothing flows past beta
-                dz = np.zeros_like(dxhat)
-            else:
-                dz = (
-                    dxhat - dxhat.mean(axis=0) - bc.xhat * np.mean(dxhat * bc.xhat, axis=0)
-                ) * bc.inv_std
+            dh *= bc.mask
+            dh /= 1.0 - rate
+        dh *= bc.bn_out > 0.0
+        if f"blocks.{i}.norm.gamma" in wanted:
+            grads[f"blocks.{i}.norm.gamma"] = (dh * bc.xhat).sum(axis=0)
+        if f"blocks.{i}.norm.beta" in wanted:
+            grads[f"blocks.{i}.norm.beta"] = dh.sum(axis=0)
+        dz = dh
+        dz *= blk.norm.gamma  # d xhat
+        if not train_bn:
+            dz *= bc.inv_std
+        elif dz.shape[0] == 1:
+            # one row: xhat == 0 whatever z is, so nothing flows past beta
+            dz[...] = 0.0
         else:
-            dz = dxhat * bc.inv_std
-        keep(f"blocks.{i}.dense.weights", bc.x_in.T @ dz)
-        keep(f"blocks.{i}.dense.bias", dz.sum(axis=0))
-        dh = dz @ blk.dense.weights.T
+            # dz = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv_std
+            n = dz.shape[0]
+            scaled = dz * bc.xhat
+            dot = scaled.sum(axis=0)
+            dot /= n
+            mean = dz.sum(axis=0)
+            mean /= n
+            np.multiply(bc.xhat, dot, out=scaled)
+            dz -= mean
+            dz -= scaled
+            dz *= bc.inv_std
+        if f"blocks.{i}.dense.weights" in wanted:
+            grads[f"blocks.{i}.dense.weights"] = bc.x_in.T @ dz
+        if f"blocks.{i}.dense.bias" in wanted:
+            grads[f"blocks.{i}.dense.bias"] = dz.sum(axis=0)
+        if i > 0 or want_input_grad:
+            dh = dz @ blk.dense.weights.T
 
     if want_input_grad:
         return grads, dh
@@ -559,6 +605,14 @@ def gradcheck_max_error(
 
 @dataclass
 class OptimizerState:
+    """Adam or SGD settings plus Adam's moments.
+
+    ``m`` and ``v`` map parameter names to moment arrays. The arrays are views
+    into one flat buffer per moment laid out in the order of the last call's
+    gradients, so Adam updates every named parameter with one run of vector
+    operations. Write into them in place, never rebind an entry.
+    """
+
     kind: str = "adam"  # "adam" | "sgd"
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -567,6 +621,9 @@ class OptimizerState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    _layout: tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
+    _m_flat: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _v_flat: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("adam", "sgd"):
@@ -575,27 +632,70 @@ class OptimizerState:
             raise EngineError("learning rate must be non-negative")
 
 
+def _flat_moments(state: OptimizerState, params: list[np.ndarray], names: tuple[str, ...]) -> None:
+    """Lay the moments of ``names`` out flat, in that order.
+
+    A name's moments carry over from wherever they lived before; a new name
+    starts at zero. Names left out keep their old arrays.
+    """
+    total = sum(p.size for p in params)
+    state._m_flat, state._v_flat = np.zeros(total), np.zeros(total)
+    offset = 0
+    for name, p in zip(names, params):
+        for flat, moments in ((state._m_flat, state.m), (state._v_flat, state.v)):
+            view = flat[offset : offset + p.size].reshape(p.shape)
+            if name in moments:
+                view[...] = moments[name]
+            moments[name] = view
+        offset += p.size
+    state._layout = names
+
+
 def optimizer_step(model: MlpModel, grads: dict[str, np.ndarray], state: OptimizerState) -> None:
-    """Apply one update in place; moment tensors are lazily allocated per name."""
-    params = dict(named_parameters(model))
-    unknown = set(grads) - set(params)
+    """Apply one update in place to every parameter named in ``grads``.
+
+    The gradients are joined into one flat vector and updated with the same
+    elementwise operations, in the same order, as a per-parameter loop.
+    """
+    named = dict(named_parameters(model))
+    unknown = set(grads) - set(named)
     if unknown:
         raise EngineError(f"gradients for unknown parameters: {sorted(unknown)}")
-    state.step += 1
-    for name, g in grads.items():
-        p = params[name]
+    params = [named[name] for name in grads]
+    for (name, g), p in zip(grads.items(), params):
         if g.shape != p.shape:
             raise EngineError(f"gradient shape mismatch for {name}")
-        if state.kind == "sgd":
-            p -= state.learning_rate * g
-            continue
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
-        m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[...] = state.beta2 * v + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**state.step)
-        v_hat = v / (1.0 - state.beta2**state.step)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.step += 1
+    if not grads:
+        return
+    g = np.concatenate(list(grads.values()), axis=None)
+    if state.kind == "sgd":
+        update = state.learning_rate * g
+    else:
+        names = tuple(grads)
+        if names != state._layout:
+            _flat_moments(state, params, names)
+        m, v = state._m_flat, state._v_flat
+        b1, b2 = state.beta1, state.beta2
+        # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+        scratch = g * (1.0 - b1)
+        m *= b1
+        m += scratch
+        np.multiply(g, 1.0 - b2, out=scratch)
+        scratch *= g
+        v *= b2
+        v += scratch
+        # update = lr * m_hat / (sqrt(v_hat) + eps)
+        update = m / (1.0 - b1**state.step)
+        update *= state.learning_rate
+        np.divide(v, 1.0 - b2**state.step, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += state.eps
+        update /= scratch
+    offset = 0
+    for p in params:
+        p -= update[offset : offset + p.size].reshape(p.shape)
+        offset += p.size
 
 
 # ---------------------------------------------------------------------------

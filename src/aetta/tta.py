@@ -124,6 +124,10 @@ def should_reset(
     """Whether to roll back to the source checkpoint now, and why."""
     if policy.kind in ("none", "stochastic_restore"):
         return False, None
+    # a NaN can hide from every other signal: it makes the entropy EMA NaN and
+    # can arrive inside a segment, so each rolling-back kind checks it first
+    if context.non_finite:
+        return True, TRIGGER_NON_FINITE
     if policy.kind == "episodic":
         return True, TRIGGER_EXTERNAL
     if policy.kind == "mrs":
@@ -134,9 +138,7 @@ def should_reset(
         if context.at_corruption_boundary:
             return True, TRIGGER_EXTERNAL
         return False, None
-    # aetta_reset: a non-finite model, degradation across two windows, or outright low accuracy
-    if context.non_finite:
-        return True, TRIGGER_NON_FINITE
+    # aetta_reset: degradation across two windows, or outright low accuracy
     history = list(state.history)
     if _window_degraded(policy, history):
         return True, TRIGGER_WINDOW

@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aetta import harness, plots
@@ -235,18 +235,31 @@ def test_window_above_five_can_fire(monkeypatch):
 PARAMETER_NAMES = [name for name, _ in named_parameters(build_mlp(4, 3, hidden=(8,)))]
 
 
+# policies that roll back but would not fire on a finite model here, and the
+# triggers they give without a non-finite parameter (dist_shift fires on the one
+# segment boundary)
+QUIET_ROLLBACKS = {
+    "aetta_reset": (RecoveryPolicy(kind="aetta_reset", hard_threshold=0.0), [""] * 9),
+    "mrs": (RecoveryPolicy(kind="mrs", mrs_threshold=0.0), [""] * 9),
+    "dist_shift": (RecoveryPolicy(kind="dist_shift"), ["external"] + [""] * 8),
+}
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @settings(max_examples=20, deadline=None)
+@example(kind="aetta_reset", at=2, name="blocks.0.norm.gamma", index=0, value=math.nan)
+@example(kind="mrs", at=2, name="blocks.0.norm.gamma", index=0, value=math.nan)
+@example(kind="dist_shift", at=5, name="head.bias", index=1, value=-math.inf)
 @given(
+    kind=st.sampled_from(sorted(QUIET_ROLLBACKS)),
     at=st.integers(1, 8),
     name=st.sampled_from(PARAMETER_NAMES),
     index=st.integers(0, 2**16),
     value=st.sampled_from([math.nan, math.inf, -math.inf]),
 )
-def test_non_finite_model_is_rolled_back_on_that_batch(at, name, index, value):
-    config = tiny_config(
-        recovery=RecoveryPolicy(kind="aetta_reset", hard_threshold=0.0), n_batches=9, batch_size=8
-    )
+def test_non_finite_model_is_rolled_back_on_that_batch(kind, at, name, index, value):
+    policy, triggers = QUIET_ROLLBACKS[kind]
+    config = tiny_config(recovery=policy, n_batches=9, batch_size=8)
     real = harness._adaptation_step
     steps = itertools.count(1)
 
@@ -260,7 +273,8 @@ def test_non_finite_model_is_rolled_back_on_that_batch(at, name, index, value):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "_adaptation_step", poison)
         records = harness.run_experiment(config).records_by_seed[0]
-    assert [r.trigger for r in records] == ["non_finite" if t == at else "" for t in range(9)]
+    expected = ["non_finite" if t == at else trigger for t, trigger in enumerate(triggers)]
+    assert [r.trigger for r in records] == expected
     assert all(math.isfinite(r.estimates["aetta"]) for r in records)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from aetta import nn
 
@@ -107,6 +107,26 @@ class TestForward:
             assert b0["beta"] == b1["beta"]
             assert b0["running_mean"] != b1["running_mean"], f"block {i} stats untouched"
         assert before["head"] == after["head"]
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        rows=st.integers(1, 12),
+        hidden=st.sampled_from([(), (8,), (8, 8)]),
+        mode=st.sampled_from(ALL_MODES),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_input_is_left_bitwise_unchanged(self, seed, rows, hidden, mode):
+        """The engine writes in place only into arrays it allocated itself."""
+        model = tiny_model(seed=seed % 1000, hidden=hidden)
+        x = np.random.default_rng(seed).normal(size=(rows, 5))
+        before = x.tobytes()
+        nn.forward(model, x, mode)
+        nn.forward_logits(model, x, mode)
+        y = np.arange(rows) % model.class_count
+        nn.backward(model, x, loss="cross_entropy", labels=y, mode=mode, want_input_grad=True)
+        if hidden:
+            nn.backward(model, x, loss="entropy", mode=mode, trainable="bn")
+        assert x.tobytes() == before
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 16), st.integers(2, 7))
     @settings(max_examples=25, deadline=None)
@@ -313,6 +333,44 @@ class TestOptimizer:
             expected = expected - 0.01 * mh / (np.sqrt(vh) + 1e-8)
             nn.optimizer_step(model, g, state)
         assert_allclose(model.head.bias, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_flat_update_matches_per_parameter_loop(self, kind):
+        """Moments persist per name while successive steps name different subsets."""
+        model = tiny_model(seed=4)
+        reference = nn.clone(model)
+        params = dict(nn.named_parameters(reference))
+        subsets = [
+            nn.resolve_trainable(model, "bn"),
+            nn.resolve_trainable(model, "all"),
+            ("blocks.1.dense.weights",),
+            ("head.bias", "blocks.0.norm.gamma"),
+        ]
+        state = nn.OptimizerState(kind=kind, learning_rate=0.01)
+        lr, b1, b2, eps = state.learning_rate, state.beta1, state.beta2, state.eps
+        ref_m: dict[str, np.ndarray] = {}
+        ref_v: dict[str, np.ndarray] = {}
+        rng = np.random.default_rng(0)
+        for t, names in enumerate(subsets * 2, start=1):
+            grads = {name: rng.normal(size=params[name].shape) for name in names}
+            nn.optimizer_step(model, grads, state)
+            for name, g in grads.items():
+                p = params[name]
+                if kind == "sgd":
+                    p -= lr * g
+                    continue
+                m = ref_m.setdefault(name, np.zeros_like(p))
+                v = ref_v.setdefault(name, np.zeros_like(p))
+                m[...] = b1 * m + (1.0 - b1) * g
+                v[...] = b2 * v + (1.0 - b2) * g * g
+                p -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            for (name, p), (_, q) in zip(nn.named_parameters(model), nn.named_parameters(reference)):
+                assert_array_equal(p, q, err_msg=f"{name} after step {t}")
+        assert state.step == len(subsets) * 2
+        assert sorted(state.m) == sorted(ref_m) and sorted(state.v) == sorted(ref_v)
+        for name in ref_m:
+            assert_array_equal(state.m[name], ref_m[name])
+            assert_array_equal(state.v[name], ref_v[name])
 
     def test_unknown_parameter_rejected(self):
         model = tiny_model()

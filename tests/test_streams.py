@@ -1,5 +1,6 @@
 """Dataset generation, source training gates, corruption algebra, stream shape."""
 
+import hashlib
 import json
 import logging
 
@@ -62,6 +63,13 @@ class TestDataset:
         assert_allclose(gram, 4.0 * np.eye(spec.class_count), atol=1e-9)
 
 
+# sha256 of the checkpoint JSON of the default (64, 64) model after 2 epochs, by seed
+PINNED_WEIGHTS = {
+    0: "23078001465b6f065110f275269ff76199ff3346ae866c0d4afa051901e5fceb",
+    1: "917ef553cb63c9b41f9bf51f87cd9f5cf684735305ce87d09528ea75dfded94a",
+}
+
+
 class TestTraining:
     def test_zero_epochs_returns_initialization(self):
         train, _ = streams.make_source_dataset(small_spec())
@@ -69,6 +77,14 @@ class TestTraining:
         fresh = nn.build_mlp(train.features.shape[1], 4, hidden=(8,), seed=5)
         assert json.dumps(nn.model_to_dict(model)) == json.dumps(nn.model_to_dict(fresh))
         assert json.dumps(nn.model_to_dict(checkpoint)) == json.dumps(nn.model_to_dict(model))
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_WEIGHTS))
+    def test_default_architecture_weights_are_pinned(self, seed):
+        """Two stacked TrainBN blocks trained with Adam keep their exact bits."""
+        train, _ = streams.make_source_dataset(streams.DatasetSpec())
+        model, _ = streams.train_source_model(train, architecture=(64, 64), epochs=2, seed=seed)
+        digest = hashlib.sha256(json.dumps(nn.model_to_dict(model)).encode()).hexdigest()
+        assert digest == PINNED_WEIGHTS[seed]
 
     def test_different_seeds_give_different_models(self):
         train, _ = streams.make_source_dataset(small_spec())

@@ -81,7 +81,7 @@ def dropout_ensemble(model: nn.MlpModel, x: np.ndarray, n_dropout: int, base_see
     """(n_dropout, batch, class_count) probabilities, dropout seeds base_seed .. base_seed+n-1."""
     if n_dropout < 1:
         raise EstimatorError("n_dropout must be at least 1")
-    return np.stack([nn.forward(model, x, nn.Dropout(seed=base_seed + i)) for i in range(n_dropout)])
+    return nn.dropout_forwards(model, x, range(base_seed, base_seed + n_dropout))
 
 
 def pdd(base_labels: np.ndarray, ensemble_labels: np.ndarray) -> float:

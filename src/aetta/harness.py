@@ -245,6 +245,8 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
     # GDE compares against the model before the last adaptation step; nothing else reads it
     gde = "gde" in enabled
     prev_model = nn.clone(model) if gde else None
+    # only MRS recovery reads the entropy EMA; it stays None under every other kind
+    mrs = config.recovery.kind == "mrs"
     entropy_ema: float | None = None
     episodic = config.recovery.kind == "episodic"
     records: list[RunRecord] = []
@@ -261,11 +263,12 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
         params_finite = all(np.isfinite(p).all() for _, p in nn.named_parameters(model))
         non_finite = not (params_finite and np.isfinite(probs).all())
         true_accuracy = float(np.mean(labels == batch.hidden_labels))
-        batch_entropy = nn.entropy_loss(probs)
-        if entropy_ema is None:
-            entropy_ema = batch_entropy
-        else:
-            entropy_ema = config.mrs_ema * entropy_ema + (1.0 - config.mrs_ema) * batch_entropy
+        if mrs:
+            batch_entropy = nn.entropy_loss(probs)
+            if entropy_ema is None:
+                entropy_ema = batch_entropy
+            else:
+                entropy_ema = config.mrs_ema * entropy_ema + (1.0 - config.mrs_ema) * batch_entropy
         estimates: dict[str, float] = {}
         report: EstimateReport | None = None
         if "softmax" in enabled:
@@ -293,7 +296,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
         if fire and not episodic:
             model, optimizer = apply_reset(model, optimizer, source)
             did_reset = True
-            if config.recovery.kind == "mrs":
+            if mrs:
                 entropy_ema = None
 
         if gde:

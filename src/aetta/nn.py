@@ -13,16 +13,25 @@ package needs:
 Gradients are computed by hand so they can be checked against finite
 differences; there is no autograd anywhere.
 
+One function, ``_block``, holds each hidden block's dense -> BN -> relu
+arithmetic in every mode. Only ``_forward_cached``, which ``backward`` replays,
+keeps the per-block arrays (``x_in``, ``xhat``, ``bn_out``, the dropout mask);
+``forward`` and ``forward_logits`` keep just the current activation.
+``dropout_forwards`` runs an ensemble of seeded dropout forwards that share
+block 0: dropout comes after the activation, so block 0 runs up to its relu
+once and each seed draws its masks, block 0's first, from a fresh generator.
+
 A training step works on 64-row batches and 64-wide layers, so numpy's
 per-call overhead, not arithmetic, sets its cost. Forward, backward and the
 optimizer step therefore reuse arrays they allocated themselves through in-place
 ufuncs, applying the same elementwise operations in the same order as the plain
 expressions, so every result is bitwise unchanged. They never write into the
-caller's input. Two cached arrays are written in place before they are cached:
-each block's ``xhat`` (the dense output, centred and scaled in place) and, under
-dropout, the masked activation that becomes the next block's ``x_in`` or
-``head_in``. Backward can still read them because nothing writes to an array
-once it is in the cache: backward writes only into the gradients it allocates.
+caller's input, nor into the block-0 activation the ensemble shares. Two cached
+arrays are written in place before they are cached: each block's ``xhat`` (the
+dense output, centred and scaled in place) and, under dropout, the masked
+activation that becomes the next block's ``x_in`` or ``head_in``. Backward can
+still read them because nothing writes to an array once it is in the cache:
+backward writes only into the gradients it allocates.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -270,8 +280,8 @@ def resolve_trainable(model: MlpModel, trainable: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    e = logits - logits.max(axis=1, keepdims=True)
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    e = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=1, keepdims=True)
     return e
@@ -307,61 +317,117 @@ def _check_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _mode_rng(mode: ForwardMode) -> np.random.Generator | None:
+    return np.random.default_rng(mode.seed) if isinstance(mode, Dropout) else None
+
+
+def _block(
+    blk: HiddenBlock, x_in: np.ndarray, train_bn: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Dense -> BN -> relu of one hidden block: (xhat, inv_std, bn_out, activation)."""
+    z = x_in @ blk.dense.weights
+    z += blk.dense.bias
+    if train_bn:
+        # np.mean and np.var both divide an axis-0 sum by n; z is centred once
+        n = z.shape[0]
+        mean = z.sum(axis=0)
+        mean /= n
+        z -= mean
+        var = (z * z).sum(axis=0)
+        var /= n
+        inv_std = var + blk.norm.eps
+        np.sqrt(inv_std, out=inv_std)
+        np.divide(1.0, inv_std, out=inv_std)
+        m = blk.norm.momentum
+        # torch convention: running_var tracks the unbiased estimate
+        var_running = var * n / (n - 1) if n > 1 else var
+        blk.norm.running_mean *= 1.0 - m
+        blk.norm.running_mean += m * mean
+        blk.norm.running_var *= 1.0 - m
+        blk.norm.running_var += m * var_running
+    else:
+        inv_std = 1.0 / np.sqrt(blk.norm.running_var + blk.norm.eps)
+        z -= blk.norm.running_mean
+    z *= inv_std
+    xhat = z
+    bn_out = blk.norm.gamma * xhat
+    bn_out += blk.norm.beta
+    return xhat, inv_std, bn_out, np.maximum(bn_out, 0.0)
+
+
+def _dropout(
+    h: np.ndarray, rate: float, rng: np.random.Generator | None, in_place: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Seeded inverted dropout of an activation: (result, keep mask or None).
+
+    Writes into ``h`` unless ``in_place`` is False, for an ``h`` that is shared.
+    """
+    if rng is None or rate == 0.0:
+        return h, None
+    mask = rng.random(h.shape) >= rate
+    h = np.multiply(h, mask, out=h if in_place else None)
+    h /= 1.0 - rate
+    return h, mask
+
+
+def _head(model: MlpModel, h: np.ndarray) -> np.ndarray:
+    logits = h @ model.head.weights
+    logits += model.head.bias
+    return logits
+
+
 def _forward_cached(model: MlpModel, x: np.ndarray, mode: ForwardMode) -> _ForwardCache:
+    """The forward with every per-block array backward reads."""
     x = _check_input(model, x)
-    rng = np.random.default_rng(mode.seed) if isinstance(mode, Dropout) else None
+    rng = _mode_rng(mode)
     train_bn = isinstance(mode, TrainBN)
     caches: list[_BlockCache] = []
     h = x
     for blk, rate in zip(model.blocks, model.dropout.rates):
-        x_in = h
-        z = x_in @ blk.dense.weights
-        z += blk.dense.bias
-        if train_bn:
-            # np.mean and np.var both divide an axis-0 sum by n; z is centred once
-            n = z.shape[0]
-            mean = z.sum(axis=0)
-            mean /= n
-            z -= mean
-            var = (z * z).sum(axis=0)
-            var /= n
-            inv_std = var + blk.norm.eps
-            np.sqrt(inv_std, out=inv_std)
-            np.divide(1.0, inv_std, out=inv_std)
-            m = blk.norm.momentum
-            # torch convention: running_var tracks the unbiased estimate
-            var_running = var * n / (n - 1) if n > 1 else var
-            blk.norm.running_mean *= 1.0 - m
-            blk.norm.running_mean += m * mean
-            blk.norm.running_var *= 1.0 - m
-            blk.norm.running_var += m * var_running
-        else:
-            inv_std = 1.0 / np.sqrt(blk.norm.running_var + blk.norm.eps)
-            z -= blk.norm.running_mean
-        z *= inv_std
-        xhat = z
-        bn_out = blk.norm.gamma * xhat
-        bn_out += blk.norm.beta
-        h = np.maximum(bn_out, 0.0)
-        mask = None
-        if rng is not None and rate > 0.0:
-            mask = rng.random(h.shape) >= rate
-            h *= mask
-            h /= 1.0 - rate
-        caches.append(_BlockCache(x_in=x_in, xhat=xhat, inv_std=inv_std, bn_out=bn_out, mask=mask))
-    logits = h @ model.head.weights
-    logits += model.head.bias
-    probs = softmax(logits)
-    return _ForwardCache(blocks=caches, head_in=h, logits=logits, probs=probs)
+        xhat, inv_std, bn_out, act = _block(blk, h, train_bn)
+        act, mask = _dropout(act, rate, rng)
+        caches.append(_BlockCache(x_in=h, xhat=xhat, inv_std=inv_std, bn_out=bn_out, mask=mask))
+        h = act
+    logits = _head(model, h)
+    return _ForwardCache(blocks=caches, head_in=h, logits=logits, probs=softmax(logits))
+
+
+def _logits_from(
+    model: MlpModel, h: np.ndarray, rng: np.random.Generator | None, train_bn: bool, start: int
+) -> np.ndarray:
+    """Logits from the input ``h`` of block ``start`` on, keeping only the current activation."""
+    for blk, rate in zip(model.blocks[start:], model.dropout.rates[start:]):
+        h, _ = _dropout(_block(blk, h, train_bn)[3], rate, rng)
+    return _head(model, h)
+
+
+def _logits(model: MlpModel, x: np.ndarray, mode: ForwardMode) -> np.ndarray:
+    return _logits_from(model, _check_input(model, x), _mode_rng(mode), isinstance(mode, TrainBN), 0)
 
 
 def forward(model: MlpModel, x: np.ndarray, mode: ForwardMode = Deterministic()) -> np.ndarray:
     """Class probabilities, shape (batch, class_count). TrainBN mutates running stats."""
-    return _forward_cached(model, x, mode).probs
+    return softmax(_logits(model, x, mode))
 
 
 def forward_logits(model: MlpModel, x: np.ndarray, mode: ForwardMode = Deterministic()) -> np.ndarray:
-    return _forward_cached(model, x, mode).logits
+    return _logits(model, x, mode)
+
+
+def dropout_forwards(model: MlpModel, x: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
+    """``forward(model, x, Dropout(seed))`` for each seed, as one (len(seeds), batch, K) array.
+
+    Dropout comes after block 0's relu, so block 0 runs once and every seed
+    reads its activation without writing into it.
+    """
+    x = _check_input(model, x)
+    probs = np.empty((len(seeds), x.shape[0], model.class_count))
+    shared = _block(model.blocks[0], x, False)[3] if model.blocks else x
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        h = _dropout(shared, model.dropout.rates[0], rng, in_place=False)[0] if model.blocks else x
+        softmax(_logits_from(model, h, rng, False, 1), out=probs[i])
+    return probs
 
 
 # ---------------------------------------------------------------------------

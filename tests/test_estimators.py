@@ -1,5 +1,6 @@
 """Estimator tests: brute-force recounts, frozen closed forms, EMA traces."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from aetta import estimators as est
-from aetta import nn
+from aetta import nn, streams
 
 
 def model_and_batch(seed=0, rows=16, class_count=4):
@@ -95,6 +96,27 @@ class TestAggregateAndWeight:
     def test_weight_at_least_one_below_max_entropy(self, frac, k, alpha):
         e_avg = frac * math.log(k)
         assert est.robust_weight(e_avg, k, alpha) >= 1.0
+
+
+# sha256 of dropout_ensemble(model, x, 10, 0) for the default (64, 64) model after
+# 2 epochs, by training seed; x is 256 holdout rows under severity-5 gaussian noise
+PINNED_ENSEMBLES = {
+    0: "4a6993d065da27b98b4b1cc1573f0c66129b1b3c5062dc4a65d32ca5f3de0573",
+    1: "e0d02d0c4bd065485d9f79827c515e9ad304ac8553e8597b1ac0d412c00f8965",
+}
+
+
+class TestDropoutEnsemble:
+    @pytest.mark.parametrize("seed", sorted(PINNED_ENSEMBLES))
+    def test_two_block_ensemble_is_pinned(self, seed):
+        """Every seed's dropout runs through block 1 after the shared block 0."""
+        train, holdout = streams.make_source_dataset(streams.DatasetSpec())
+        model, _ = streams.train_source_model(train, architecture=(64, 64), epochs=2, seed=seed)
+        noise = streams.CorruptionSpec(kind="gaussian_noise", severity=5, seed=0)
+        x = streams.corrupt(holdout.features[:256], noise)
+        ens = est.dropout_ensemble(model, x, 10, 0)
+        assert ens.shape == (10, 256, 10)
+        assert hashlib.sha256(ens.tobytes()).hexdigest() == PINNED_ENSEMBLES[seed]
 
 
 class TestAettaEstimate:

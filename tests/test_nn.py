@@ -2,10 +2,11 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -122,11 +123,51 @@ class TestForward:
         before = x.tobytes()
         nn.forward(model, x, mode)
         nn.forward_logits(model, x, mode)
+        nn.dropout_forwards(model, x, [3, 4])
         y = np.arange(rows) % model.class_count
         nn.backward(model, x, loss="cross_entropy", labels=y, mode=mode, want_input_grad=True)
         if hidden:
             nn.backward(model, x, loss="entropy", mode=mode, trainable="bn")
         assert x.tobytes() == before
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        rows=st.integers(1, 12),
+        hidden=st.sampled_from([(), (8,), (8, 8), (8, 8, 8)]),
+        zero_rate_block=st.sampled_from([None, 0, 1, 2]),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+    )
+    @example(seed=1, rows=5, hidden=(8, 8, 8), zero_rate_block=0, seeds=[0, 1, 2])
+    @example(seed=2, rows=1, hidden=(8, 8, 8), zero_rate_block=2, seeds=[5, 5])
+    @settings(max_examples=60, deadline=None)
+    def test_inference_matches_cached_forward_bitwise(self, seed, rows, hidden, zero_rate_block, seeds):
+        """The forwards that keep nothing, and the ensemble that shares block 0,
+        give exactly the bits of the forward that keeps backward's cache."""
+        rates = tuple(0.0 if i == zero_rate_block else 0.4 for i in range(len(hidden)))
+        model = tiny_model(seed=seed % 1000, hidden=hidden, rates=rates)
+        x = np.random.default_rng(seed).normal(size=(rows, 5))
+        for mode in (nn.Deterministic(), nn.Dropout(seed=seeds[0])):
+            cache = nn._forward_cached(model, x, mode)
+            assert_array_equal(nn.forward(model, x, mode), cache.probs)
+            assert_array_equal(nn.forward_logits(model, x, mode), cache.logits)
+        ensemble = nn.dropout_forwards(model, x, seeds)
+        assert ensemble.shape == (len(seeds), rows, model.class_count)
+        for probs, s in zip(ensemble, seeds):
+            assert_array_equal(probs, nn._forward_cached(model, x, nn.Dropout(seed=s)).probs)
+
+    def test_inference_forward_keeps_no_per_block_arrays(self):
+        """A deterministic forward holds about four (rows, 64) arrays at its peak,
+        not the six and a half that a kept backward cache needs."""
+        model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
+        x = np.random.default_rng(0).normal(size=(1000, 16))
+        nn.forward(model, x)
+        tracemalloc.start()
+        try:
+            nn.forward(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 1000 * 64 * 8
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 16), st.integers(2, 7))
     @settings(max_examples=25, deadline=None)

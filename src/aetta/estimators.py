@@ -203,8 +203,7 @@ def adv_perturb_agreement(
     if epsilon < 0:
         raise EstimatorError("epsilon must be non-negative")
     x = np.asarray(x, dtype=np.float64)
-    pseudo = predicted_labels(nn.forward(source_model, x, nn.Deterministic()))
-    grad = nn.input_gradient(source_model, x, pseudo)
+    grad = nn.input_gradient(source_model, x)
     x_adv = x + epsilon * np.asarray(feature_scale, dtype=np.float64) * np.sign(grad)
     adapted = predicted_labels(nn.forward(adapted_model, x_adv, nn.Deterministic()))
     source = predicted_labels(nn.forward(source_model, x_adv, nn.Deterministic()))

@@ -300,7 +300,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
                 entropy_ema = None
 
         if gde:
-            prev_model = nn.clone(model)
+            nn.copy_into(prev_model, model)
         _adaptation_step(config, model, x, optimizer)
         if config.recovery.kind == "stochastic_restore":
             stochastic_restore_step(

@@ -14,9 +14,17 @@ Gradients are computed by hand so they can be checked against finite
 differences; there is no autograd anywhere.
 
 One function, ``_block``, holds each hidden block's dense -> BN -> relu
-arithmetic in every mode. Only ``_forward_cached``, which ``backward`` replays,
-keeps the per-block arrays (``x_in``, ``xhat``, ``bn_out``, the dropout mask);
-``forward`` and ``forward_logits`` keep just the current activation.
+arithmetic in every mode, and allocates only what its caller keeps. The
+inference forwards (``forward``, ``forward_logits``, the TrainBN forward of a
+BN-statistics step and the ensemble's shared block 0) keep just the current
+activation: the block normalises its dense output and applies the affine and
+the relu in place on it, so it allocates one (rows, width) array.
+``_forward_cached``, which ``backward`` replays, also keeps per block the
+input, ``xhat`` and the dropout mask; the block output it keeps is the next
+block's input or the head input anyway, so it costs no extra array. Backward
+gates the relu with ``out > 0``, which equals ``gamma * xhat + beta > 0``: a
+dropped unit reads 0, but its upstream gradient was already multiplied by the
+same mask, and a kept one is only scaled by ``1 / (1 - rate) >= 1``.
 ``dropout_forwards`` runs an ensemble of seeded dropout forwards that share
 block 0: dropout comes after the activation, so block 0 runs up to its relu
 once and each seed draws its masks, block 0's first, from a fresh generator.
@@ -25,13 +33,13 @@ A training step works on 64-row batches and 64-wide layers, so numpy's
 per-call overhead, not arithmetic, sets its cost. Forward, backward and the
 optimizer step therefore reuse arrays they allocated themselves through in-place
 ufuncs, applying the same elementwise operations in the same order as the plain
-expressions, so every result is bitwise unchanged. They never write into the
-caller's input, nor into the block-0 activation the ensemble shares. Two cached
-arrays are written in place before they are cached: each block's ``xhat`` (the
-dense output, centred and scaled in place) and, under dropout, the masked
-activation that becomes the next block's ``x_in`` or ``head_in``. Backward can
-still read them because nothing writes to an array once it is in the cache:
-backward writes only into the gradients it allocates.
+expressions (IEEE multiplication commutes, so ``z *= gamma`` is ``gamma * z``),
+so every result is bitwise unchanged. They never write into the caller's input,
+nor into the block-0 activation the ensemble shares. Two cached arrays are
+written in place before they are cached: each block's ``xhat`` (the dense
+output, centred and scaled in place) and, under dropout, the masked block
+output. Backward can still read them because nothing writes to an array once it
+is in the cache: backward writes only into the gradients it allocates.
 """
 
 from __future__ import annotations
@@ -289,10 +297,18 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass
 class _BlockCache:
+    """What backward reads of one hidden block.
+
+    ``out`` is the block output after relu and dropout. It is the next block's
+    ``x_in`` or the head input, so keeping it costs no array, and ``out > 0`` is
+    the relu gate (see the module docstring). ``gamma * xhat + beta``, the
+    pre-relu value, is not kept.
+    """
+
     x_in: np.ndarray
     xhat: np.ndarray
     inv_std: np.ndarray  # 1/sqrt(var + eps), batch or running depending on mode
-    bn_out: np.ndarray
+    out: np.ndarray
     mask: np.ndarray | None  # dropout keep mask, None when inactive
 
 
@@ -322,9 +338,15 @@ def _mode_rng(mode: ForwardMode) -> np.random.Generator | None:
 
 
 def _block(
-    blk: HiddenBlock, x_in: np.ndarray, train_bn: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Dense -> BN -> relu of one hidden block: (xhat, inv_std, bn_out, activation)."""
+    blk: HiddenBlock, x_in: np.ndarray, train_bn: bool, keep_xhat: bool = False
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Dense -> BN -> relu of one hidden block: (activation, xhat, inv_std).
+
+    Without ``keep_xhat`` the affine and the relu overwrite the normalised dense
+    output, so the activation is the one (rows, width) array the block
+    allocates and ``xhat`` comes back as None. With it, ``xhat`` stays intact
+    and the activation is a second array.
+    """
     z = x_in @ blk.dense.weights
     z += blk.dense.bias
     if train_bn:
@@ -349,10 +371,10 @@ def _block(
         inv_std = 1.0 / np.sqrt(blk.norm.running_var + blk.norm.eps)
         z -= blk.norm.running_mean
     z *= inv_std
-    xhat = z
-    bn_out = blk.norm.gamma * xhat
-    bn_out += blk.norm.beta
-    return xhat, inv_std, bn_out, np.maximum(bn_out, 0.0)
+    out = np.multiply(z, blk.norm.gamma, out=None if keep_xhat else z)
+    out += blk.norm.beta
+    np.maximum(out, 0.0, out=out)
+    return out, z if keep_xhat else None, inv_std
 
 
 def _dropout(
@@ -384,9 +406,9 @@ def _forward_cached(model: MlpModel, x: np.ndarray, mode: ForwardMode) -> _Forwa
     caches: list[_BlockCache] = []
     h = x
     for blk, rate in zip(model.blocks, model.dropout.rates):
-        xhat, inv_std, bn_out, act = _block(blk, h, train_bn)
+        act, xhat, inv_std = _block(blk, h, train_bn, keep_xhat=True)
         act, mask = _dropout(act, rate, rng)
-        caches.append(_BlockCache(x_in=h, xhat=xhat, inv_std=inv_std, bn_out=bn_out, mask=mask))
+        caches.append(_BlockCache(x_in=h, xhat=xhat, inv_std=inv_std, out=act, mask=mask))
         h = act
     logits = _head(model, h)
     return _ForwardCache(blocks=caches, head_in=h, logits=logits, probs=softmax(logits))
@@ -397,7 +419,7 @@ def _logits_from(
 ) -> np.ndarray:
     """Logits from the input ``h`` of block ``start`` on, keeping only the current activation."""
     for blk, rate in zip(model.blocks[start:], model.dropout.rates[start:]):
-        h, _ = _dropout(_block(blk, h, train_bn)[3], rate, rng)
+        h, _ = _dropout(_block(blk, h, train_bn)[0], rate, rng)
     return _head(model, h)
 
 
@@ -422,7 +444,7 @@ def dropout_forwards(model: MlpModel, x: np.ndarray, seeds: Sequence[int]) -> np
     """
     x = _check_input(model, x)
     probs = np.empty((len(seeds), x.shape[0], model.class_count))
-    shared = _block(model.blocks[0], x, False)[3] if model.blocks else x
+    shared = _block(model.blocks[0], x, False)[0] if model.blocks else x
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         h = _dropout(shared, model.dropout.rates[0], rng, in_place=False)[0] if model.blocks else x
@@ -526,6 +548,21 @@ def backward(
         raise EngineError(f"unknown loss {loss!r}")
 
     wanted = set(resolve_trainable(model, trainable))
+    grads, dx = _backprop(model, cache, dlogits, wanted, isinstance(mode, TrainBN), want_input_grad)
+    if want_input_grad:
+        return grads, dx
+    return grads
+
+
+def _backprop(
+    model: MlpModel,
+    cache: _ForwardCache,
+    dlogits: np.ndarray,
+    wanted: set[str],
+    train_bn: bool,
+    want_input_grad: bool,
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """Gradients of the ``wanted`` parameters from d loss/d logits, and d loss/d input if wanted."""
     grads: dict[str, np.ndarray] = {}
     # every array written below was allocated here; the cache is only read
     if "head.weights" in wanted:
@@ -534,7 +571,6 @@ def backward(
         grads["head.bias"] = dlogits.sum(axis=0)
     dh = dlogits @ model.head.weights.T
 
-    train_bn = isinstance(mode, TrainBN)
     for i in reversed(range(len(model.blocks))):
         blk = model.blocks[i]
         bc = cache.blocks[i]
@@ -542,7 +578,7 @@ def backward(
         if bc.mask is not None:
             dh *= bc.mask
             dh /= 1.0 - rate
-        dh *= bc.bn_out > 0.0
+        dh *= bc.out > 0.0
         if f"blocks.{i}.norm.gamma" in wanted:
             grads[f"blocks.{i}.norm.gamma"] = (dh * bc.xhat).sum(axis=0)
         if f"blocks.{i}.norm.beta" in wanted:
@@ -572,18 +608,19 @@ def backward(
             grads[f"blocks.{i}.dense.bias"] = dz.sum(axis=0)
         if i > 0 or want_input_grad:
             dh = dz @ blk.dense.weights.T
-
-    if want_input_grad:
-        return grads, dh
-    return grads
+    return grads, dh if want_input_grad else None
 
 
-def input_gradient(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """d(mean CE)/d input, deterministic forward. Used for gradient-sign probes."""
-    _, dx = backward(
-        model, x, loss="cross_entropy", labels=labels, mode=Deterministic(), trainable="all", want_input_grad=True
-    )
-    return dx
+def input_gradient(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """d(mean CE)/d input against the model's own deterministic predictions.
+
+    Used for gradient-sign probes. The labels are the argmax of the cached
+    forward the gradient replays, and no parameter gradient is computed.
+    """
+    cache = _forward_cached(model, x, Deterministic())
+    labels = np.argmax(cache.probs, axis=1)
+    dlogits = _cross_entropy_logit_grad(cache.probs, _one_hot(labels, model.class_count))
+    return _backprop(model, cache, dlogits, set(), False, True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +684,10 @@ def relu_kink_margin(model: MlpModel, x: np.ndarray, mode: ForwardMode = Determi
     cache = _forward_cached(clone(model), x, mode)
     if not cache.blocks:
         return float("inf")
-    return min(float(np.min(np.abs(bc.bn_out))) for bc in cache.blocks)
+    return min(
+        float(np.min(np.abs(blk.norm.gamma * bc.xhat + blk.norm.beta)))
+        for blk, bc in zip(model.blocks, cache.blocks)
+    )
 
 
 def gradcheck_max_error(

@@ -24,6 +24,17 @@ def batch(seed=0, rows=6, cols=5):
 ALL_MODES = (nn.Deterministic(), nn.TrainBN(), nn.Dropout(seed=11))
 
 
+def traced_peak(fn):
+    """Peak bytes that ``fn()`` allocates, measured on its second call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def kink_safe_batch(model, start_seed=0, rows=6, margin=1e-3):
     """First random batch whose pre-relu values sit clear of the kink.
 
@@ -126,6 +137,7 @@ class TestForward:
         nn.dropout_forwards(model, x, [3, 4])
         y = np.arange(rows) % model.class_count
         nn.backward(model, x, loss="cross_entropy", labels=y, mode=mode, want_input_grad=True)
+        nn.input_gradient(model, x)
         if hidden:
             nn.backward(model, x, loss="entropy", mode=mode, trainable="bn")
         assert x.tobytes() == before
@@ -168,6 +180,13 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert peak < 4.5 * 1000 * 64 * 8
+
+    def test_inference_blocks_allocate_one_array_each(self):
+        """Each hidden block applies its affine and relu in place on its dense
+        output, so the peak is block 1's input and output, not four arrays."""
+        model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
+        x = np.random.default_rng(0).normal(size=(1000, 16))
+        assert traced_peak(lambda: nn.forward(model, x)) < 2.5 * 1000 * 64 * 8
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 16), st.integers(2, 7))
     @settings(max_examples=25, deadline=None)
@@ -317,8 +336,8 @@ class TestBackward:
     def test_input_gradient_matches_finite_differences(self):
         model = tiny_model(seed=7)
         x = batch(seed=8)
-        y = np.random.default_rng(9).integers(0, 3, size=x.shape[0])
-        dx = nn.input_gradient(model, x, y)
+        y = np.argmax(nn.forward(model, x), axis=1)
+        dx = nn.input_gradient(model, x)
         fd = np.zeros_like(x)
         step = 1e-6
         for i in range(x.shape[0]):
@@ -331,6 +350,42 @@ class TestBackward:
                     - nn.cross_entropy_loss(nn.forward(model, dn), y)
                 ) / (2 * step)
         assert_allclose(dx, fd, rtol=1e-4, atol=1e-7)
+
+
+    def test_relu_kink_margin_is_the_smallest_pre_relu_magnitude(self):
+        model = tiny_model(seed=3, hidden=(8,))
+        model.blocks[0].norm.beta[...] = np.linspace(-0.5, 0.5, 8)
+        x = batch(seed=4)
+        blk = model.blocks[0]
+        z = x @ blk.dense.weights + blk.dense.bias
+        xhat = (z - blk.norm.running_mean) / np.sqrt(blk.norm.running_var + blk.norm.eps)
+        pre = blk.norm.gamma * xhat + blk.norm.beta
+        assert_allclose(nn.relu_kink_margin(model, x), np.abs(pre).min(), rtol=1e-12)
+
+    def test_tent_backward_caches_no_pre_relu_array(self):
+        """The cached forward keeps ``xhat`` and the block output, which is the
+        next block's input anyway; the relu gate is read from that output."""
+        model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
+        x = np.random.default_rng(1).normal(size=(256, 16))
+        step = lambda: nn.backward(model, x, loss="entropy", mode=nn.TrainBN(), trainable="bn")
+        assert traced_peak(step) < 10 * 256 * 64 * 8
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        rows=st.integers(1, 12),
+        hidden=st.sampled_from([(), (8,), (8, 8)]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_input_gradient_is_bitwise_the_full_backward_one(self, seed, rows, hidden):
+        """Skipping the parameter gradients and taking the labels from backward's
+        own forward leaves the input gradient's bits unchanged."""
+        model = tiny_model(seed=seed % 1000, hidden=hidden)
+        x = np.random.default_rng(seed).normal(size=(rows, 5))
+        labels = np.argmax(nn.forward(model, x), axis=1)
+        _, full = nn.backward(
+            model, x, loss="cross_entropy", labels=labels, trainable="all", want_input_grad=True
+        )
+        assert_array_equal(nn.input_gradient(model, x), full)
 
 
 class TestOptimizer:

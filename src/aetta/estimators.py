@@ -77,13 +77,6 @@ def predicted_labels(probs: np.ndarray) -> np.ndarray:
     return np.argmax(probs, axis=-1)
 
 
-def dropout_ensemble(model: nn.MlpModel, x: np.ndarray, n_dropout: int, base_seed: int) -> np.ndarray:
-    """(n_dropout, batch, class_count) probabilities, dropout seeds base_seed .. base_seed+n-1."""
-    if n_dropout < 1:
-        raise EstimatorError("n_dropout must be at least 1")
-    return nn.dropout_forwards(model, x, range(base_seed, base_seed + n_dropout))
-
-
 def pdd(base_labels: np.ndarray, ensemble_labels: np.ndarray) -> float:
     """Mean disagreement rate between base predictions and each dropout inference."""
     base = np.asarray(base_labels)
@@ -133,7 +126,8 @@ def aetta_estimate(
     Returns the per-batch report and the successor state; the input state is
     left untouched so callers can replay or branch histories.
     """
-    ens_probs = dropout_ensemble(model, x, config.n_dropout, config.base_seed)
+    seeds = range(config.base_seed, config.base_seed + config.n_dropout)
+    ens_probs = nn.dropout_forwards(model, x, seeds)
     disagreement = pdd(base_labels, predicted_labels(ens_probs))
     e_avg = nn.entropy_of(batch_aggregate(ens_probs))
     b = robust_weight(e_avg, model.class_count, config.alpha, config.entropy_floor)

@@ -258,10 +258,11 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
         logits = nn.forward_logits(model, x, nn.Deterministic())
         probs = nn.softmax(logits)
         labels = predicted_labels(probs)
-        # an infinite bias can vanish behind a relu or the softmax, so the
-        # parameters are checked as well as the predictions
-        params_finite = all(np.isfinite(p).all() for _, p in nn.named_parameters(model))
-        non_finite = not (params_finite and np.isfinite(probs).all())
+        # an infinite bias can vanish behind a relu or the softmax, and an infinite
+        # running variance turns its unit into beta, so every model array is
+        # checked as well as the predictions
+        state_finite = all(np.isfinite(a).all() for _, a in nn.named_state(model))
+        non_finite = not (state_finite and np.isfinite(probs).all())
         true_accuracy = float(np.mean(labels == batch.hidden_labels))
         if mrs:
             batch_entropy = nn.entropy_loss(probs)

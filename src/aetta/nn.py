@@ -1,58 +1,32 @@
-"""Small float64 MLP engine with explicit forward modes.
+"""Small float64 MLP engine with explicit forward modes and hand-written gradients.
 
-Everything is plain numpy. The model is a stack of dense -> batchnorm -> relu
-blocks (dropout after each activation when requested) ending in a linear
-classification head. Three forward modes cover the behaviours the rest of the
-package needs:
+The model is a stack of dense -> batchnorm -> relu blocks, with dropout after
+each activation when requested, ending in a linear head. ``named_state`` is the
+one list of a model's arrays.
 
-* ``Deterministic``  -- running BN statistics, no dropout.
-* ``Dropout(seed)``  -- running BN statistics, seeded inverted dropout.
-* ``TrainBN``        -- batch BN statistics, running stats refreshed in place,
-                        no dropout.
+Layers are about 64 wide, so numpy's per-call overhead sets the cost. Forward,
+backward and the optimizer step therefore work in place on arrays they
+allocated, with the plain expressions' operations in the same order (IEEE
+multiplication commutes, so ``z *= gamma`` is ``gamma * z``): every result is
+bitwise that of the plain code. They never write into the caller's input, into
+the block-0 activation ``dropout_forwards`` shares between its seeds, or into an
+array once backward's cache holds it. An inference forward allocates one
+(rows, width) array per block, its activation; ``_forward_cached``, which
+``backward`` replays, also keeps each block's input, ``xhat`` and dropout mask.
 
-Gradients are computed by hand so they can be checked against finite
-differences; there is no autograd anywhere.
-
-One function, ``_block``, holds each hidden block's dense -> BN -> relu
-arithmetic in every mode, and allocates only what its caller keeps. The
-inference forwards (``forward``, ``forward_logits``, the TrainBN forward of a
-BN-statistics step and the ensemble's shared block 0) keep just the current
-activation: the block normalises its dense output and applies the affine and
-the relu in place on it, so it allocates one (rows, width) array.
-``_forward_cached``, which ``backward`` replays, also keeps per block the
-input, ``xhat`` and the dropout mask; the block output it keeps is the next
-block's input or the head input anyway, so it costs no extra array. Backward
-gates the relu with ``out > 0``, which equals ``gamma * xhat + beta > 0``: a
-dropped unit reads 0, but its upstream gradient was already multiplied by the
-same mask, and a kept one is only scaled by ``1 / (1 - rate) >= 1``.
-``dropout_forwards`` runs an ensemble of seeded dropout forwards that share
-block 0: dropout comes after the activation, so block 0 runs up to its relu
-once and each seed draws its masks, block 0's first, from a fresh generator.
-
-A training step works on 64-row batches and 64-wide layers, so numpy's
-per-call overhead, not arithmetic, sets its cost. Forward, backward and the
-optimizer step therefore reuse arrays they allocated themselves through in-place
-ufuncs, applying the same elementwise operations in the same order as the plain
-expressions (IEEE multiplication commutes, so ``z *= gamma`` is ``gamma * z``),
-so every result is bitwise unchanged. They never write into the caller's input,
-nor into the block-0 activation the ensemble shares. Two cached arrays are
-written in place before they are cached: each block's ``xhat`` (the dense
-output, centred and scaled in place) and, under dropout, the masked block
-output. Backward can still read them because nothing writes to an array once it
-is in the cache: backward writes only into the gradients it allocates.
+Backward gates the relu with the cached block output, ``out > 0``, which equals
+``gamma * xhat + beta > 0``: a dropped unit reads 0, but its upstream gradient
+was already multiplied by the same mask, and a kept one is only scaled by
+``1 / (1 - rate) >= 1``.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+import copy
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-CHECKPOINT_FORMAT = "mlp-checkpoint"
-CHECKPOINT_VERSION = 1
 
 _CE_PROB_FLOOR = 1e-12
 _LOG_GUARD = 1e-300
@@ -97,14 +71,6 @@ class DenseLayer:
     weights: np.ndarray  # (fan_in, fan_out)
     bias: np.ndarray  # (fan_out,)
 
-    def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2 or self.bias.ndim != 1:
-            raise EngineError("dense layer expects 2-d weights and 1-d bias")
-        if self.weights.shape[1] != self.bias.shape[0]:
-            raise EngineError("dense bias width does not match weights")
-
 
 @dataclass
 class BatchNormLayer:
@@ -114,13 +80,6 @@ class BatchNormLayer:
     running_var: np.ndarray
     momentum: float = 0.1
     eps: float = 1e-5
-
-    def __post_init__(self) -> None:
-        for name in ("gamma", "beta", "running_mean", "running_var"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        widths = {getattr(self, n).shape for n in ("gamma", "beta", "running_mean", "running_var")}
-        if len(widths) != 1:
-            raise EngineError("batchnorm vectors must share one width")
 
 
 @dataclass
@@ -212,60 +171,47 @@ def build_mlp(
     return MlpModel(blocks=blocks, head=head, dropout=DropoutSpec(tuple(dropout_rates)), class_count=class_count)
 
 
-def clone(model: MlpModel) -> MlpModel:
-    """Deep copy; parameter and running-stat arrays are independent."""
-    return MlpModel(
-        blocks=[
-            HiddenBlock(
-                dense=DenseLayer(b.dense.weights.copy(), b.dense.bias.copy()),
-                norm=BatchNormLayer(
-                    gamma=b.norm.gamma.copy(),
-                    beta=b.norm.beta.copy(),
-                    running_mean=b.norm.running_mean.copy(),
-                    running_var=b.norm.running_var.copy(),
-                    momentum=b.norm.momentum,
-                    eps=b.norm.eps,
-                ),
-            )
-            for b in model.blocks
-        ],
-        head=DenseLayer(model.head.weights.copy(), model.head.bias.copy()),
-        dropout=replace(model.dropout),
-        class_count=model.class_count,
-    )
-
-
-def copy_into(target: MlpModel, source: MlpModel) -> None:
-    """Overwrite target's parameters and running stats with source's, in place."""
-    if target.hidden_widths != source.hidden_widths or target.class_count != source.class_count:
-        raise EngineError("models are not the same shape")
-    for tb, sb in zip(target.blocks, source.blocks):
-        tb.dense.weights[...] = sb.dense.weights
-        tb.dense.bias[...] = sb.dense.bias
-        tb.norm.gamma[...] = sb.norm.gamma
-        tb.norm.beta[...] = sb.norm.beta
-        tb.norm.running_mean[...] = sb.norm.running_mean
-        tb.norm.running_var[...] = sb.norm.running_var
-    target.head.weights[...] = source.head.weights
-    target.head.bias[...] = source.head.bias
-
-
 # ---------------------------------------------------------------------------
-# parameter bookkeeping
+# model state
 # ---------------------------------------------------------------------------
+
+
+def named_state(model: MlpModel) -> list[tuple[str, np.ndarray]]:
+    """Every array of the model, running statistics included, in a fixed order.
+
+    The one place that knows the model's layout: ``copy_into``, the parameter
+    list and the harness's finiteness check all read it.
+    """
+    out: list[tuple[str, np.ndarray]] = []
+    for i, blk in enumerate(model.blocks):
+        out += [
+            (f"blocks.{i}.dense.weights", blk.dense.weights),
+            (f"blocks.{i}.dense.bias", blk.dense.bias),
+            (f"blocks.{i}.norm.gamma", blk.norm.gamma),
+            (f"blocks.{i}.norm.beta", blk.norm.beta),
+            (f"blocks.{i}.norm.running_mean", blk.norm.running_mean),
+            (f"blocks.{i}.norm.running_var", blk.norm.running_var),
+        ]
+    return out + [("head.weights", model.head.weights), ("head.bias", model.head.bias)]
 
 
 def named_parameters(model: MlpModel) -> list[tuple[str, np.ndarray]]:
-    """Trainable tensors only; running statistics are state, not parameters."""
-    out: list[tuple[str, np.ndarray]] = []
-    for i, blk in enumerate(model.blocks):
-        out.append((f"blocks.{i}.dense.weights", blk.dense.weights))
-        out.append((f"blocks.{i}.dense.bias", blk.dense.bias))
-        out.append((f"blocks.{i}.norm.gamma", blk.norm.gamma))
-        out.append((f"blocks.{i}.norm.beta", blk.norm.beta))
-    out.append(("head.weights", model.head.weights))
-    out.append(("head.bias", model.head.bias))
-    return out
+    """Trainable tensors only, in ``named_state`` order; running statistics are state."""
+    return [(name, arr) for name, arr in named_state(model) if ".running_" not in name]
+
+
+def clone(model: MlpModel) -> MlpModel:
+    """Deep copy; every array is independent."""
+    return copy.deepcopy(model)
+
+
+def copy_into(target: MlpModel, source: MlpModel) -> None:
+    """Overwrite every array of target with source's, in place."""
+    targets, sources = named_state(target), named_state(source)
+    if [t.shape for _, t in targets] != [s.shape for _, s in sources]:
+        raise EngineError("models are not the same shape")
+    for (_, t), (_, s) in zip(targets, sources):
+        t[...] = s
 
 
 def bn_parameter_names(model: MlpModel) -> tuple[str, ...]:
@@ -713,10 +659,9 @@ def gradcheck_max_error(
 class OptimizerState:
     """Adam or SGD settings plus Adam's moments.
 
-    ``m`` and ``v`` map parameter names to moment arrays. The arrays are views
-    into one flat buffer per moment laid out in the order of the last call's
-    gradients, so Adam updates every named parameter with one run of vector
-    operations. Write into them in place, never rebind an entry.
+    The first Adam step lays ``m`` and ``v`` out as flat vectors over the
+    parameters it names, in that order (``names``); every later step must name
+    the same ones.
     """
 
     kind: str = "adam"  # "adam" | "sgd"
@@ -725,36 +670,15 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    _layout: tuple[str, ...] = field(default=(), init=False, repr=False, compare=False)
-    _m_flat: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _v_flat: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    names: tuple[str, ...] = field(default=(), init=False)
+    m: np.ndarray | None = field(default=None, init=False)
+    v: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("adam", "sgd"):
             raise EngineError(f"unknown optimizer kind {self.kind!r}")
         if self.learning_rate < 0:
             raise EngineError("learning rate must be non-negative")
-
-
-def _flat_moments(state: OptimizerState, params: list[np.ndarray], names: tuple[str, ...]) -> None:
-    """Lay the moments of ``names`` out flat, in that order.
-
-    A name's moments carry over from wherever they lived before; a new name
-    starts at zero. Names left out keep their old arrays.
-    """
-    total = sum(p.size for p in params)
-    state._m_flat, state._v_flat = np.zeros(total), np.zeros(total)
-    offset = 0
-    for name, p in zip(names, params):
-        for flat, moments in ((state._m_flat, state.m), (state._v_flat, state.v)):
-            view = flat[offset : offset + p.size].reshape(p.shape)
-            if name in moments:
-                view[...] = moments[name]
-            moments[name] = view
-        offset += p.size
-    state._layout = names
 
 
 def optimizer_step(model: MlpModel, grads: dict[str, np.ndarray], state: OptimizerState) -> None:
@@ -771,6 +695,9 @@ def optimizer_step(model: MlpModel, grads: dict[str, np.ndarray], state: Optimiz
     for (name, g), p in zip(grads.items(), params):
         if g.shape != p.shape:
             raise EngineError(f"gradient shape mismatch for {name}")
+    names = tuple(grads)
+    if state.kind == "adam" and state.m is not None and names != state.names:
+        raise EngineError(f"Adam's moments cover {state.names}, not {names}")
     state.step += 1
     if not grads:
         return
@@ -778,10 +705,9 @@ def optimizer_step(model: MlpModel, grads: dict[str, np.ndarray], state: Optimiz
     if state.kind == "sgd":
         update = state.learning_rate * g
     else:
-        names = tuple(grads)
-        if names != state._layout:
-            _flat_moments(state, params, names)
-        m, v = state._m_flat, state._v_flat
+        if state.m is None:
+            state.names, state.m, state.v = names, np.zeros(g.size), np.zeros(g.size)
+        m, v = state.m, state.v
         b1, b2 = state.beta1, state.beta2
         # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
         scratch = g * (1.0 - b1)
@@ -802,68 +728,3 @@ def optimizer_step(model: MlpModel, grads: dict[str, np.ndarray], state: Optimiz
     for p in params:
         p -= update[offset : offset + p.size].reshape(p.shape)
         offset += p.size
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-
-def model_to_dict(model: MlpModel) -> dict:
-    return {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "class_count": model.class_count,
-        "dropout_rates": list(model.dropout.rates),
-        "blocks": [
-            {
-                "weights": b.dense.weights.tolist(),
-                "bias": b.dense.bias.tolist(),
-                "gamma": b.norm.gamma.tolist(),
-                "beta": b.norm.beta.tolist(),
-                "running_mean": b.norm.running_mean.tolist(),
-                "running_var": b.norm.running_var.tolist(),
-                "momentum": b.norm.momentum,
-                "eps": b.norm.eps,
-            }
-            for b in model.blocks
-        ],
-        "head": {"weights": model.head.weights.tolist(), "bias": model.head.bias.tolist()},
-    }
-
-
-def model_from_dict(payload: dict) -> MlpModel:
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise EngineError("not a model checkpoint")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise EngineError(f"unsupported checkpoint version {payload.get('version')!r}")
-    blocks = [
-        HiddenBlock(
-            dense=DenseLayer(np.array(b["weights"]), np.array(b["bias"])),
-            norm=BatchNormLayer(
-                gamma=np.array(b["gamma"]),
-                beta=np.array(b["beta"]),
-                running_mean=np.array(b["running_mean"]),
-                running_var=np.array(b["running_var"]),
-                momentum=float(b["momentum"]),
-                eps=float(b["eps"]),
-            ),
-        )
-        for b in payload["blocks"]
-    ]
-    head = DenseLayer(np.array(payload["head"]["weights"]), np.array(payload["head"]["bias"]))
-    return MlpModel(
-        blocks=blocks,
-        head=head,
-        dropout=DropoutSpec(tuple(payload["dropout_rates"])),
-        class_count=int(payload["class_count"]),
-    )
-
-
-def save_checkpoint(model: MlpModel, path: str | Path) -> None:
-    """JSON checkpoint. Python float repr round-trips IEEE doubles exactly."""
-    Path(path).write_text(json.dumps(model_to_dict(model)))
-
-
-def load_checkpoint(path: str | Path) -> MlpModel:
-    return model_from_dict(json.loads(Path(path).read_text()))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from aetta import harness, nn, oracle
-from aetta.estimators import AettaConfig, aetta_estimate, dropout_ensemble, fresh_state, pdd, robust_weight
+from aetta.estimators import AettaConfig, aetta_estimate, fresh_state, pdd, robust_weight
 from aetta.streams import prepared_task
 from aetta.tta import RecoveryPolicy
 
@@ -86,7 +86,7 @@ def test_criterion_03_estimator_unit_identities():
         base = np.argmax(nn.forward(model, x, nn.Deterministic()), axis=-1)
         report, _ = aetta_estimate(model, x, base, config, fresh_state(10))
 
-        ensemble = dropout_ensemble(model, x, n_dropout=4, base_seed=i)
+        ensemble = nn.dropout_forwards(model, x, range(i, i + 4))
         expected = pdd(base, np.argmax(ensemble, axis=-1))
         bitwise = bitwise and report.smoothed_error == expected and report.pdd == expected
 

@@ -98,7 +98,7 @@ class TestAggregateAndWeight:
         assert est.robust_weight(e_avg, k, alpha) >= 1.0
 
 
-# sha256 of dropout_ensemble(model, x, 10, 0) for the default (64, 64) model after
+# sha256 of nn.dropout_forwards(model, x, range(10)) for the default (64, 64) model after
 # 2 epochs, by training seed; x is 256 holdout rows under severity-5 gaussian noise
 PINNED_ENSEMBLES = {
     0: "4a6993d065da27b98b4b1cc1573f0c66129b1b3c5062dc4a65d32ca5f3de0573",
@@ -114,7 +114,7 @@ class TestDropoutEnsemble:
         model, _ = streams.train_source_model(train, architecture=(64, 64), epochs=2, seed=seed)
         noise = streams.CorruptionSpec(kind="gaussian_noise", severity=5, seed=0)
         x = streams.corrupt(holdout.features[:256], noise)
-        ens = est.dropout_ensemble(model, x, 10, 0)
+        ens = nn.dropout_forwards(model, x, range(10))
         assert ens.shape == (10, 256, 10)
         assert hashlib.sha256(ens.tobytes()).hexdigest() == PINNED_ENSEMBLES[seed]
 

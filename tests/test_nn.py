@@ -1,6 +1,5 @@
 """Engine tests: forward modes, losses, analytic gradients vs finite differences."""
 
-import json
 import math
 import tracemalloc
 
@@ -15,6 +14,11 @@ from aetta import nn
 
 def tiny_model(seed=0, input_dim=5, hidden=(8, 8), class_count=3, rates=None):
     return nn.build_mlp(input_dim, class_count, hidden=hidden, dropout_rates=rates, seed=seed)
+
+
+def state_bytes(model):
+    """Every array of the model by name, as raw bytes, for bitwise comparison."""
+    return [(name, arr.tobytes()) for name, arr in nn.named_state(model)]
 
 
 def batch(seed=0, rows=6, cols=5):
@@ -103,22 +107,17 @@ class TestForward:
 
     def test_deterministic_and_dropout_do_not_mutate(self):
         model = tiny_model()
-        before = json.dumps(nn.model_to_dict(model))
+        before = state_bytes(model)
         nn.forward(model, batch(), nn.Deterministic())
         nn.forward(model, batch(), nn.Dropout(seed=3))
-        assert json.dumps(nn.model_to_dict(model)) == before
+        assert state_bytes(model) == before
 
     def test_train_bn_mutates_only_running_stats(self):
         model = tiny_model()
-        before = nn.model_to_dict(model)
+        before = dict(state_bytes(model))
         nn.forward(model, batch(), nn.TrainBN())
-        after = nn.model_to_dict(model)
-        for i, (b0, b1) in enumerate(zip(before["blocks"], after["blocks"])):
-            assert b0["weights"] == b1["weights"]
-            assert b0["gamma"] == b1["gamma"]
-            assert b0["beta"] == b1["beta"]
-            assert b0["running_mean"] != b1["running_mean"], f"block {i} stats untouched"
-        assert before["head"] == after["head"]
+        changed = [name for name, arr in state_bytes(model) if arr != before[name]]
+        assert changed == [name for name in before if ".running_" in name]
 
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -409,10 +408,10 @@ class TestOptimizer:
 
     def test_zero_learning_rate_freezes_parameters(self):
         model = tiny_model()
-        before = json.dumps(nn.model_to_dict(model))
+        before = state_bytes(model)
         grads = nn.backward(model, batch(), loss="entropy", mode=nn.Deterministic())
         nn.optimizer_step(model, grads, nn.OptimizerState(kind="adam", learning_rate=0.0))
-        assert json.dumps(nn.model_to_dict(model)) == before
+        assert state_bytes(model) == before
 
     def test_adam_bias_correction_across_steps(self):
         model = nn.build_mlp(2, 2, hidden=(), seed=0)
@@ -431,42 +430,48 @@ class TestOptimizer:
         assert_allclose(model.head.bias, expected, rtol=1e-12)
 
     @pytest.mark.parametrize("kind", ["adam", "sgd"])
-    def test_flat_update_matches_per_parameter_loop(self, kind):
-        """Moments persist per name while successive steps name different subsets."""
+    @pytest.mark.parametrize(
+        "subset", ["bn", "all", ("head.bias", "blocks.0.norm.gamma")], ids=["bn", "all", "pair"]
+    )
+    def test_flat_update_matches_per_parameter_loop(self, subset, kind):
+        """Steps over one fixed parameter set equal a per-parameter update loop."""
         model = tiny_model(seed=4)
         reference = nn.clone(model)
         params = dict(nn.named_parameters(reference))
-        subsets = [
-            nn.resolve_trainable(model, "bn"),
-            nn.resolve_trainable(model, "all"),
-            ("blocks.1.dense.weights",),
-            ("head.bias", "blocks.0.norm.gamma"),
-        ]
+        names = nn.resolve_trainable(model, subset) if isinstance(subset, str) else subset
         state = nn.OptimizerState(kind=kind, learning_rate=0.01)
         lr, b1, b2, eps = state.learning_rate, state.beta1, state.beta2, state.eps
-        ref_m: dict[str, np.ndarray] = {}
-        ref_v: dict[str, np.ndarray] = {}
+        ref_m = {name: np.zeros_like(params[name]) for name in names}
+        ref_v = {name: np.zeros_like(params[name]) for name in names}
         rng = np.random.default_rng(0)
-        for t, names in enumerate(subsets * 2, start=1):
+        for t in range(1, 6):
             grads = {name: rng.normal(size=params[name].shape) for name in names}
             nn.optimizer_step(model, grads, state)
             for name, g in grads.items():
-                p = params[name]
+                p, m, v = params[name], ref_m[name], ref_v[name]
                 if kind == "sgd":
                     p -= lr * g
                     continue
-                m = ref_m.setdefault(name, np.zeros_like(p))
-                v = ref_v.setdefault(name, np.zeros_like(p))
                 m[...] = b1 * m + (1.0 - b1) * g
                 v[...] = b2 * v + (1.0 - b2) * g * g
                 p -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
-            for (name, p), (_, q) in zip(nn.named_parameters(model), nn.named_parameters(reference)):
-                assert_array_equal(p, q, err_msg=f"{name} after step {t}")
-        assert state.step == len(subsets) * 2
-        assert sorted(state.m) == sorted(ref_m) and sorted(state.v) == sorted(ref_v)
-        for name in ref_m:
-            assert_array_equal(state.m[name], ref_m[name])
-            assert_array_equal(state.v[name], ref_v[name])
+            assert state_bytes(model) == state_bytes(reference), f"after step {t}"
+        assert state.step == 5
+        if kind == "sgd":
+            assert state.m is None and state.v is None
+        else:
+            assert state.names == tuple(names)
+            assert_array_equal(state.m, np.concatenate([ref_m[name] for name in names], axis=None))
+            assert_array_equal(state.v, np.concatenate([ref_v[name] for name in names], axis=None))
+
+    def test_adam_rejects_a_changed_parameter_set(self):
+        model = tiny_model()
+        state = nn.OptimizerState(kind="adam", learning_rate=0.01)
+        nn.optimizer_step(model, nn.backward(model, batch(), loss="entropy", trainable="bn"), state)
+        before = state_bytes(model)
+        with pytest.raises(nn.EngineError):
+            nn.optimizer_step(model, {"head.bias": np.ones(3)}, state)
+        assert state.step == 1 and state_bytes(model) == before
 
     def test_unknown_parameter_rejected(self):
         model = tiny_model()
@@ -475,33 +480,20 @@ class TestOptimizer:
 
 
 class TestCheckpoint:
-    def test_round_trip_is_bitwise(self, tmp_path):
-        model = tiny_model(seed=13)
-        nn.forward(model, batch(), nn.TrainBN())  # make running stats non-trivial
-        path = tmp_path / "model.json"
-        nn.save_checkpoint(model, path)
-        loaded = nn.load_checkpoint(path)
-        for (n0, p0), (n1, p1) in zip(nn.named_parameters(model), nn.named_parameters(loaded)):
-            assert n0 == n1
-            assert np.array_equal(p0, p1)
-        for b0, b1 in zip(model.blocks, loaded.blocks):
-            assert np.array_equal(b0.norm.running_mean, b1.norm.running_mean)
-            assert np.array_equal(b0.norm.running_var, b1.norm.running_var)
-        x = batch(seed=14)
-        assert np.array_equal(nn.forward(model, x), nn.forward(loaded, x))
-
-    def test_version_guard(self, tmp_path):
-        model = tiny_model()
-        payload = nn.model_to_dict(model)
-        payload["version"] = 99
-        with pytest.raises(nn.EngineError):
-            nn.model_from_dict(payload)
+    def test_named_state_lists_every_layer_array_once(self):
+        model = tiny_model(hidden=(8, 4))
+        layers = [layer for blk in model.blocks for layer in (blk.dense, blk.norm)] + [model.head]
+        arrays = [a for layer in layers for a in vars(layer).values() if isinstance(a, np.ndarray)]
+        listed = nn.named_state(model)
+        assert len({name for name, _ in listed}) == len(listed)
+        assert sorted(id(a) for _, a in listed) == sorted(id(a) for a in arrays)
 
     def test_clone_is_independent(self):
         model = tiny_model()
         twin = nn.clone(model)
-        twin.head.weights += 1.0
-        assert not np.array_equal(model.head.weights, twin.head.weights)
+        assert state_bytes(twin) == state_bytes(model)
+        for (name, a), (_, b) in zip(nn.named_state(model), nn.named_state(twin)):
+            assert not np.shares_memory(a, b), name
 
     def test_copy_into_restores_bitwise(self):
         model = tiny_model(seed=1)
@@ -509,7 +501,7 @@ class TestCheckpoint:
         nn.forward(model, batch(), nn.TrainBN())
         model.head.weights += 0.5
         nn.copy_into(model, source)
-        assert json.dumps(nn.model_to_dict(model)) == json.dumps(nn.model_to_dict(source))
+        assert state_bytes(model) == state_bytes(source)
 
 
 class TestValidation:

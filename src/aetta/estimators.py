@@ -173,12 +173,11 @@ def gde_agreement(labels: np.ndarray, previous_model: nn.MlpModel, x: np.ndarray
 
 
 def src_valid(model: nn.MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy on a labeled holdout split."""
+    """Top-1 accuracy on a labeled holdout split, scored in blocks by ``nn.accuracy``."""
     y = np.asarray(labels)
     if y.ndim != 1 or y.shape[0] != np.asarray(features).shape[0]:
         raise EstimatorError("labels must be one integer per holdout row")
-    preds = predicted_labels(nn.forward(model, features, nn.Deterministic()))
-    return float(np.mean(preds == y))
+    return nn.accuracy(model, features, y)
 
 
 def adv_perturb_agreement(

@@ -340,7 +340,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         try:
             outcomes.append(SeedOutcome(seed=seed, records=_run_seed(config, seed)))
         except Exception as exc:  # noqa: BLE001 - seed isolation is the contract
-            log.error("seed %d failed: %s", seed, exc)
+            log.exception("seed %d failed: %s", seed, exc)
             outcomes.append(SeedOutcome(seed=seed, records=[], error=str(exc)))
     if all(o.error is not None for o in outcomes):
         raise HarnessError(f"all seeds failed; first error: {outcomes[0].error}")

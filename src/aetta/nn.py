@@ -30,6 +30,7 @@ import numpy as np
 
 _CE_PROB_FLOOR = 1e-12
 _LOG_GUARD = 1e-300
+_ACCURACY_BLOCK_ROWS = 512
 
 
 class EngineError(ValueError):
@@ -380,6 +381,22 @@ def forward(model: MlpModel, x: np.ndarray, mode: ForwardMode = Deterministic())
 
 def forward_logits(model: MlpModel, x: np.ndarray, mode: ForwardMode = Deterministic()) -> np.ndarray:
     return _logits(model, x, mode)
+
+
+def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
+    """Top-1 accuracy of the deterministic forward, scored in blocks of 512 rows.
+
+    Blocks bound the activations whatever the number of rows. A count of correct
+    rows is exact, so this is bitwise ``np.mean(argmax(forward(model, x), 1) == labels)``.
+    """
+    x, y = np.asarray(x), np.asarray(labels)
+    if x.shape[0] == 0:
+        raise EngineError("empty batch")
+    correct = 0
+    for start in range(0, x.shape[0], _ACCURACY_BLOCK_ROWS):
+        rows = slice(start, start + _ACCURACY_BLOCK_ROWS)
+        correct += int(np.count_nonzero(np.argmax(forward(model, x[rows]), axis=1) == y[rows]))
+    return correct / x.shape[0]
 
 
 def dropout_forwards(model: MlpModel, x: np.ndarray, seeds: Sequence[int]) -> np.ndarray:

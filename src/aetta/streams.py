@@ -6,13 +6,16 @@ quickly and corruption severity maps cleanly onto accuracy loss. Corruptions
 are label-preserving input transforms with a shared severity scale of 1..5
 (severity 0 is the identity by convention), and streams are batched segments
 of corrupted test data with the labels kept aside for ground-truth scoring
-only.
+only. As in online test-time adaptation, a stream is consumed as it arrives: a
+segment is sampled and corrupted only when its first batch is pulled, so one
+segment is held at a time rather than the whole stream.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 from scipy.linalg import expm
@@ -140,8 +143,7 @@ def train_source_model(
             )
             nn.optimizer_step(model, grads, optimizer)
     if epochs > 0:
-        preds = np.argmax(nn.forward(model, train.features), axis=1)
-        accuracy = float(np.mean(preds == train.labels))
+        accuracy = nn.accuracy(model, train.features, train.labels)
         if accuracy < accuracy_gate:
             log.warning("source training accuracy %.3f below gate %.3f", accuracy, accuracy_gate)
     return model, nn.clone(model)
@@ -258,8 +260,17 @@ def collapse_schedule(seed: int = 0, length: int = 15) -> tuple[CorruptionSpec, 
     return tuple(CorruptionSpec(kind=kinds[i % 4], severity=5, seed=seed * 100 + i) for i in range(length))
 
 
-def make_stream(scenario: Scenario, pool: Split, batch_size: int = 64, seed: int = 0) -> tuple[StreamBatch, ...]:
-    """Materialise the batched test stream; sampling is without replacement per segment."""
+def make_stream(
+    scenario: Scenario, pool: Split, batch_size: int = 64, seed: int = 0
+) -> Iterator[StreamBatch]:
+    """Check the whole scenario against the pool, then return the batched test stream.
+
+    Every check runs before this returns. The stream is a generator, and a
+    segment is its unit of laziness: a segment's rows are sampled without
+    replacement and corrupted when its first batch is pulled, and the generator
+    lets go of them before it builds the next segment. A ``Fully`` stream is one
+    segment.
+    """
     if batch_size < 1:
         raise StreamError("batch_size must be at least 1")
     if len(pool) == 0:
@@ -271,35 +282,39 @@ def make_stream(scenario: Scenario, pool: Split, batch_size: int = 64, seed: int
         segments = [(scenario.corruption, n)]
     else:
         segments = [(c, scenario.batches_per_segment) for c in scenario.schedule]
-
-    scale = float(pool.features.std())
-    batches: list[StreamBatch] = []
-    t = 0
-    for seg_idx, (corruption, n_batches) in enumerate(segments):
+    for seg_idx, (_, n_batches) in enumerate(segments):
         needed = n_batches * batch_size
         if needed > len(pool):
             raise StreamError(
                 f"segment {seg_idx} needs {needed} samples but the pool holds {len(pool)}"
             )
+    return _batches(segments, pool, batch_size, seed, float(pool.features.std()))
+
+
+def _batches(
+    segments: list[tuple[CorruptionSpec, int]], pool: Split, batch_size: int, seed: int, scale: float
+) -> Iterator[StreamBatch]:
+    t = 0
+    for seg_idx, (corruption, n_batches) in enumerate(segments):
+        # each segment draws from its own generator, so building them one at a time changes no byte
         rng = np.random.default_rng((seed, seg_idx))
-        idx = rng.choice(len(pool), size=needed, replace=False)
+        idx = rng.choice(len(pool), size=n_batches * batch_size, replace=False)
         features = corrupt(pool.features[idx], corruption, feature_scale=scale)
         labels = pool.labels[idx]
         for j in range(n_batches):
             sl = slice(j * batch_size, (j + 1) * batch_size)
-            batches.append(
-                StreamBatch(
-                    features=features[sl],
-                    hidden_labels=labels[sl],
-                    corruption_id=corruption.kind,
-                    severity=corruption.severity,
-                    batch_index=t,
-                    segment_index=seg_idx,
-                    at_boundary=j == 0,
-                )
+            yield StreamBatch(
+                features=features[sl],
+                hidden_labels=labels[sl],
+                corruption_id=corruption.kind,
+                severity=corruption.severity,
+                batch_index=t,
+                segment_index=seg_idx,
+                at_boundary=j == 0,
             )
             t += 1
-    return tuple(batches)
+        # dropped here, so that building the next segment does not keep this one alive too
+        del idx, features, labels
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +340,19 @@ def prepared_task(
     epochs: int = 30,
     train_seed: int = 0,
 ) -> PreparedTask:
-    """Dataset plus trained source model; training is memoised, copies returned.
+    """Dataset plus trained source model; training is memoised.
 
     Training is deterministic, so serving from cache is indistinguishable from
-    recomputing; models are cloned on the way out because callers mutate them.
+    recomputing. The model is cloned on the way out because callers adapt it;
+    the checkpoint is only ever read, so the cached one is handed out with its
+    arrays made read-only, and a write into it raises.
     """
     key = (spec, tuple(architecture), epochs, train_seed)
     if key not in _TASK_CACHE:
         train, holdout = make_source_dataset(spec)
         model, checkpoint = train_source_model(train, architecture=architecture, epochs=epochs, seed=train_seed)
+        for _, arr in nn.named_state(checkpoint):
+            arr.flags.writeable = False
         _TASK_CACHE[key] = PreparedTask(spec=spec, train=train, holdout=holdout, model=model, checkpoint=checkpoint)
     task = _TASK_CACHE[key]
-    return PreparedTask(
-        spec=task.spec,
-        train=task.train,
-        holdout=task.holdout,
-        model=nn.clone(task.model),
-        checkpoint=nn.clone(task.checkpoint),
-    )
+    return replace(task, model=nn.clone(task.model))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import itertools
+import logging
 import math
 import xml.etree.ElementTree as ET
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aetta import harness, plots
+from aetta import harness, plots, streams
 from aetta.estimators import AettaConfig, EstimateReport, EstimatorState, softmax_score, src_valid
 from aetta.nn import build_mlp, forward_logits, named_parameters, named_state
 from aetta.streams import CorruptionSpec, DatasetSpec, prepared_task
@@ -54,9 +55,9 @@ def test_first_batch_estimates_come_from_unadapted_source():
     task = prepared_task(TINY, architecture=(8,), epochs=3, train_seed=0)
     from aetta.streams import make_stream, Fully
 
-    stream = make_stream(
+    stream = tuple(make_stream(
         Fully(config.fully_corruption, n_batches=4), task.holdout, batch_size=16, seed=0
-    )
+    ))
     logits = forward_logits(task.checkpoint, stream[0].features)
     assert first.estimates["softmax"] == softmax_score(logits)
     cap = min(config.holdout_cap, len(task.holdout))
@@ -107,6 +108,26 @@ def test_hidden_labels_only_affect_true_accuracy(monkeypatch):
         assert a.estimates == b.estimates
         assert a.reset == b.reset
     assert any(a.true_accuracy != b.true_accuracy for a, b in zip(baseline, shuffled))
+
+
+def test_a_failed_seed_logs_its_traceback_and_spares_the_others(monkeypatch, caplog):
+    config = tiny_config(scenario="continual", batches_per_segment=1, seeds=(0, 1, 2))
+    clean = harness.run_experiment(config)
+    real = streams.corrupt
+
+    def corrupt(features, spec, feature_scale=None):
+        if spec.seed == 103:  # seed 1's fourth segment, pulled mid-seed
+            raise streams.StreamError("injected")
+        return real(features, spec, feature_scale)
+
+    monkeypatch.setattr(streams, "corrupt", corrupt)
+    with caplog.at_level(logging.ERROR, logger="aetta.harness"):
+        result = harness.run_experiment(config)
+    assert [o.error for o in result.outcomes] == [None, "injected", None]
+    assert result.outcomes[0].records == clean.outcomes[0].records
+    assert result.outcomes[2].records == clean.outcomes[2].records
+    [record] = [r for r in caplog.records if r.name == "aetta.harness"]
+    assert record.exc_info is not None and record.exc_info[0] is streams.StreamError
 
 
 def test_mae_recount_and_validation():

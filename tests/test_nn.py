@@ -1,7 +1,6 @@
 """Engine tests: forward modes, losses, analytic gradients vs finite differences."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,17 +25,6 @@ def batch(seed=0, rows=6, cols=5):
 
 
 ALL_MODES = (nn.Deterministic(), nn.TrainBN(), nn.Dropout(seed=11))
-
-
-def traced_peak(fn):
-    """Peak bytes that ``fn()`` allocates, measured on its second call."""
-    fn()
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def kink_safe_batch(model, start_seed=0, rows=6, margin=1e-3):
@@ -166,26 +154,35 @@ class TestForward:
         for probs, s in zip(ensemble, seeds):
             assert_array_equal(probs, nn._forward_cached(model, x, nn.Dropout(seed=s)).probs)
 
-    def test_inference_forward_keeps_no_per_block_arrays(self):
+    def test_inference_forward_keeps_no_per_block_arrays(self, traced_peak):
         """A deterministic forward holds about four (rows, 64) arrays at its peak,
         not the six and a half that a kept backward cache needs."""
         model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
         x = np.random.default_rng(0).normal(size=(1000, 16))
-        nn.forward(model, x)
-        tracemalloc.start()
-        try:
-            nn.forward(model, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4.5 * 1000 * 64 * 8
+        assert traced_peak(lambda: nn.forward(model, x)) < 4.5 * 1000 * 64 * 8
 
-    def test_inference_blocks_allocate_one_array_each(self):
+    def test_inference_blocks_allocate_one_array_each(self, traced_peak):
         """Each hidden block applies its affine and relu in place on its dense
         output, so the peak is block 1's input and output, not four arrays."""
         model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
         x = np.random.default_rng(0).normal(size=(1000, 16))
         assert traced_peak(lambda: nn.forward(model, x)) < 2.5 * 1000 * 64 * 8
+
+    @given(rows=st.integers(1, 1100), seed=st.integers(0, 2**31 - 1))
+    @example(rows=511, seed=0)
+    @example(rows=512, seed=1)
+    @example(rows=513, seed=2)
+    @example(rows=1024, seed=3)
+    @example(rows=1025, seed=4)
+    @settings(max_examples=30, deadline=None)
+    def test_blocked_accuracy_is_bitwise_the_one_shot_mean(self, rows, seed):
+        model = nn.build_mlp(16, 10, hidden=(64, 64), seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows, 16))
+        preds = np.argmax(nn.forward(model, x), axis=1)
+        # about a third of the rows relabelled, so the count of correct rows varies
+        labels = np.where(rng.random(rows) < 0.3, rng.integers(0, 10, size=rows), preds)
+        assert nn.accuracy(model, x, labels) == float(np.mean(preds == labels))
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 16), st.integers(2, 7))
     @settings(max_examples=25, deadline=None)
@@ -361,7 +358,7 @@ class TestBackward:
         pre = blk.norm.gamma * xhat + blk.norm.beta
         assert_allclose(nn.relu_kink_margin(model, x), np.abs(pre).min(), rtol=1e-12)
 
-    def test_tent_backward_caches_no_pre_relu_array(self):
+    def test_tent_backward_caches_no_pre_relu_array(self, traced_peak):
         """The cached forward keeps ``xhat`` and the block output, which is the
         next block's input anyway; the relu gate is read from that output."""
         model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)

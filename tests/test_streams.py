@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import pdist
 
-from aetta import nn, streams
+from aetta import nn, streams, tta
 
 
 def small_spec(**overrides):
@@ -122,6 +122,30 @@ class TestTraining:
         assert any("below gate" in r.message for r in caplog.records)
 
 
+class TestPreparedTask:
+    def task(self):
+        return streams.prepared_task(small_spec(), architecture=(8,), epochs=1, train_seed=0)
+
+    def test_checkpoint_is_shared_and_read_only(self):
+        task, again = self.task(), self.task()
+        assert again.checkpoint is task.checkpoint
+        assert again.model is not task.model
+        with pytest.raises(ValueError):
+            task.checkpoint.head.bias[0] = 1.0
+        copy = nn.clone(task.checkpoint)
+        assert all(arr.flags.writeable for _, arr in nn.named_state(copy))
+        copy.head.bias[0] = 1.0
+
+    def test_reset_from_the_read_only_checkpoint_is_bitwise(self):
+        task = self.task()
+        model = task.model
+        for _, arr in nn.named_state(model):
+            arr += 0.5
+        optimizer = nn.OptimizerState(kind="adam", learning_rate=1e-3)
+        model, _ = tta.apply_reset(model, optimizer, task.checkpoint)
+        assert state_bytes(model) == state_bytes(task.checkpoint)
+
+
 class TestCorrupt:
     def pool(self):
         _, hold = streams.make_source_dataset(small_spec())
@@ -213,6 +237,25 @@ class TestCorrupt:
             assert inversions <= 1, accs
 
 
+def stream_digest(stream):
+    """sha256 over each batch's features, hidden labels, corruption, severity,
+    index, segment and boundary flag, in stream order."""
+    h = hashlib.sha256()
+    for b in stream:
+        h.update(repr((b.features.shape, b.features.dtype.str, b.hidden_labels.dtype.str)).encode())
+        h.update(b.features.tobytes())
+        h.update(b.hidden_labels.tobytes())
+        h.update(repr((b.corruption_id, b.severity, b.batch_index, b.segment_index, b.at_boundary)).encode())
+    return h.hexdigest()
+
+
+# stream_digest of the continual and the Fully stream in test_stream_bytes_are_pinned
+PINNED_STREAMS = (
+    "c679e936edaa973c45d615e5e0e5a31bc62ce78d5cb50b04cc2dcb7489b96ca4",
+    "7ea6dc54981a718a2359966347e1217fa7b3e302207b95622c7f6cb383649579",
+)
+
+
 class TestMakeStream:
     def pool(self):
         _, hold = streams.make_source_dataset(streams.DatasetSpec(samples_per_class=120, seed=2))
@@ -221,7 +264,7 @@ class TestMakeStream:
     def test_continual_shape_and_boundaries(self):
         pool = self.pool()
         scenario = streams.Continual(schedule=streams.default_continual_schedule(), batches_per_segment=2)
-        stream = streams.make_stream(scenario, pool, batch_size=32, seed=1)
+        stream = tuple(streams.make_stream(scenario, pool, batch_size=32, seed=1))
         assert len(stream) == 30
         boundaries = [b.batch_index for b in stream if b.at_boundary]
         assert len(boundaries) == 15
@@ -253,6 +296,42 @@ class TestMakeStream:
         for b in stream:
             for row, label in zip(b.features, b.hidden_labels):
                 assert lookup[row.tobytes()] == int(label)
+
+    def test_stream_bytes_are_pinned(self):
+        """Every field of every batch of a continual and a ``Fully`` stream keeps
+        its pinned bytes: building each segment on demand changes none."""
+        pool = self.pool()
+        continual = streams.Continual(schedule=streams.default_continual_schedule(seed=3), batches_per_segment=2)
+        fully = streams.Fully(streams.CorruptionSpec(kind="mixup", severity=4, seed=9))
+        assert stream_digest(streams.make_stream(continual, pool, batch_size=32, seed=1)) == PINNED_STREAMS[0]
+        assert stream_digest(streams.make_stream(fully, pool, batch_size=16, seed=2)) == PINNED_STREAMS[1]
+
+    def test_segments_are_corrupted_when_first_pulled(self, monkeypatch):
+        calls = []
+        real = streams.corrupt
+        monkeypatch.setattr(streams, "corrupt", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        scenario = streams.Continual(schedule=streams.default_continual_schedule(), batches_per_segment=3)
+        stream = streams.make_stream(scenario, self.pool(), batch_size=16, seed=0)
+        assert calls == []
+        seen = []
+        for batch in stream:
+            seen.append(len(calls))
+        assert seen == [i // 3 + 1 for i in range(45)]
+
+    def test_pulled_stream_holds_one_segment(self, traced_peak):
+        """Pulled one batch at a time, each dropped before the next pull, a
+        15-segment stream peaks while it corrupts one segment: its source rows,
+        a noise draw and the corrupted copy, where the whole stream is fifteen."""
+        _, pool = streams.make_source_dataset(streams.DatasetSpec())
+        scenario = streams.Continual(schedule=streams.default_continual_schedule(), batches_per_segment=8)
+        segment_bytes = 8 * 64 * pool.features.shape[1] * 8
+
+        def pull():
+            stream = streams.make_stream(scenario, pool, batch_size=64, seed=0)
+            for _ in range(15 * 8):
+                next(stream)
+
+        assert traced_peak(pull) < 3.5 * segment_bytes
 
     def test_pool_exhaustion_is_an_error(self):
         pool = self.pool()

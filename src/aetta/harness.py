@@ -328,6 +328,8 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
                 aetta_report=report,
             )
         )
+        # dropped here, so that the stream does not corrupt the next segment while this one is alive
+        del batch, x
     if not records:
         raise HarnessError("scenario produced no batches")
     return records

@@ -14,11 +14,11 @@ segment is held at a time rather than the whole stream.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Iterator
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import nn
 
@@ -30,6 +30,15 @@ _NOISE_STD_PER_SEVERITY = 0.2
 _SCALING_SPREAD_PER_SEVERITY = 0.15
 _SHIFT_PER_SEVERITY = 0.25
 _MAX_ROTATION_ANGLE = np.pi / 2.0
+
+# degree-13 Pade coefficients b_0..b_13, and theta_13: the largest 1-norm at
+# which that approximant is accurate to double precision without scaling
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
 
 
 class StreamError(ValueError):
@@ -167,13 +176,40 @@ class CorruptionSpec:
             raise StreamError("severity must be an integer in 0..5")
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by the degree-13 Pade approximant with scaling and squaring."""
+    b = _PADE13
+    norm = np.linalg.norm(a, 1)
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0**s
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def rotation_matrix(dim: int, severity: int, seed: int) -> np.ndarray:
-    """Exactly orthogonal rotation, interpolated toward identity by severity/5."""
+    """Orthogonal rotation exp(severity/5 * S) of a seeded skew-symmetric S
+    whose spectral norm is pi/2; severity 0 is exactly the identity.
+
+    The exponential is the degree-13 Pade approximant with scaling and squaring
+    (Higham, "The scaling and squaring method for the matrix exponential
+    revisited", SIMAX 26(4), 2005). scipy's ``expm`` uses another algorithm, so
+    the two agree to within about 1e-15, not bit for bit.
+    """
+    if severity == 0:
+        return np.eye(dim)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(dim, dim))
     skew = (g - g.T) / 2.0
     skew *= _MAX_ROTATION_ANGLE / np.linalg.norm(skew, 2)
-    return expm((severity / 5.0) * skew)
+    return _expm((severity / 5.0) * skew)
 
 
 def corrupt(features: np.ndarray, spec: CorruptionSpec, feature_scale: float | None = None) -> np.ndarray:

@@ -3,7 +3,12 @@ import hashlib
 import itertools
 import logging
 import math
+import os
+import subprocess
+import sys
+import weakref
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +133,71 @@ def test_a_failed_seed_logs_its_traceback_and_spares_the_others(monkeypatch, cap
     assert result.outcomes[2].records == clean.outcomes[2].records
     [record] = [r for r in caplog.records if r.name == "aetta.harness"]
     assert record.exc_info is not None and record.exc_info[0] is streams.StreamError
+
+
+def test_finished_segment_is_freed_before_the_next_is_corrupted(monkeypatch):
+    """The loop lets go of a segment's last batch before it pulls the next one,
+    so the stream never holds two corrupted segments at once."""
+    real = streams.corrupt
+    segments, alive = [], []
+
+    def corrupt(features, spec, feature_scale=None):
+        alive.append(sum(ref() is not None for ref in segments))
+        out = real(features, spec, feature_scale)
+        segments.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(streams, "corrupt", corrupt)
+    result = harness.run_experiment(tiny_config(scenario="continual", batches_per_segment=2))
+    assert not result.failed
+    assert alive == [0] * 15
+
+
+NO_SCIPY_RUN = """
+import importlib.abc
+import sys
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(name + " is unavailable")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+from aetta import cli, estimators, harness, nn, oracle, plots, streams, tta
+
+config = harness.ExperimentConfig(
+    dataset=streams.DatasetSpec(class_count=3, input_dim=4, samples_per_class=120, seed=0),
+    architecture=(8,),
+    train_epochs=1,
+    scenario="continual",
+    batches_per_segment=1,
+    batch_size=16,
+    seeds=(0,),
+    estimator=estimators.AettaConfig(n_dropout=2),
+)
+result = harness.run_experiment(config)
+assert not result.failed
+assert "rotation" in {r.corruption_id for r in result.records_by_seed[0]}
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+"""
+
+
+def test_runs_with_scipy_unimportable():
+    """Every module imports, and a continual run with rotation segments
+    finishes, in a fresh interpreter where importing scipy raises."""
+    src = Path(harness.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_mae_recount_and_validation():

@@ -33,6 +33,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> harness.ExperimentConfig:
     """File values first, then flag overrides."""
+    if args.collapse and args.scenario == "fully":
+        raise harness.HarnessError("--collapse runs the continual scenario, so it conflicts with --scenario fully")
     config = harness.load_config(args.config) if args.config else harness.ExperimentConfig()
     updates: dict = {}
     if args.seed:
@@ -47,12 +49,7 @@ def _config_from_args(args: argparse.Namespace) -> harness.ExperimentConfig:
             est = dataclasses.replace(est, n_dropout=args.n_dropout)
         updates["estimator"] = est
     scenario = updates.get("scenario", config.scenario)
-    if (
-        scenario == "fully"
-        and config.fully_corruption is None
-        and not args.collapse
-        and not config.collapse
-    ):
+    if scenario == "fully" and config.fully_corruption is None:
         updates["fully_corruption"] = _DEFAULT_FULLY
     if updates:
         config = dataclasses.replace(config, **updates)

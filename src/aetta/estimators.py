@@ -18,7 +18,6 @@ test stream's labels stay out of this module entirely.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,19 +46,6 @@ class AettaConfig:
             raise EstimatorError("ema_coefficient must lie in [0, 1)")
         if self.entropy_floor <= 0:
             raise EstimatorError("entropy_floor must be positive")
-
-
-@dataclass
-class EstimatorState:
-    """Carried between batches: EMA of the error plus recent smoothed accuracies."""
-
-    ema_error: float | None
-    history: deque[float]
-
-
-def fresh_state(capacity: int) -> EstimatorState:
-    """No EMA yet and an empty history that keeps the last ``capacity`` accuracies."""
-    return EstimatorState(ema_error=None, history=deque(maxlen=capacity))
 
 
 @dataclass(frozen=True)
@@ -118,13 +104,12 @@ def aetta_estimate(
     x: np.ndarray,
     base_labels: np.ndarray,
     config: AettaConfig,
-    state: EstimatorState,
-) -> tuple[EstimateReport, EstimatorState]:
+    ema_error: float | None,
+) -> EstimateReport:
     """One batch of dropout-disagreement accuracy estimation.
 
-    ``base_labels`` are the deterministic predictions of ``model`` on ``x``.
-    Returns the per-batch report and the successor state; the input state is
-    left untouched so callers can replay or branch histories.
+    ``base_labels`` are the deterministic predictions of ``model`` on ``x``, and
+    ``ema_error`` is the previous batch's ``smoothed_error`` (None on the first).
     """
     seeds = range(config.base_seed, config.base_seed + config.n_dropout)
     ens_probs = nn.dropout_forwards(model, x, seeds)
@@ -132,25 +117,21 @@ def aetta_estimate(
     e_avg = nn.entropy_of(batch_aggregate(ens_probs))
     b = robust_weight(e_avg, model.class_count, config.alpha, config.entropy_floor)
     raw_error = b * disagreement
-    # a non-finite model reads as wholly wrong, which keeps the EMA and history finite
+    # a non-finite model reads as wholly wrong, which keeps the EMA and the reset window finite
     raw_error = min(max(raw_error, 0.0), 1.0) if math.isfinite(raw_error) else 1.0
-    if state.ema_error is None:
+    if ema_error is None:
         smoothed_error = raw_error
     else:
         c = config.ema_coefficient
-        smoothed_error = c * state.ema_error + (1.0 - c) * raw_error
-    smoothed_accuracy = 1.0 - smoothed_error
-    history = state.history.copy()
-    history.append(smoothed_accuracy)
-    report = EstimateReport(
+        smoothed_error = c * ema_error + (1.0 - c) * raw_error
+    return EstimateReport(
         pdd=disagreement,
         e_avg=e_avg,
         b_weight=b,
         raw_error=raw_error,
         smoothed_error=smoothed_error,
-        smoothed_accuracy=smoothed_accuracy,
+        smoothed_accuracy=1.0 - smoothed_error,
     )
-    return report, EstimatorState(ema_error=smoothed_error, history=history)
 
 
 # ---------------------------------------------------------------------------

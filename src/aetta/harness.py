@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import json
 import logging
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from .estimators import (
     EstimateReport,
     adv_perturb_agreement,
     aetta_estimate,
-    fresh_state,
     gde_agreement,
     predicted_labels,
     softmax_score,
@@ -38,7 +38,6 @@ from .tta import (
     TRIGGER_EXTERNAL,
     AdaptConfig,
     RecoveryPolicy,
-    ResetContext,
     apply_reset,
     bn_stats_step,
     make_optimizer,
@@ -111,8 +110,13 @@ class ExperimentConfig:
             raise HarnessError("batch_size must be at least 1")
         if self.holdout_cap < 1:
             raise HarnessError("holdout_cap must be at least 1")
-        if self.scenario == "fully" and self.fully_corruption is None and not self.collapse:
+        if self.scenario == "fully" and self.collapse:
+            raise HarnessError("the collapse preset runs the continual scenario, not fully")
+        if self.scenario == "fully" and self.fully_corruption is None:
             raise HarnessError("fully scenario needs a corruption spec")
+        # only the AETTA estimator fills the accuracy window that aetta_reset reads
+        if self.recovery.kind == "aetta_reset" and "aetta" not in self.estimators_enabled:
+            raise HarnessError("aetta_reset recovery needs the aetta estimator enabled")
 
 
 def collapse_preset(base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -134,9 +138,12 @@ class RunRecord:
     severity: int
     true_accuracy: float
     estimates: dict[str, float]
-    reset: bool
-    trigger: str
+    trigger: str  # "" when the model was not rolled back
     aetta_report: EstimateReport | None = None
+
+    @property
+    def reset(self) -> bool:
+        return self.trigger != ""
 
     def abs_error(self, estimator: str) -> float:
         return abs(self.true_accuracy - self.estimates[estimator])
@@ -204,11 +211,7 @@ def _adaptation_step(
 
 def _build_scenario(config: ExperimentConfig, seed: int) -> Fully | Continual:
     if config.scenario == "fully":
-        if config.collapse:
-            corruption = CorruptionSpec(kind="gaussian_noise", severity=5, seed=seed * 100)
-        else:
-            corruption = config.fully_corruption
-        return Fully(corruption=corruption, n_batches=config.n_batches)
+        return Fully(corruption=config.fully_corruption, n_batches=config.n_batches)
     if config.collapse:
         schedule = collapse_schedule(seed=seed)
     else:
@@ -224,7 +227,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
         train_seed=seed,
     )
     source = task.checkpoint
-    model = task.model
+    model = nn.clone(source)
     optimizer = make_optimizer(config.adaptation)
 
     cap = min(config.holdout_cap, len(task.holdout))
@@ -240,8 +243,10 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
     )
 
     enabled = config.estimators_enabled
-    # the window-degradation trigger compares the last two windows of accuracies
-    est_state = fresh_state(2 * config.recovery.window)
+    # AETTA's EMA of the error, and its recent smoothed accuracies: the
+    # window-degradation trigger compares the last two windows of them
+    ema_error: float | None = None
+    history: deque[float] = deque(maxlen=2 * config.recovery.window)
     # GDE compares against the model before the last adaptation step; nothing else reads it
     gde = "gde" in enabled
     prev_model = nn.clone(model) if gde else None
@@ -286,17 +291,16 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
                 source, model, x, epsilon=config.adv_epsilon, feature_scale=feature_scale
             )
         if "aetta" in enabled:
-            report, est_state = aetta_estimate(model, x, labels, config.estimator, est_state)
+            report = aetta_estimate(model, x, labels, config.estimator, ema_error)
+            ema_error = report.smoothed_error
+            history.append(report.smoothed_accuracy)
             estimates["aetta"] = report.smoothed_accuracy
 
-        context = ResetContext(
-            entropy_ema=entropy_ema, at_corruption_boundary=batch.at_boundary, non_finite=non_finite
+        trigger = should_reset(
+            config.recovery, history, entropy_ema=entropy_ema, at_boundary=batch.at_boundary, non_finite=non_finite
         )
-        fire, trigger = should_reset(config.recovery, est_state, context)
-        did_reset = False
-        if fire and not episodic:
+        if trigger:
             model, optimizer = apply_reset(model, optimizer, source)
-            did_reset = True
             if mrs:
                 entropy_ema = None
 
@@ -312,7 +316,6 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
             )
         if episodic:
             model, optimizer = apply_reset(model, optimizer, source)
-            did_reset = True
             trigger = TRIGGER_EXTERNAL
 
         records.append(
@@ -323,8 +326,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
                 severity=batch.severity,
                 true_accuracy=true_accuracy,
                 estimates=estimates,
-                reset=did_reset,
-                trigger=trigger if did_reset else "",
+                trigger=trigger or "",
                 aetta_report=report,
             )
         )
@@ -407,7 +409,8 @@ def write_run_csv(result: ExperimentResult, path: str | Path) -> None:
 
 
 def load_run_csv(path: str | Path) -> list[list[RunRecord]]:
-    """Inverse of write_run_csv; seeds are split where the batch index restarts."""
+    """Inverse of write_run_csv; seeds are split where the batch index restarts.
+    A rollback is recorded by its trigger: a ``reset`` that disagrees is rejected."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
@@ -416,6 +419,8 @@ def load_run_csv(path: str | Path) -> list[list[RunRecord]]:
         current: list[RunRecord] = []
         for row in reader:
             t = int(row["t"])
+            if row["reset"] != ("1" if row["trigger"] else "0"):
+                raise HarnessError(f"t={t}: reset {row['reset']!r} disagrees with trigger {row['trigger']!r}")
             if current and t <= current[-1].batch_index:
                 by_seed.append(current)
                 current = []
@@ -429,7 +434,6 @@ def load_run_csv(path: str | Path) -> list[list[RunRecord]]:
                     estimates={
                         name: float(row[f"est_{name}"]) for name in ESTIMATOR_NAMES if row[f"est_{name}"]
                     },
-                    reset=row["reset"] == "1",
                     trigger=row["trigger"],
                 )
             )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -132,8 +132,8 @@ def train_source_model(
     batch_size: int = 64,
     learning_rate: float = 1e-3,
     accuracy_gate: float = 0.9,
-) -> tuple[nn.MlpModel, nn.MlpModel]:
-    """Cross-entropy training of the source classifier; returns (model, checkpoint).
+) -> nn.MlpModel:
+    """Cross-entropy training of the source classifier.
 
     The accuracy gate is advisory: falling short is logged, never fatal.
     """
@@ -155,7 +155,7 @@ def train_source_model(
         accuracy = nn.accuracy(model, train.features, train.labels)
         if accuracy < accuracy_gate:
             log.warning("source training accuracy %.3f below gate %.3f", accuracy, accuracy_gate)
-    return model, nn.clone(model)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +363,6 @@ class PreparedTask:
     spec: DatasetSpec
     train: Split
     holdout: Split
-    model: nn.MlpModel
     checkpoint: nn.MlpModel
 
 
@@ -379,16 +378,15 @@ def prepared_task(
     """Dataset plus trained source model; training is memoised.
 
     Training is deterministic, so serving from cache is indistinguishable from
-    recomputing. The model is cloned on the way out because callers adapt it;
-    the checkpoint is only ever read, so the cached one is handed out with its
-    arrays made read-only, and a write into it raises.
+    recomputing. The trained model is the task's checkpoint, handed out with its
+    arrays made read-only, so a write into it raises; callers that adapt a model
+    adapt a clone of it.
     """
     key = (spec, tuple(architecture), epochs, train_seed)
     if key not in _TASK_CACHE:
         train, holdout = make_source_dataset(spec)
-        model, checkpoint = train_source_model(train, architecture=architecture, epochs=epochs, seed=train_seed)
+        checkpoint = train_source_model(train, architecture=architecture, epochs=epochs, seed=train_seed)
         for _, arr in nn.named_state(checkpoint):
             arr.flags.writeable = False
-        _TASK_CACHE[key] = PreparedTask(spec=spec, train=train, holdout=holdout, model=model, checkpoint=checkpoint)
-    task = _TASK_CACHE[key]
-    return replace(task, model=nn.clone(task.model))
+        _TASK_CACHE[key] = PreparedTask(spec=spec, train=train, holdout=holdout, checkpoint=checkpoint)
+    return _TASK_CACHE[key]

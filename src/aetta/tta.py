@@ -2,19 +2,21 @@
 
 Adaptation is entropy minimisation over the BN affine parameters with
 transductive batch statistics (plus a stats-only refresh variant and a no-op).
-Recovery decides, from the estimator's smoothed-accuracy history or external
-signals, when to roll the model and optimizer back to the source checkpoint;
-one policy instead reverts a random sprinkle of scalars every step.
+Recovery decides, before each adaptation step and from plain values (recent
+smoothed-accuracy estimates or external signals), whether to roll the model and
+optimizer back to the source checkpoint. Two policies act after the step
+instead: episodic rolls back after every step, and stochastic restore reverts
+a random sprinkle of scalars.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .estimators import EstimatorState
 
 ADAPT_METHODS = ("tent", "bn_stats", "none")
 RECOVERY_KINDS = ("aetta_reset", "episodic", "mrs", "stochastic_restore", "dist_shift", "none")
@@ -98,15 +100,6 @@ class RecoveryPolicy:
             raise AdaptationError(f"unknown comparison {self.comparison!r}")
 
 
-@dataclass(frozen=True)
-class ResetContext:
-    """Per-batch signals a policy may consult besides the estimator history."""
-
-    entropy_ema: float | None = None
-    at_corruption_boundary: bool = False
-    non_finite: bool = False  # the model or its predictions hold a NaN or an infinity
-
-
 def _window_degraded(policy: RecoveryPolicy, history: list[float]) -> bool:
     w = policy.window
     if len(history) < 2 * w:
@@ -119,32 +112,35 @@ def _window_degraded(policy: RecoveryPolicy, history: list[float]) -> bool:
 
 
 def should_reset(
-    policy: RecoveryPolicy, state: EstimatorState, context: ResetContext = ResetContext()
-) -> tuple[bool, str | None]:
-    """Whether to roll back to the source checkpoint now, and why."""
-    if policy.kind in ("none", "stochastic_restore"):
-        return False, None
+    policy: RecoveryPolicy,
+    history: Iterable[float],
+    *,
+    entropy_ema: float | None = None,
+    at_boundary: bool = False,
+    non_finite: bool = False,
+) -> str | None:
+    """Why to roll back to the source checkpoint before this batch's adaptation
+    step, or None. ``history`` holds recent smoothed accuracies, oldest first, and
+    ``non_finite`` says the model or its predictions hold a NaN or an infinity.
+    Episodic and stochastic restore act after the step, so they get None here."""
+    if policy.kind in ("none", "episodic", "stochastic_restore"):
+        return None
     # a NaN can hide from every other signal: it makes the entropy EMA NaN and
     # can arrive inside a segment, so each rolling-back kind checks it first
-    if context.non_finite:
-        return True, TRIGGER_NON_FINITE
-    if policy.kind == "episodic":
-        return True, TRIGGER_EXTERNAL
+    if non_finite:
+        return TRIGGER_NON_FINITE
     if policy.kind == "mrs":
-        if context.entropy_ema is not None and context.entropy_ema < policy.mrs_threshold:
-            return True, TRIGGER_EXTERNAL
-        return False, None
+        low = entropy_ema is not None and entropy_ema < policy.mrs_threshold
+        return TRIGGER_EXTERNAL if low else None
     if policy.kind == "dist_shift":
-        if context.at_corruption_boundary:
-            return True, TRIGGER_EXTERNAL
-        return False, None
+        return TRIGGER_EXTERNAL if at_boundary else None
     # aetta_reset: degradation across two windows, or outright low accuracy
-    history = list(state.history)
+    history = list(history)
     if _window_degraded(policy, history):
-        return True, TRIGGER_WINDOW
+        return TRIGGER_WINDOW
     if history and history[-1] < policy.hard_threshold:
-        return True, TRIGGER_HARD
-    return False, None
+        return TRIGGER_HARD
+    return None
 
 
 def apply_reset(
@@ -152,8 +148,8 @@ def apply_reset(
 ) -> tuple[nn.MlpModel, nn.OptimizerState]:
     """Restore parameters and running stats bitwise; hand back a fresh optimizer.
 
-    Estimator state is deliberately not touched here: histories survive resets
-    so repeated rollbacks stay visible in the logs.
+    The caller's accuracy history is deliberately kept: it survives resets so
+    repeated rollbacks stay visible in the logs.
     """
     nn.copy_into(model, source_checkpoint)
     return model, nn.OptimizerState(kind=optimizer.kind, learning_rate=optimizer.learning_rate)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from aetta import harness, nn, oracle
-from aetta.estimators import AettaConfig, aetta_estimate, fresh_state, pdd, robust_weight
+from aetta.estimators import AettaConfig, aetta_estimate, pdd, robust_weight
 from aetta.streams import prepared_task
 from aetta.tta import RecoveryPolicy
 
@@ -84,7 +84,7 @@ def test_criterion_03_estimator_unit_identities():
         x = rng.normal(size=(8, 6))
         config = AettaConfig(n_dropout=4, alpha=0.0, base_seed=i)
         base = np.argmax(nn.forward(model, x, nn.Deterministic()), axis=-1)
-        report, _ = aetta_estimate(model, x, base, config, fresh_state(10))
+        report = aetta_estimate(model, x, base, config, None)
 
         ensemble = nn.dropout_forwards(model, x, range(i, i + 4))
         expected = pdd(base, np.argmax(ensemble, axis=-1))

@@ -51,6 +51,11 @@ def test_collapse_flag_applies_preset():
     assert config.adaptation.learning_rate == harness.COLLAPSE_LEARNING_RATE
 
 
+def test_collapse_with_fully_scenario_names_the_conflict(caplog):
+    assert cli.main(["run", "--scenario", "fully", "--collapse"]) == 1
+    assert "conflicts with --scenario fully" in caplog.text
+
+
 def test_fully_without_corruption_gets_a_default():
     args = cli.build_parser().parse_args(["run", "--scenario", "fully"])
     config = cli._config_from_args(args)

@@ -23,11 +23,9 @@ def labels_of(model, x):
     return est.predicted_labels(nn.forward(model, x))
 
 
-def estimate(model, x, cfg, state=None):
+def estimate(model, x, cfg, ema_error=None):
     """aetta_estimate with the base labels from a deterministic forward."""
-    if state is None:
-        state = est.fresh_state(10)
-    return est.aetta_estimate(model, x, labels_of(model, x), cfg, state)
+    return est.aetta_estimate(model, x, labels_of(model, x), cfg, ema_error)
 
 
 class TestPdd:
@@ -111,7 +109,7 @@ class TestDropoutEnsemble:
     def test_two_block_ensemble_is_pinned(self, seed):
         """Every seed's dropout runs through block 1 after the shared block 0."""
         train, holdout = streams.make_source_dataset(streams.DatasetSpec())
-        model, _ = streams.train_source_model(train, architecture=(64, 64), epochs=2, seed=seed)
+        model = streams.train_source_model(train, architecture=(64, 64), epochs=2, seed=seed)
         noise = streams.CorruptionSpec(kind="gaussian_noise", severity=5, seed=0)
         x = streams.corrupt(holdout.features[:256], noise)
         ens = nn.dropout_forwards(model, x, range(10))
@@ -124,7 +122,7 @@ class TestAettaEstimate:
         """Re-derive every report field from raw forwards with the same seeds."""
         model, x = model_and_batch(seed=5)
         cfg = est.AettaConfig(n_dropout=6, alpha=2.5, base_seed=40)
-        report, _ = estimate(model, x, cfg)
+        report = estimate(model, x, cfg)
 
         base = np.argmax(nn.forward(model, x), axis=1)
         probs = np.stack([nn.forward(model, x, nn.Dropout(seed=40 + i)) for i in range(6)])
@@ -146,45 +144,28 @@ class TestAettaEstimate:
         cfg = est.AettaConfig(alpha=0.0)
         for seed in range(20):
             model, x = model_and_batch(seed=seed, rows=8)
-            report, _ = estimate(model, x, cfg)
+            report = estimate(model, x, cfg)
             assert report.b_weight == 1.0
             assert report.raw_error == report.pdd
 
     def test_ema_trace_matches_hand_rolled_filter(self):
         model, x = model_and_batch(seed=2)
         cfg = est.AettaConfig(n_dropout=4, ema_coefficient=0.9)
-        state = None
+        ema_error = None
         expected = None
         for _ in range(6):
-            report, state = estimate(model, x, cfg, state)
+            report = estimate(model, x, cfg, ema_error)
+            ema_error = report.smoothed_error
             expected = report.raw_error if expected is None else 0.9 * expected + 0.1 * report.raw_error
             assert_allclose(report.smoothed_error, expected, rtol=1e-14)
-
-    def test_state_is_not_mutated(self):
-        model, x = model_and_batch(seed=7)
-        cfg = est.AettaConfig(n_dropout=3)
-        _, s1 = estimate(model, x, cfg)
-        frozen = list(s1.history)
-        estimate(model, x, cfg, s1)
-        assert list(s1.history) == frozen
-
-    def test_history_is_bounded_ring(self):
-        model, x = model_and_batch(seed=1)
-        cfg = est.AettaConfig(n_dropout=2)
-        state = None
-        accs = []
-        for _ in range(14):
-            report, state = estimate(model, x, cfg, state)
-            accs.append(report.smoothed_accuracy)
-        assert len(state.history) == 10
-        assert list(state.history) == accs[-10:]
 
     def test_estimates_stay_in_unit_interval(self):
         model, x = model_and_batch(seed=9)
         cfg = est.AettaConfig(alpha=5.0)
-        state = None
+        ema_error = None
         for _ in range(10):
-            report, state = estimate(model, x, cfg, state)
+            report = estimate(model, x, cfg, ema_error)
+            ema_error = report.smoothed_error
             assert 0.0 <= report.raw_error <= 1.0
             assert 0.0 <= report.smoothed_accuracy <= 1.0
 

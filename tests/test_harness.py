@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aetta import harness, plots, streams
-from aetta.estimators import AettaConfig, EstimateReport, EstimatorState, softmax_score, src_valid
+from aetta.estimators import AettaConfig, EstimateReport, softmax_score, src_valid
 from aetta.nn import build_mlp, forward_logits, named_parameters, named_state
 from aetta.streams import CorruptionSpec, DatasetSpec, prepared_task
 from aetta.tta import RecoveryPolicy
@@ -302,15 +302,12 @@ def test_run_csv_bytes_are_pinned(tmp_path, kind):
 def test_window_above_five_can_fire(monkeypatch):
     accuracies = iter(np.linspace(0.9, 0.6, 14))
 
-    def falling(model, x, labels, config, state):
+    def falling(model, x, labels, config, ema_error):
         accuracy = float(next(accuracies))
-        history = state.history.copy()
-        history.append(accuracy)
-        report = EstimateReport(
+        return EstimateReport(
             pdd=0.0, e_avg=0.0, b_weight=1.0, raw_error=1.0 - accuracy,
             smoothed_error=1.0 - accuracy, smoothed_accuracy=accuracy,
         )
-        return report, EstimatorState(ema_error=1.0 - accuracy, history=history)
 
     monkeypatch.setattr(harness, "aetta_estimate", falling)
     config = tiny_config(
@@ -321,6 +318,34 @@ def test_window_above_five_can_fire(monkeypatch):
     records = harness.run_experiment(config).records_by_seed[0]
     # two full windows of six first exist at batch 11
     assert [r.trigger for r in records] == [""] * 11 + ["window_degradation"] * 3
+
+
+def test_history_is_bounded_ring(monkeypatch):
+    """The window handed to should_reset keeps the last 2 * window smoothed
+    accuracies, oldest first, and survives rollbacks."""
+    seen = []
+    real = harness.should_reset
+
+    def spy(policy, history, **signals):
+        seen.append(list(history))
+        return real(policy, history, **signals)
+
+    monkeypatch.setattr(harness, "should_reset", spy)
+    config = tiny_config(
+        recovery=RecoveryPolicy(kind="aetta_reset", window=2, hard_threshold=0.65), n_batches=9, batch_size=8
+    )
+    records = harness.run_experiment(config).records_by_seed[0]
+    accs = [r.estimates["aetta"] for r in records]
+    assert any(r.reset for r in records)
+    assert seen == [accs[max(0, t - 3) : t + 1] for t in range(9)]
+
+
+def test_aetta_reset_needs_the_aetta_estimator():
+    """Only AETTA fills the window; without it the policy could never fire."""
+    with pytest.raises(harness.HarnessError, match="aetta estimator"):
+        tiny_config(
+            recovery=RecoveryPolicy(kind="aetta_reset", hard_threshold=0.99), estimators_enabled=("softmax",)
+        )
 
 
 STATE_NAMES = [name for name, _ in named_state(build_mlp(4, 3, hidden=(8,)))]
@@ -376,6 +401,16 @@ def test_load_run_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(harness.HarnessError):
+        harness.load_run_csv(path)
+
+
+@pytest.mark.parametrize("reset, trigger", [("1", ""), ("0", "external"), ("yes", "external")])
+def test_load_run_csv_rejects_reset_that_disagrees_with_trigger(tmp_path, reset, trigger):
+    path = tmp_path / "run.csv"
+    row = {name: "" for name in harness.CSV_COLUMNS}
+    row.update(t="0", corruption="gaussian_noise", severity="2", true_acc="0.5", reset=reset, trigger=trigger)
+    path.write_text(",".join(harness.CSV_COLUMNS) + "\n" + ",".join(row.values()) + "\n")
+    with pytest.raises(harness.HarnessError, match="disagrees"):
         harness.load_run_csv(path)
 
 
@@ -501,6 +536,8 @@ def test_config_validation():
         tiny_config(batches_per_segment=0)
     with pytest.raises(harness.HarnessError):
         harness.ExperimentConfig(scenario="fully", fully_corruption=None)
+    with pytest.raises(harness.HarnessError, match="continual"):
+        tiny_config(collapse=True)
 
 
 def test_collapse_preset_pins_adaptation_and_schedule():

@@ -1,0 +1,45 @@
+"""The package's import graph: the low-level modules stay independent of the driver."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import aetta
+
+PACKAGE = Path(aetta.__file__).parent
+
+# modules below the harness and what they may import from the package
+LAYERS = {
+    "nn": set(),
+    "oracle": set(),
+    "plots": set(),
+    "estimators": {"nn"},
+    "tta": {"nn"},
+    "streams": {"nn"},
+}
+
+
+def sibling_imports(path: Path) -> set[str]:
+    """Every package module ``path`` imports, relatively or as ``aetta.<module>``,
+    at any depth of the file."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0 and node.module is None:
+                found.update(alias.name for alias in node.names)
+            elif node.level > 0:
+                found.add(node.module.split(".")[0])
+            elif node.module == "aetta":
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("aetta."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("aetta."))
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_module_imports_only_its_allowed_siblings(module):
+    assert sibling_imports(PACKAGE / f"{module}.py") == LAYERS[module]
+

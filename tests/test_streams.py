@@ -84,23 +84,22 @@ PINNED_WEIGHTS = {
 class TestTraining:
     def test_zero_epochs_returns_initialization(self):
         train, _ = streams.make_source_dataset(small_spec())
-        model, checkpoint = streams.train_source_model(train, architecture=(8,), epochs=0, seed=5)
+        model = streams.train_source_model(train, architecture=(8,), epochs=0, seed=5)
         fresh = nn.build_mlp(train.features.shape[1], 4, hidden=(8,), seed=5)
         assert state_bytes(model) == state_bytes(fresh)
-        assert state_bytes(checkpoint) == state_bytes(model)
 
     @pytest.mark.parametrize("seed", sorted(PINNED_WEIGHTS))
     def test_default_architecture_weights_are_pinned(self, seed):
         """Two stacked TrainBN blocks trained with Adam keep their exact bits."""
         train, _ = streams.make_source_dataset(streams.DatasetSpec())
-        model, _ = streams.train_source_model(train, architecture=(64, 64), epochs=2, seed=seed)
+        model = streams.train_source_model(train, architecture=(64, 64), epochs=2, seed=seed)
         digest = hashlib.sha256(state_bytes(model)).hexdigest()
         assert digest == PINNED_WEIGHTS[seed]
 
     def test_different_seeds_give_different_models(self):
         train, _ = streams.make_source_dataset(small_spec())
-        a, _ = streams.train_source_model(train, epochs=1, seed=0)
-        b, _ = streams.train_source_model(train, epochs=1, seed=1)
+        a = streams.train_source_model(train, epochs=1, seed=0)
+        b = streams.train_source_model(train, epochs=1, seed=1)
         assert not np.array_equal(a.head.weights, b.head.weights)
 
     def test_wide_margin_binary_task_is_linearly_separable(self):
@@ -108,7 +107,7 @@ class TestTraining:
             class_count=2, input_dim=4, samples_per_class=100, cluster_separation=50.0, seed=1
         )
         train, _ = streams.make_source_dataset(spec)
-        model, _ = streams.train_source_model(
+        model = streams.train_source_model(
             train, architecture=(), epochs=30, seed=0, learning_rate=0.05
         )
         preds = np.argmax(nn.forward(model, train.features), axis=1)
@@ -118,13 +117,13 @@ class TestTraining:
         """Frozen empirical gate: the stock task trains to >= 0.90 holdout accuracy."""
         for seed in (0, 1, 2):
             task = streams.prepared_task(streams.DatasetSpec(), train_seed=seed)
-            preds = np.argmax(nn.forward(task.model, task.holdout.features), axis=1)
+            preds = np.argmax(nn.forward(task.checkpoint, task.holdout.features), axis=1)
             assert float(np.mean(preds == task.holdout.labels)) >= 0.90
 
     def test_missed_gate_warns_but_returns(self, caplog):
         train, _ = streams.make_source_dataset(small_spec())
         with caplog.at_level(logging.WARNING, logger="aetta.streams"):
-            model, _ = streams.train_source_model(train, epochs=1, seed=0, accuracy_gate=1.0)
+            model = streams.train_source_model(train, epochs=1, seed=0, accuracy_gate=1.0)
         assert model is not None
         assert any("below gate" in r.message for r in caplog.records)
 
@@ -136,7 +135,6 @@ class TestPreparedTask:
     def test_checkpoint_is_shared_and_read_only(self):
         task, again = self.task(), self.task()
         assert again.checkpoint is task.checkpoint
-        assert again.model is not task.model
         with pytest.raises(ValueError):
             task.checkpoint.head.bias[0] = 1.0
         copy = nn.clone(task.checkpoint)
@@ -145,7 +143,7 @@ class TestPreparedTask:
 
     def test_reset_from_the_read_only_checkpoint_is_bitwise(self):
         task = self.task()
-        model = task.model
+        model = nn.clone(task.checkpoint)
         for _, arr in nn.named_state(model):
             arr += 0.5
         optimizer = nn.OptimizerState(kind="adam", learning_rate=1e-3)
@@ -282,7 +280,7 @@ class TestCorrupt:
             for sev in range(6):
                 spec = streams.CorruptionSpec(kind="gaussian_noise", severity=sev, seed=40)
                 x = streams.corrupt(task.holdout.features, spec, feature_scale=scale)
-                preds = np.argmax(nn.forward(task.model, x), axis=1)
+                preds = np.argmax(nn.forward(task.checkpoint, x), axis=1)
                 accs.append(float(np.mean(preds == task.holdout.labels)))
             inversions = sum(1 for a, b in zip(accs, accs[1:]) if b > a + 1e-12)
             assert inversions <= 1, accs

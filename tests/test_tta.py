@@ -1,13 +1,10 @@
 """Adaptation step isolation, recovery-policy triggers, reset semantics."""
 
-from collections import deque
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from aetta import nn, tta
-from aetta.estimators import EstimatorState
 
 
 def make_model(seed=0):
@@ -20,10 +17,6 @@ def state_bytes(model):
 
 def make_batch(seed=0, rows=32, cols=6):
     return np.random.default_rng(seed).normal(size=(rows, cols))
-
-
-def history_state(values):
-    return EstimatorState(ema_error=None, history=deque(values, maxlen=10))
 
 
 class TestTentStep:
@@ -95,61 +88,53 @@ class TestTentStep:
 
 class TestShouldReset:
     def test_flat_history_never_fires(self):
-        state = history_state([0.7] * 10)
         policy = tta.RecoveryPolicy(kind="aetta_reset")
-        assert tta.should_reset(policy, state) == (False, None)
+        assert tta.should_reset(policy, [0.7] * 10) is None
 
     def test_window_degradation_fires(self):
-        state = history_state([0.9] * 5 + [0.5] * 5)
         policy = tta.RecoveryPolicy(kind="aetta_reset")
-        assert tta.should_reset(policy, state) == (True, tta.TRIGGER_WINDOW)
+        assert tta.should_reset(policy, [0.9] * 5 + [0.5] * 5) == tta.TRIGGER_WINDOW
 
     def test_hard_threshold_fires_on_short_history(self):
-        state = history_state([0.19])
         policy = tta.RecoveryPolicy(kind="aetta_reset")
-        assert tta.should_reset(policy, state) == (True, tta.TRIGGER_HARD)
+        assert tta.should_reset(policy, [0.19]) == tta.TRIGGER_HARD
 
     def test_hard_threshold_is_strict(self):
-        state = history_state([0.2])
         policy = tta.RecoveryPolicy(kind="aetta_reset")
-        assert tta.should_reset(policy, state) == (False, None)
+        assert tta.should_reset(policy, [0.2]) is None
 
     def test_window_needs_full_double_window(self):
-        state = history_state([0.9] * 4 + [0.5] * 5)  # nine entries only
         policy = tta.RecoveryPolicy(kind="aetta_reset")
-        assert tta.should_reset(policy, state) == (False, None)
+        assert tta.should_reset(policy, [0.9] * 4 + [0.5] * 5) is None  # nine entries only
 
     def test_elementwise_comparison_is_stricter_than_mean(self):
         values = [0.9] * 5 + [0.95, 0.5, 0.5, 0.5, 0.5]
         mean_policy = tta.RecoveryPolicy(kind="aetta_reset", comparison="mean")
         all_policy = tta.RecoveryPolicy(kind="aetta_reset", comparison="all")
-        assert tta.should_reset(mean_policy, history_state(values))[0] is True
-        assert tta.should_reset(all_policy, history_state(values))[0] is False
+        assert tta.should_reset(mean_policy, values) == tta.TRIGGER_WINDOW
+        assert tta.should_reset(all_policy, values) is None
 
-    def test_episodic_always_fires(self):
-        policy = tta.RecoveryPolicy(kind="episodic")
-        assert tta.should_reset(policy, history_state([])) == (True, tta.TRIGGER_EXTERNAL)
+    def test_post_step_kinds_never_decide_before_the_step(self):
+        """Episodic rolls back, and stochastic restore reverts, after the step."""
+        for kind in ("episodic", "stochastic_restore"):
+            policy = tta.RecoveryPolicy(kind=kind)
+            assert tta.should_reset(policy, [], non_finite=True) is None
 
     def test_mrs_threshold_on_entropy_ema(self):
         policy = tta.RecoveryPolicy(kind="mrs")
-        state = history_state([0.9])
-        low = tta.ResetContext(entropy_ema=0.15)
-        high = tta.ResetContext(entropy_ema=0.25)
-        missing = tta.ResetContext(entropy_ema=None)
-        assert tta.should_reset(policy, state, low) == (True, tta.TRIGGER_EXTERNAL)
-        assert tta.should_reset(policy, state, high) == (False, None)
-        assert tta.should_reset(policy, state, missing) == (False, None)
+        assert tta.should_reset(policy, [0.9], entropy_ema=0.15) == tta.TRIGGER_EXTERNAL
+        assert tta.should_reset(policy, [0.9], entropy_ema=0.25) is None
+        assert tta.should_reset(policy, [0.9], entropy_ema=None) is None
 
     def test_dist_shift_fires_only_on_boundaries(self):
         policy = tta.RecoveryPolicy(kind="dist_shift")
-        state = history_state([0.9])
-        assert tta.should_reset(policy, state, tta.ResetContext(at_corruption_boundary=True))[0] is True
-        assert tta.should_reset(policy, state, tta.ResetContext(at_corruption_boundary=False))[0] is False
+        assert tta.should_reset(policy, [0.9], at_boundary=True) == tta.TRIGGER_EXTERNAL
+        assert tta.should_reset(policy, [0.9], at_boundary=False) is None
 
     def test_passive_kinds_never_fire(self):
-        state = history_state([0.0] * 10)  # even under disastrous history
+        history = [0.0] * 10  # even under disastrous history
         for kind in ("none", "stochastic_restore"):
-            assert tta.should_reset(tta.RecoveryPolicy(kind=kind), state) == (False, None)
+            assert tta.should_reset(tta.RecoveryPolicy(kind=kind), history) is None
 
     def test_policy_validation(self):
         with pytest.raises(tta.AdaptationError):

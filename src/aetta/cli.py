@@ -17,9 +17,10 @@ from .tta import RecoveryPolicy
 log = logging.getLogger(__name__)
 
 _DEFAULT_FULLY = CorruptionSpec(kind="gaussian_noise", severity=3, seed=0)
+_SWEEP_GRIDS = (("n_dropout", (1, 5, 10, 15, 20)), ("alpha", (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)))
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="JSON experiment config")
     parser.add_argument("--seed", type=int, action="append", default=None,
                         help="run seed; repeat the flag for several")
@@ -33,8 +34,6 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> harness.ExperimentConfig:
     """File values first, then flag overrides."""
-    if args.collapse and args.scenario == "fully":
-        raise harness.HarnessError("--collapse runs the continual scenario, so it conflicts with --scenario fully")
     config = harness.load_config(args.config) if args.config else harness.ExperimentConfig()
     updates: dict = {}
     if args.seed:
@@ -75,7 +74,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_theorems(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed[0] if args.seed else 0)
+    rng = np.random.default_rng(args.seed)
     worst_calibrated = 0.0
     for _ in range(200):
         space = oracle.random_calibrated_space(
@@ -102,8 +101,7 @@ def _cmd_verify_theorems(args: argparse.Namespace) -> int:
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     worst = 0.0
     checked = 0
-    seed = args.seed[0] if args.seed else 0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     while checked < 20:
         input_dim = int(rng.integers(2, 6))
         model = nn.build_mlp(input_dim, int(rng.integers(2, 5)),
@@ -150,25 +148,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lines = ["param,value,mae_mean"]
     failed = False
 
-    print("ensemble size sweep:")
-    for n in (1, 5, 10, 15, 20):
-        config = dataclasses.replace(
-            base, estimator=dataclasses.replace(base.estimator, n_dropout=n))
-        result = harness.run_experiment(config)
-        failed = failed or result.failed
-        value = harness.seed_mean_mae(result.records_by_seed, "aetta")
-        print(f"  N={n:2d}  MAE {value:.4f}")
-        lines.append(f"n_dropout,{n},{value!r}")
-
-    print("robustness exponent sweep:")
-    for alpha in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0):
-        config = dataclasses.replace(
-            base, estimator=dataclasses.replace(base.estimator, alpha=alpha))
-        result = harness.run_experiment(config)
-        failed = failed or result.failed
-        value = harness.seed_mean_mae(result.records_by_seed, "aetta")
-        print(f"  alpha={alpha:3.1f}  MAE {value:.4f}")
-        lines.append(f"alpha,{alpha},{value!r}")
+    for param, values in _SWEEP_GRIDS:
+        print(f"{param} sweep:")
+        for value in values:
+            config = dataclasses.replace(
+                base, estimator=dataclasses.replace(base.estimator, **{param: value}))
+            result = harness.run_experiment(config)
+            failed = failed or result.failed
+            mae = harness.seed_mean_mae(result.records_by_seed, "aetta")
+            print(f"  {param}={value}  MAE {mae:.4f}")
+            lines.append(f"{param},{value},{mae!r}")
 
     if args.out:
         out = Path(args.out)
@@ -186,23 +175,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run an experiment and write CSV/SVG outputs")
-    _add_common_flags(p_run)
+    _add_experiment_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_verify = sub.add_parser("verify-theorems", help="print disagreement-identity residuals")
-    _add_common_flags(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0, help="seed of the random spaces")
     p_verify.set_defaults(func=_cmd_verify_theorems)
 
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    _add_common_flags(p_grad)
+    p_grad.add_argument("--seed", type=int, default=0, help="seed of the random models")
     p_grad.set_defaults(func=_cmd_gradcheck)
 
     p_rec = sub.add_parser("recover-demo", help="collapse run with and without rollback")
-    _add_common_flags(p_rec)
+    _add_experiment_flags(p_rec)
     p_rec.set_defaults(func=_cmd_recover_demo)
 
     p_sweep = sub.add_parser("sweep", help="MAE over ensemble-size and exponent grids")
-    _add_common_flags(p_sweep)
+    _add_experiment_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     return parser

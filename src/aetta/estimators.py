@@ -29,12 +29,14 @@ class EstimatorError(ValueError):
     """Raised for invalid estimator configuration or inputs."""
 
 
+EMA_COEFFICIENT = 0.9  # AETTA's weight on the previous smoothed error
+ENTROPY_FLOOR = 1e-8  # keeps the robust weight finite on a fully collapsed aggregate
+
+
 @dataclass(frozen=True)
 class AettaConfig:
     n_dropout: int = 10
     alpha: float = 3.0
-    ema_coefficient: float = 0.9  # weight on history
-    entropy_floor: float = 1e-8
     base_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -42,10 +44,6 @@ class AettaConfig:
             raise EstimatorError("n_dropout must be at least 1")
         if self.alpha < 0:
             raise EstimatorError("alpha must be non-negative")
-        if not 0.0 <= self.ema_coefficient < 1.0:
-            raise EstimatorError("ema_coefficient must lie in [0, 1)")
-        if self.entropy_floor <= 0:
-            raise EstimatorError("entropy_floor must be positive")
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,7 @@ def batch_aggregate(ensemble_probs: np.ndarray) -> np.ndarray:
     return p.mean(axis=(0, 1))
 
 
-def robust_weight(e_avg: float, class_count: int, alpha: float, entropy_floor: float = 1e-8) -> float:
+def robust_weight(e_avg: float, class_count: int, alpha: float) -> float:
     """(e_avg / ln K) ** -alpha, with e_avg floored away from zero.
 
     Exactly 1.0 when alpha == 0 or when e_avg equals the maximum entropy, so
@@ -95,7 +93,7 @@ def robust_weight(e_avg: float, class_count: int, alpha: float, entropy_floor: f
     if alpha < 0:
         raise EstimatorError("alpha must be non-negative")
     e_max = math.log(class_count)
-    ratio = max(e_avg, entropy_floor) / e_max
+    ratio = max(e_avg, ENTROPY_FLOOR) / e_max
     return ratio**-alpha
 
 
@@ -115,15 +113,14 @@ def aetta_estimate(
     ens_probs = nn.dropout_forwards(model, x, seeds)
     disagreement = pdd(base_labels, predicted_labels(ens_probs))
     e_avg = nn.entropy_of(batch_aggregate(ens_probs))
-    b = robust_weight(e_avg, model.class_count, config.alpha, config.entropy_floor)
+    b = robust_weight(e_avg, model.class_count, config.alpha)
     raw_error = b * disagreement
     # a non-finite model reads as wholly wrong, which keeps the EMA and the reset window finite
     raw_error = min(max(raw_error, 0.0), 1.0) if math.isfinite(raw_error) else 1.0
     if ema_error is None:
         smoothed_error = raw_error
     else:
-        c = config.ema_coefficient
-        smoothed_error = c * ema_error + (1.0 - c) * raw_error
+        smoothed_error = EMA_COEFFICIENT * ema_error + (1.0 - EMA_COEFFICIENT) * raw_error
     return EstimateReport(
         pdd=disagreement,
         e_avg=e_avg,

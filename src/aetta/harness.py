@@ -7,6 +7,7 @@ import csv
 import dataclasses
 import json
 import logging
+import typing
 from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,12 +26,9 @@ from .estimators import (
     src_valid,
 )
 from .streams import (
-    Continual,
     CorruptionSpec,
     DatasetSpec,
-    Fully,
-    collapse_schedule,
-    default_continual_schedule,
+    continual_schedule,
     make_stream,
     prepared_task,
 )
@@ -54,7 +52,7 @@ class HarnessError(ValueError):
 
 
 ESTIMATOR_NAMES = ("srcvalid", "softmax", "gde", "advperturb", "aetta")
-SCENARIO_KINDS = ("fully", "continual")
+SCENARIO_KINDS = ("fully", "continual", "collapse")
 
 CSV_COLUMNS = (
     "t",
@@ -72,6 +70,9 @@ CSV_COLUMNS = (
 # severity-5 segments, which is the failure mode the estimators must detect.
 COLLAPSE_LEARNING_RATE = 1.5
 
+SRCVALID_ROWS = 1000  # SrcValid scores at most this many leading rows of the labelled holdout
+MRS_EMA = 0.9  # weight on history in the entropy-loss EMA that MRS recovery reads
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -88,11 +89,6 @@ class ExperimentConfig:
     batches_per_segment: int = 4
     batch_size: int = 64
     seeds: tuple[int, ...] = (0, 1, 2)
-    collapse: bool = False
-    holdout_cap: int = 1000
-    softmax_temperature: float = 2.0
-    adv_epsilon: float = 1.0 / 255.0
-    mrs_ema: float = 0.9
 
     def __post_init__(self) -> None:
         if self.scenario not in SCENARIO_KINDS:
@@ -108,10 +104,6 @@ class ExperimentConfig:
             raise HarnessError("batches_per_segment must be at least 1")
         if self.batch_size < 1:
             raise HarnessError("batch_size must be at least 1")
-        if self.holdout_cap < 1:
-            raise HarnessError("holdout_cap must be at least 1")
-        if self.scenario == "fully" and self.collapse:
-            raise HarnessError("the collapse preset runs the continual scenario, not fully")
         if self.scenario == "fully" and self.fully_corruption is None:
             raise HarnessError("fully scenario needs a corruption spec")
         # only the AETTA estimator fills the accuracy window that aetta_reset reads
@@ -120,13 +112,17 @@ class ExperimentConfig:
 
 
 def collapse_preset(base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """High-rate TENT on an all-severity-5 schedule; reliably degrades the model."""
+    """High-rate TENT on the all-severity-5 collapse scenario; reliably degrades the model."""
     base = base if base is not None else ExperimentConfig()
+    if base.scenario == "fully":
+        raise HarnessError(
+            'the collapse preset runs the collapse schedule, so it conflicts with --scenario fully'
+            ' and with a config\'s scenario "fully"'
+        )
     return replace(
         base,
         adaptation=AdaptConfig(method="tent", learning_rate=COLLAPSE_LEARNING_RATE),
-        scenario="continual",
-        collapse=True,
+        scenario="collapse",
     )
 
 
@@ -205,18 +201,15 @@ def _adaptation_step(
         tent_step(model, x, config.adaptation, optimizer)
     elif method == "bn_stats":
         bn_stats_step(model, x)
-    elif method != "none":
-        raise HarnessError(f"unknown adaptation method {method!r}")
 
 
-def _build_scenario(config: ExperimentConfig, seed: int) -> Fully | Continual:
+def _segments(config: ExperimentConfig, seed: int, pool_rows: int) -> list[tuple[CorruptionSpec, int]]:
+    """The stream's ``(corruption, n_batches)`` segments; a fully stream is one segment."""
     if config.scenario == "fully":
-        return Fully(corruption=config.fully_corruption, n_batches=config.n_batches)
-    if config.collapse:
-        schedule = collapse_schedule(seed=seed)
-    else:
-        schedule = default_continual_schedule(seed=seed)
-    return Continual(schedule=schedule, batches_per_segment=config.batches_per_segment)
+        n = config.n_batches if config.n_batches is not None else pool_rows // config.batch_size
+        return [(config.fully_corruption, n)]
+    severities = (5,) if config.scenario == "collapse" else (5, 4, 3)
+    return [(c, config.batches_per_segment) for c in continual_schedule(seed, severities)]
 
 
 def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
@@ -230,13 +223,12 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
     model = nn.clone(source)
     optimizer = make_optimizer(config.adaptation)
 
-    cap = min(config.holdout_cap, len(task.holdout))
-    holdout_x = task.holdout.features[:cap]
-    holdout_y = task.holdout.labels[:cap]
+    holdout_x = task.holdout.features[:SRCVALID_ROWS]
+    holdout_y = task.holdout.labels[:SRCVALID_ROWS]
     feature_scale = task.train.features.max(axis=0) - task.train.features.min(axis=0)
 
     stream = make_stream(
-        _build_scenario(config, seed),
+        _segments(config, seed, len(task.holdout)),
         task.holdout,
         batch_size=config.batch_size,
         seed=seed,
@@ -274,11 +266,11 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
             if entropy_ema is None:
                 entropy_ema = batch_entropy
             else:
-                entropy_ema = config.mrs_ema * entropy_ema + (1.0 - config.mrs_ema) * batch_entropy
+                entropy_ema = MRS_EMA * entropy_ema + (1.0 - MRS_EMA) * batch_entropy
         estimates: dict[str, float] = {}
         report: EstimateReport | None = None
         if "softmax" in enabled:
-            estimates["softmax"] = softmax_score(logits, temperature=config.softmax_temperature)
+            estimates["softmax"] = softmax_score(logits)
         # dropped before the other estimators allocate, to keep the batch's peak memory down
         del logits, probs
 
@@ -287,9 +279,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
         if gde:
             estimates["gde"] = gde_agreement(labels, prev_model, x)
         if "advperturb" in enabled:
-            estimates["advperturb"] = adv_perturb_agreement(
-                source, model, x, epsilon=config.adv_epsilon, feature_scale=feature_scale
-            )
+            estimates["advperturb"] = adv_perturb_agreement(source, model, x, feature_scale=feature_scale)
         if "aetta" in enabled:
             report = aetta_estimate(model, x, labels, config.estimator, ema_error)
             ema_error = report.smoothed_error
@@ -485,41 +475,31 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     return written
 
 
-_NESTED_FIELDS = {
-    "dataset": DatasetSpec,
-    "adaptation": AdaptConfig,
-    "estimator": AettaConfig,
-    "recovery": RecoveryPolicy,
-    "fully_corruption": CorruptionSpec,
-}
-_TUPLE_FIELDS = {"architecture", "estimators_enabled", "seeds"}
+def _from_dict(cls: type, data: object, name: str):
+    """``cls`` from a partial dict; its nested objects and tuples are read from its own field types."""
+    if not isinstance(data, dict):
+        raise HarnessError(f"config key {name!r} must be an object")
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
+    if unknown:
+        raise HarnessError(f"unknown {name} keys {sorted(unknown)}")
+    kwargs = {}
+    for key, value in data.items():
+        hint = hints[key]
+        args = typing.get_args(hint)
+        # a nested object's type is a dataclass, alone or in a union with None; only the union takes null
+        nested = next((t for t in (hint, *args) if dataclasses.is_dataclass(t)), None)
+        if nested is not None and not (value is None and type(None) in args):
+            value = _from_dict(nested, value, key)
+        elif typing.get_origin(hint) is tuple:
+            value = tuple(value)
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Partial dicts are fine; unknown keys are rejected to catch typos."""
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise HarnessError(f"unknown config keys {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if key in _NESTED_FIELDS and value is not None:
-            if not isinstance(value, dict):
-                raise HarnessError(f"config key {key!r} must be an object")
-            cls = _NESTED_FIELDS[key]
-            nested_known = {f.name for f in dataclasses.fields(cls)}
-            nested_unknown = set(value) - nested_known
-            if nested_unknown:
-                raise HarnessError(f"unknown {key} keys {sorted(nested_unknown)}")
-            coerced = {
-                k: tuple(v) if isinstance(v, list) else v for k, v in value.items()
-            }
-            kwargs[key] = cls(**coerced)
-        elif key in _TUPLE_FIELDS:
-            kwargs[key] = tuple(value)
-        else:
-            kwargs[key] = value
-    return ExperimentConfig(**kwargs)
+    return _from_dict(ExperimentConfig, data, "config")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -131,10 +131,6 @@ class MlpModel:
             return self.blocks[0].dense.weights.shape[0]
         return self.head.weights.shape[0]
 
-    @property
-    def hidden_widths(self) -> tuple[int, ...]:
-        return tuple(b.dense.weights.shape[1] for b in self.blocks)
-
 
 def build_mlp(
     input_dim: int,

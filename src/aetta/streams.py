@@ -51,7 +51,6 @@ class DatasetSpec:
     input_dim: int = 16
     samples_per_class: int = 600
     cluster_separation: float = 4.0
-    label_noise: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -63,8 +62,6 @@ class DatasetSpec:
             raise StreamError("samples_per_class must be at least 5")
         if self.cluster_separation <= 0:
             raise StreamError("cluster_separation must be positive")
-        if not 0.0 <= self.label_noise < 1.0:
-            raise StreamError("label_noise must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -94,9 +91,8 @@ def make_source_dataset(spec: DatasetSpec, holdout_fraction: float = 0.2) -> tup
     """Per-class Gaussian clouds split into disjoint train and holdout parts."""
     if not 0.0 < holdout_fraction < 1.0:
         raise StreamError("holdout_fraction must lie strictly inside (0, 1)")
-    # independent generators so label noise cannot disturb features or shuffle order
+    # independent generators, so drawing the features cannot disturb the shuffle order
     rng = np.random.default_rng((spec.seed, 1))
-    rng_noise = np.random.default_rng((spec.seed, 2))
     rng_shuffle = np.random.default_rng((spec.seed, 3))
     means = class_means(spec)
     holdout_per_class = max(1, round(spec.samples_per_class * holdout_fraction))
@@ -114,10 +110,6 @@ def make_source_dataset(spec: DatasetSpec, holdout_fraction: float = 0.2) -> tup
     def finish(xs, ys) -> Split:
         x = np.concatenate(xs)
         y = np.concatenate(ys)
-        if spec.label_noise > 0.0:
-            flip = rng_noise.random(y.shape[0]) < spec.label_noise
-            offsets = rng_noise.integers(1, spec.class_count, size=y.shape[0])
-            y = np.where(flip, (y + offsets) % spec.class_count, y)
         order = rng_shuffle.permutation(y.shape[0])
         return Split(features=x[order], labels=y[order])
 
@@ -261,64 +253,33 @@ class StreamBatch:
     at_boundary: bool
 
 
-@dataclass(frozen=True)
-class Fully:
-    corruption: CorruptionSpec
-    n_batches: int | None = None
-
-
-@dataclass(frozen=True)
-class Continual:
-    schedule: tuple[CorruptionSpec, ...]
-    batches_per_segment: int = 4
-
-    def __post_init__(self) -> None:
-        if not self.schedule:
-            raise StreamError("continual schedule must be non-empty")
-        if self.batches_per_segment < 1:
-            raise StreamError("batches_per_segment must be at least 1")
-
-
-Scenario = Fully | Continual
-
-
-def default_continual_schedule(seed: int = 0, length: int = 15) -> tuple[CorruptionSpec, ...]:
-    """Cycle the four base corruptions with severities 5, 4, 3, 5, 4, 3, ..."""
+def continual_schedule(seed: int, severities: tuple[int, ...]) -> tuple[CorruptionSpec, ...]:
+    """Fifteen corruptions: the four base kinds cycled, and the given severities cycled alongside."""
     kinds = ("gaussian_noise", "rotation", "scaling", "mean_shift")
     return tuple(
-        CorruptionSpec(kind=kinds[i % 4], severity=5 - (i % 3), seed=seed * 100 + i) for i in range(length)
+        CorruptionSpec(kind=kinds[i % 4], severity=severities[i % len(severities)], seed=seed * 100 + i)
+        for i in range(15)
     )
 
 
-def collapse_schedule(seed: int = 0, length: int = 15) -> tuple[CorruptionSpec, ...]:
-    """Severity pinned to the maximum everywhere; pairs with a hot learning rate."""
-    kinds = ("gaussian_noise", "rotation", "scaling", "mean_shift")
-    return tuple(CorruptionSpec(kind=kinds[i % 4], severity=5, seed=seed * 100 + i) for i in range(length))
-
-
 def make_stream(
-    scenario: Scenario, pool: Split, batch_size: int = 64, seed: int = 0
+    segments: list[tuple[CorruptionSpec, int]], pool: Split, batch_size: int = 64, seed: int = 0
 ) -> Iterator[StreamBatch]:
-    """Check the whole scenario against the pool, then return the batched test stream.
+    """Check every ``(corruption, n_batches)`` segment against the pool, then
+    return the batched test stream.
 
     Every check runs before this returns. The stream is a generator, and a
     segment is its unit of laziness: a segment's rows are sampled without
     replacement and corrupted when its first batch is pulled, and the generator
-    lets go of them before it builds the next segment. A ``Fully`` stream is one
-    segment.
+    lets go of them before it builds the next segment.
     """
     if batch_size < 1:
         raise StreamError("batch_size must be at least 1")
     if len(pool) == 0:
         raise StreamError("empty test pool")
-    if isinstance(scenario, Fully):
-        n = scenario.n_batches if scenario.n_batches is not None else len(pool) // batch_size
-        if n < 1:
-            raise StreamError("pool too small for a single batch")
-        segments = [(scenario.corruption, n)]
-    else:
-        segments = [(c, scenario.batches_per_segment) for c in scenario.schedule]
     for seg_idx, (_, n_batches) in enumerate(segments):
+        if n_batches < 1:
+            raise StreamError(f"segment {seg_idx} has no batches")
         needed = n_batches * batch_size
         if needed > len(pool):
             raise StreamError(

@@ -83,7 +83,6 @@ class RecoveryPolicy:
     hard_threshold: float = 0.2  # on smoothed accuracy
     mrs_threshold: float = 0.2  # on the entropy-loss EMA
     restore_prob: float = 0.01
-    comparison: str = "mean"  # "mean" | "all" across the two windows
 
     def __post_init__(self) -> None:
         if self.kind not in RECOVERY_KINDS:
@@ -96,8 +95,6 @@ class RecoveryPolicy:
             raise AdaptationError("mrs_threshold must be non-negative")
         if not 0.0 <= self.restore_prob <= 1.0:
             raise AdaptationError("restore_prob must lie in [0, 1]")
-        if self.comparison not in ("mean", "all"):
-            raise AdaptationError(f"unknown comparison {self.comparison!r}")
 
 
 def _window_degraded(policy: RecoveryPolicy, history: list[float]) -> bool:
@@ -106,9 +103,7 @@ def _window_degraded(policy: RecoveryPolicy, history: list[float]) -> bool:
         return False
     previous = history[-2 * w : -w]
     recent = history[-w:]
-    if policy.comparison == "mean":
-        return sum(recent) / w < sum(previous) / w
-    return all(r < p for r, p in zip(recent, previous))
+    return sum(recent) / w < sum(previous) / w
 
 
 def should_reset(

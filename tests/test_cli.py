@@ -47,13 +47,23 @@ def test_flags_override_config_file(tmp_path):
 def test_collapse_flag_applies_preset():
     args = cli.build_parser().parse_args(["run", "--collapse"])
     config = cli._config_from_args(args)
-    assert config.collapse
+    assert config.scenario == "collapse"
     assert config.adaptation.learning_rate == harness.COLLAPSE_LEARNING_RATE
 
 
 def test_collapse_with_fully_scenario_names_the_conflict(caplog):
     assert cli.main(["run", "--scenario", "fully", "--collapse"]) == 1
     assert "conflicts with --scenario fully" in caplog.text
+
+
+@pytest.mark.parametrize("argv", [["run", "--collapse"], ["recover-demo"]])
+def test_collapse_rejects_a_fully_config_file(tmp_path, caplog, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(tiny_config_dict()))
+    assert cli.main([*argv, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert 'collapse preset runs the collapse schedule' in caplog.text
+    assert 'a config\'s scenario "fully"' in caplog.text
+    assert not (tmp_path / "out").exists()
 
 
 def test_fully_without_corruption_gets_a_default():
@@ -105,6 +115,15 @@ def test_gradcheck_passes():
     assert cli.main(["gradcheck"]) == 0
 
 
+@pytest.mark.parametrize("command", ["gradcheck", "verify-theorems"])
+def test_identity_checks_take_only_a_seed(command):
+    assert cli.build_parser().parse_args([command, "--seed", "3"]).seed == 3
+    for flag in (["--alpha", "1"], ["--config", "c.json"], ["--out", "o"], ["--n-dropout", "2"],
+                 ["--scenario", "fully"], ["--collapse"]):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([command, *flag])
+
+
 def test_sweep_writes_grid_csv(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(tiny_config_dict()))
@@ -119,7 +138,7 @@ def test_sweep_writes_grid_csv(tmp_path):
 
 def test_recover_demo_prints_both_policies(tmp_path, capsys):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(tiny_config_dict()))
+    path.write_text(json.dumps({**tiny_config_dict(), "scenario": "continual"}))
     code = cli.main(["recover-demo", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 0
     out = capsys.readouterr().out

@@ -58,16 +58,14 @@ def test_first_batch_estimates_come_from_unadapted_source():
     first = result.records_by_seed[0][0]
 
     task = prepared_task(TINY, architecture=(8,), epochs=3, train_seed=0)
-    from aetta.streams import make_stream, Fully
+    from aetta.streams import make_stream
 
-    stream = tuple(make_stream(
-        Fully(config.fully_corruption, n_batches=4), task.holdout, batch_size=16, seed=0
-    ))
+    stream = tuple(make_stream([(config.fully_corruption, 4)], task.holdout, batch_size=16, seed=0))
     logits = forward_logits(task.checkpoint, stream[0].features)
     assert first.estimates["softmax"] == softmax_score(logits)
-    cap = min(config.holdout_cap, len(task.holdout))
+    rows = harness.SRCVALID_ROWS
     assert first.estimates["srcvalid"] == src_valid(
-        task.checkpoint, task.holdout.features[:cap], task.holdout.labels[:cap]
+        task.checkpoint, task.holdout.features[:rows], task.holdout.labels[:rows]
     )
     assert first.estimates["gde"] == 1.0
 
@@ -536,23 +534,32 @@ def test_config_validation():
         tiny_config(batches_per_segment=0)
     with pytest.raises(harness.HarnessError):
         harness.ExperimentConfig(scenario="fully", fully_corruption=None)
-    with pytest.raises(harness.HarnessError, match="continual"):
-        tiny_config(collapse=True)
 
 
 def test_collapse_preset_pins_adaptation_and_schedule():
     preset = harness.collapse_preset()
-    assert preset.collapse
-    assert preset.scenario == "continual"
+    assert preset.scenario == "collapse"
     assert preset.adaptation.method == "tent"
     assert preset.adaptation.learning_rate == harness.COLLAPSE_LEARNING_RATE
+    collapse = harness._segments(preset, 4, 1200)
+    continual = harness._segments(harness.ExperimentConfig(), 4, 1200)
+    assert [c.severity for c, _ in collapse] == [5] * 15
+    assert [c.severity for c, _ in continual] == [5, 4, 3] * 5
+    assert [c.kind for c, _ in collapse] == [c.kind for c, _ in continual]
+    assert {n for _, n in collapse} == {4}
+    with pytest.raises(harness.HarnessError, match="collapse.*fully"):
+        harness.collapse_preset(tiny_config())
 
 
 def test_config_json_round_trip(tmp_path):
-    config = tiny_config(recovery=RecoveryPolicy(kind="aetta_reset", window=3))
     path = tmp_path / "config.json"
-    harness.save_config(config, path)
-    assert harness.load_config(path) == config
+    for config in (
+        tiny_config(recovery=RecoveryPolicy(kind="aetta_reset", window=3)),
+        tiny_config(fully_corruption=CorruptionSpec(kind="mixup", severity=4, seed=9), n_batches=None),
+        harness.collapse_preset(harness.ExperimentConfig(seeds=(3, 7), architecture=(32, 16))),
+    ):
+        harness.save_config(config, path)
+        assert harness.load_config(path) == config
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -562,11 +569,27 @@ def test_config_from_dict_rejects_unknown_keys():
         harness.config_from_dict({"dataset": {"classcount": 3}})
     with pytest.raises(harness.HarnessError, match="must be an object"):
         harness.config_from_dict({"dataset": 7})
+    # null stands for None only where the field may be None
+    for key in ("dataset", "adaptation", "estimator", "recovery"):
+        with pytest.raises(harness.HarnessError, match=f"'{key}' must be an object"):
+            harness.config_from_dict({key: None})
+    assert harness.config_from_dict({"fully_corruption": None}).fully_corruption is None
     # keys of removed options
     with pytest.raises(harness.HarnessError, match="unknown config keys"):
         harness.config_from_dict({"out_dir": "results"})
     with pytest.raises(harness.HarnessError, match="unknown estimator keys"):
         harness.config_from_dict({"estimator": {"history_capacity": 10}})
+    for key in ("holdout_cap", "softmax_temperature", "adv_epsilon", "mrs_ema", "collapse"):
+        with pytest.raises(harness.HarnessError, match=f"unknown config keys \\['{key}'\\]"):
+            harness.config_from_dict({key: 1})
+    for section, key in (
+        ("estimator", "ema_coefficient"),
+        ("estimator", "entropy_floor"),
+        ("recovery", "comparison"),
+        ("dataset", "label_noise"),
+    ):
+        with pytest.raises(harness.HarnessError, match=f"unknown {section} keys \\['{key}'\\]"):
+            harness.config_from_dict({section: {key: 1}})
 
 
 def test_config_from_dict_accepts_partial_updates():

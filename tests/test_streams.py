@@ -44,14 +44,6 @@ class TestDataset:
             total = int(np.sum(train.labels == k)) + int(np.sum(hold.labels == k))
             assert total == spec.samples_per_class
 
-    def test_label_noise_flips_expected_fraction(self):
-        clean_train, _ = streams.make_source_dataset(small_spec(samples_per_class=500))
-        noisy_train, _ = streams.make_source_dataset(small_spec(samples_per_class=500, label_noise=0.1))
-        assert np.array_equal(clean_train.features, noisy_train.features)
-        flipped = float(np.mean(clean_train.labels != noisy_train.labels))
-        n = len(clean_train)
-        assert abs(flipped - 0.1) <= 3.0 * np.sqrt(0.1 * 0.9 / n)
-
     def test_spec_validation(self):
         with pytest.raises(streams.StreamError):
             streams.DatasetSpec(class_count=1)
@@ -59,8 +51,6 @@ class TestDataset:
             streams.DatasetSpec(input_dim=1)
         with pytest.raises(streams.StreamError):
             streams.DatasetSpec(cluster_separation=0.0)
-        with pytest.raises(streams.StreamError):
-            streams.DatasetSpec(label_noise=1.0)
 
     def test_means_are_orthogonal_when_dims_allow(self):
         spec = small_spec(cluster_separation=2.0)
@@ -298,7 +288,12 @@ def stream_digest(stream):
     return h.hexdigest()
 
 
-# stream_digest of the continual and the Fully stream in test_stream_bytes_are_pinned.
+def continual(batches_per_segment, seed=0):
+    """The continual scenario's segments, each ``batches_per_segment`` batches long."""
+    return [(c, batches_per_segment) for c in streams.continual_schedule(seed, (5, 4, 3))]
+
+
+# stream_digest of the continual and the one-segment stream in test_stream_bytes_are_pinned.
 # Recorded again when the rotation moved from scipy's expm to streams._expm:
 # only rotation-bearing features changed, by at most 2.7e-15.
 PINNED_STREAMS = (
@@ -314,8 +309,7 @@ class TestMakeStream:
 
     def test_continual_shape_and_boundaries(self):
         pool = self.pool()
-        scenario = streams.Continual(schedule=streams.default_continual_schedule(), batches_per_segment=2)
-        stream = tuple(streams.make_stream(scenario, pool, batch_size=32, seed=1))
+        stream = tuple(streams.make_stream(continual(2), pool, batch_size=32, seed=1))
         assert len(stream) == 30
         boundaries = [b.batch_index for b in stream if b.at_boundary]
         assert len(boundaries) == 15
@@ -325,44 +319,41 @@ class TestMakeStream:
 
     def test_same_seed_identical_stream(self):
         pool = self.pool()
-        scenario = streams.Continual(schedule=streams.default_continual_schedule(), batches_per_segment=1)
-        a = streams.make_stream(scenario, pool, batch_size=16, seed=5)
-        b = streams.make_stream(scenario, pool, batch_size=16, seed=5)
+        a = streams.make_stream(continual(1), pool, batch_size=16, seed=5)
+        b = streams.make_stream(continual(1), pool, batch_size=16, seed=5)
         for x, y in zip(a, b):
             assert np.array_equal(x.features, y.features)
             assert np.array_equal(x.hidden_labels, y.hidden_labels)
 
     def test_within_segment_sampling_has_no_repeats(self):
         pool = self.pool()
-        scenario = streams.Fully(streams.CorruptionSpec(kind="rotation", severity=0, seed=0), n_batches=3)
-        stream = streams.make_stream(scenario, pool, batch_size=16, seed=3)
+        segments = [(streams.CorruptionSpec(kind="rotation", severity=0, seed=0), 3)]
+        stream = streams.make_stream(segments, pool, batch_size=16, seed=3)
         rows = np.concatenate([b.features for b in stream])
         assert len({r.tobytes() for r in rows}) == rows.shape[0]
 
     def test_identity_stream_rows_keep_their_labels(self):
         pool = self.pool()
-        scenario = streams.Fully(streams.CorruptionSpec(kind="scaling", severity=0, seed=0))
-        stream = streams.make_stream(scenario, pool, batch_size=16, seed=7)
+        segments = [(streams.CorruptionSpec(kind="scaling", severity=0, seed=0), len(pool) // 16)]
+        stream = streams.make_stream(segments, pool, batch_size=16, seed=7)
         lookup = {row.tobytes(): int(label) for row, label in zip(pool.features, pool.labels)}
         for b in stream:
             for row, label in zip(b.features, b.hidden_labels):
                 assert lookup[row.tobytes()] == int(label)
 
     def test_stream_bytes_are_pinned(self):
-        """Every field of every batch of a continual and a ``Fully`` stream keeps
+        """Every field of every batch of a continual and a one-segment stream keeps
         its pinned bytes: building each segment on demand changes none."""
         pool = self.pool()
-        continual = streams.Continual(schedule=streams.default_continual_schedule(seed=3), batches_per_segment=2)
-        fully = streams.Fully(streams.CorruptionSpec(kind="mixup", severity=4, seed=9))
-        assert stream_digest(streams.make_stream(continual, pool, batch_size=32, seed=1)) == PINNED_STREAMS[0]
-        assert stream_digest(streams.make_stream(fully, pool, batch_size=16, seed=2)) == PINNED_STREAMS[1]
+        one_segment = [(streams.CorruptionSpec(kind="mixup", severity=4, seed=9), len(pool) // 16)]
+        assert stream_digest(streams.make_stream(continual(2, seed=3), pool, batch_size=32, seed=1)) == PINNED_STREAMS[0]
+        assert stream_digest(streams.make_stream(one_segment, pool, batch_size=16, seed=2)) == PINNED_STREAMS[1]
 
     def test_segments_are_corrupted_when_first_pulled(self, monkeypatch):
         calls = []
         real = streams.corrupt
         monkeypatch.setattr(streams, "corrupt", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
-        scenario = streams.Continual(schedule=streams.default_continual_schedule(), batches_per_segment=3)
-        stream = streams.make_stream(scenario, self.pool(), batch_size=16, seed=0)
+        stream = streams.make_stream(continual(3), self.pool(), batch_size=16, seed=0)
         assert calls == []
         seen = []
         for batch in stream:
@@ -374,11 +365,10 @@ class TestMakeStream:
         15-segment stream peaks while it corrupts one segment: its source rows,
         a noise draw and the corrupted copy, where the whole stream is fifteen."""
         _, pool = streams.make_source_dataset(streams.DatasetSpec())
-        scenario = streams.Continual(schedule=streams.default_continual_schedule(), batches_per_segment=8)
         segment_bytes = 8 * 64 * pool.features.shape[1] * 8
 
         def pull():
-            stream = streams.make_stream(scenario, pool, batch_size=64, seed=0)
+            stream = streams.make_stream(continual(8), pool, batch_size=64, seed=0)
             for _ in range(15 * 8):
                 next(stream)
 
@@ -386,17 +376,17 @@ class TestMakeStream:
 
     def test_pool_exhaustion_is_an_error(self):
         pool = self.pool()
-        scenario = streams.Continual(
-            schedule=streams.default_continual_schedule(), batches_per_segment=100
-        )
         with pytest.raises(streams.StreamError):
-            streams.make_stream(scenario, pool, batch_size=64, seed=0)
+            streams.make_stream(continual(100), pool, batch_size=64, seed=0)
+        # a fully stream over a pool smaller than one batch asks for len(pool) // batch_size == 0 batches
+        with pytest.raises(streams.StreamError, match="no batches"):
+            streams.make_stream([(streams.CorruptionSpec(kind="rotation", severity=1), 0)], pool, seed=0)
 
     def test_schedules(self):
-        default = streams.default_continual_schedule(seed=4)
+        default = streams.continual_schedule(4, (5, 4, 3))
         assert len(default) == 15
         assert [c.severity for c in default[:6]] == [5, 4, 3, 5, 4, 3]
         assert all(a.kind != b.kind for a, b in zip(default, default[1:]))
-        collapse = streams.collapse_schedule(seed=4)
+        collapse = streams.continual_schedule(4, (5,))
         assert len(collapse) == 15
         assert all(c.severity == 5 for c in collapse)

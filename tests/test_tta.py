@@ -107,13 +107,6 @@ class TestShouldReset:
         policy = tta.RecoveryPolicy(kind="aetta_reset")
         assert tta.should_reset(policy, [0.9] * 4 + [0.5] * 5) is None  # nine entries only
 
-    def test_elementwise_comparison_is_stricter_than_mean(self):
-        values = [0.9] * 5 + [0.95, 0.5, 0.5, 0.5, 0.5]
-        mean_policy = tta.RecoveryPolicy(kind="aetta_reset", comparison="mean")
-        all_policy = tta.RecoveryPolicy(kind="aetta_reset", comparison="all")
-        assert tta.should_reset(mean_policy, values) == tta.TRIGGER_WINDOW
-        assert tta.should_reset(all_policy, values) is None
-
     def test_post_step_kinds_never_decide_before_the_step(self):
         """Episodic rolls back, and stochastic restore reverts, after the step."""
         for kind in ("episodic", "stochastic_restore"):
@@ -145,8 +138,6 @@ class TestShouldReset:
             tta.RecoveryPolicy(hard_threshold=1.5)
         with pytest.raises(tta.AdaptationError):
             tta.RecoveryPolicy(restore_prob=-0.1)
-        with pytest.raises(tta.AdaptationError):
-            tta.RecoveryPolicy(comparison="median")
 
 
 class TestApplyReset:

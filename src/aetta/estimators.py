@@ -53,7 +53,10 @@ class EstimateReport:
     b_weight: float
     raw_error: float
     smoothed_error: float
-    smoothed_accuracy: float
+
+    @property
+    def smoothed_accuracy(self) -> float:
+        return 1.0 - self.smoothed_error
 
 
 def predicted_labels(probs: np.ndarray) -> np.ndarray:
@@ -122,12 +125,7 @@ def aetta_estimate(
     else:
         smoothed_error = EMA_COEFFICIENT * ema_error + (1.0 - EMA_COEFFICIENT) * raw_error
     return EstimateReport(
-        pdd=disagreement,
-        e_avg=e_avg,
-        b_weight=b,
-        raw_error=raw_error,
-        smoothed_error=smoothed_error,
-        smoothed_accuracy=1.0 - smoothed_error,
+        pdd=disagreement, e_avg=e_avg, b_weight=b, raw_error=raw_error, smoothed_error=smoothed_error
     )
 
 

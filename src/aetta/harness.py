@@ -98,6 +98,10 @@ class ExperimentConfig:
         unknown = [e for e in self.estimators_enabled if e not in ESTIMATOR_NAMES]
         if unknown:
             raise HarnessError(f"unknown estimators {unknown}")
+        if self.train_epochs < 0:
+            raise HarnessError("train_epochs must be non-negative")
+        if any(width < 1 for width in self.architecture):
+            raise HarnessError(f"every architecture width must be at least 1, not {self.architecture}")
         if self.n_batches is not None and self.n_batches < 1:
             raise HarnessError("n_batches must be at least 1")
         if self.batches_per_segment < 1:
@@ -106,6 +110,10 @@ class ExperimentConfig:
             raise HarnessError("batch_size must be at least 1")
         if self.scenario == "fully" and self.fully_corruption is None:
             raise HarnessError("fully scenario needs a corruption spec")
+        if self.scenario != "fully" and (self.n_batches is not None or self.fully_corruption is not None):
+            raise HarnessError(
+                f"n_batches and fully_corruption apply only to the fully scenario, not {self.scenario!r}"
+            )
         # only the AETTA estimator fills the accuracy window that aetta_reset reads
         if self.recovery.kind == "aetta_reset" and "aetta" not in self.estimators_enabled:
             raise HarnessError("aetta_reset recovery needs the aetta estimator enabled")
@@ -290,7 +298,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
             config.recovery, history, entropy_ema=entropy_ema, at_boundary=batch.at_boundary, non_finite=non_finite
         )
         if trigger:
-            model, optimizer = apply_reset(model, optimizer, source)
+            optimizer = apply_reset(model, optimizer, source)
             if mrs:
                 entropy_ema = None
 
@@ -305,7 +313,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
                 seed=seed * 1_000_003 + batch.batch_index,
             )
         if episodic:
-            model, optimizer = apply_reset(model, optimizer, source)
+            optimizer = apply_reset(model, optimizer, source)
             trigger = TRIGGER_EXTERNAL
 
         records.append(
@@ -348,12 +356,7 @@ def summarize(result: ExperimentResult) -> list[SummaryRow]:
         raise HarnessError("no successful seeds to summarize")
     enabled = result.config.estimators_enabled
     scopes: list[tuple[str, list[list[RunRecord]]]] = [("overall", by_seed)]
-    corruption_ids: list[str] = []
-    for records in by_seed:
-        for r in records:
-            if r.corruption_id not in corruption_ids:
-                corruption_ids.append(r.corruption_id)
-    for cid in sorted(corruption_ids):
+    for cid in sorted({r.corruption_id for records in by_seed for r in records}):
         subsets = [[r for r in records if r.corruption_id == cid] for records in by_seed]
         scopes.append((cid, [s for s in subsets if s]))
     rows: list[SummaryRow] = []

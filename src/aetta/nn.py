@@ -18,6 +18,10 @@ Backward gates the relu with the cached block output, ``out > 0``, which equals
 ``gamma * xhat + beta > 0``: a dropped unit reads 0, but its upstream gradient
 was already multiplied by the same mask, and a kept one is only scaled by
 ``1 / (1 - rate) >= 1``.
+
+Layer and optimizer hyperparameters that no caller varies are module
+constants, not fields: ``BN_MOMENTUM`` and ``BN_EPS`` for every batchnorm
+layer, and ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` for Adam.
 """
 
 from __future__ import annotations
@@ -31,6 +35,13 @@ import numpy as np
 _CE_PROB_FLOOR = 1e-12
 _LOG_GUARD = 1e-300
 _ACCURACY_BLOCK_ROWS = 512
+
+BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-statistics update
+BN_EPS = 1e-5  # added to the variance before its square root
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+FINITE_DIFFERENCE_STEP = 1e-5  # the probe step of ``finite_difference_gradients``
 
 
 class EngineError(ValueError):
@@ -79,8 +90,6 @@ class BatchNormLayer:
     beta: np.ndarray
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
 
 
 @dataclass
@@ -115,15 +124,16 @@ class MlpModel:
     blocks: list[HiddenBlock]
     head: DenseLayer
     dropout: DropoutSpec
-    class_count: int
 
     def __post_init__(self) -> None:
         if len(self.dropout.rates) != len(self.blocks):
             raise EngineError("need exactly one dropout rate per hidden block")
-        if self.head.weights.shape[1] != self.class_count:
-            raise EngineError("head width does not match class_count")
         if self.class_count < 2:
             raise EngineError("need at least two classes")
+
+    @property
+    def class_count(self) -> int:
+        return self.head.weights.shape[1]
 
     @property
     def input_dim(self) -> int:
@@ -135,7 +145,7 @@ class MlpModel:
 def build_mlp(
     input_dim: int,
     class_count: int,
-    hidden: tuple[int, ...] = (64, 64),
+    hidden: tuple[int, ...],
     dropout_rates: tuple[float, ...] | None = None,
     seed: int = 0,
 ) -> MlpModel:
@@ -165,7 +175,7 @@ def build_mlp(
         weights=rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, class_count)),
         bias=np.zeros(class_count),
     )
-    return MlpModel(blocks=blocks, head=head, dropout=DropoutSpec(tuple(dropout_rates)), class_count=class_count)
+    return MlpModel(blocks=blocks, head=head, dropout=DropoutSpec(tuple(dropout_rates)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +221,11 @@ def copy_into(target: MlpModel, source: MlpModel) -> None:
         t[...] = s
 
 
-def bn_parameter_names(model: MlpModel) -> tuple[str, ...]:
-    return tuple(name for name, _ in named_parameters(model) if ".norm." in name)
-
-
 def resolve_trainable(model: MlpModel, trainable: str) -> tuple[str, ...]:
     if trainable == "all":
         return tuple(name for name, _ in named_parameters(model))
     if trainable == "bn":
-        names = bn_parameter_names(model)
+        names = tuple(name for name, _ in named_parameters(model) if ".norm." in name)
         if not names:
             raise EngineError("model has no batchnorm parameters to train")
         return names
@@ -300,18 +306,17 @@ def _block(
         z -= mean
         var = (z * z).sum(axis=0)
         var /= n
-        inv_std = var + blk.norm.eps
+        inv_std = var + BN_EPS
         np.sqrt(inv_std, out=inv_std)
         np.divide(1.0, inv_std, out=inv_std)
-        m = blk.norm.momentum
         # torch convention: running_var tracks the unbiased estimate
         var_running = var * n / (n - 1) if n > 1 else var
-        blk.norm.running_mean *= 1.0 - m
-        blk.norm.running_mean += m * mean
-        blk.norm.running_var *= 1.0 - m
-        blk.norm.running_var += m * var_running
+        blk.norm.running_mean *= 1.0 - BN_MOMENTUM
+        blk.norm.running_mean += BN_MOMENTUM * mean
+        blk.norm.running_var *= 1.0 - BN_MOMENTUM
+        blk.norm.running_var += BN_MOMENTUM * var_running
     else:
-        inv_std = 1.0 / np.sqrt(blk.norm.running_var + blk.norm.eps)
+        inv_std = 1.0 / np.sqrt(blk.norm.running_var + BN_EPS)
         z -= blk.norm.running_mean
     z *= inv_std
     out = np.multiply(z, blk.norm.gamma, out=None if keep_xhat else z)
@@ -484,8 +489,7 @@ def backward(
     labels: np.ndarray | None = None,
     mode: ForwardMode = Deterministic(),
     trainable: str = "all",
-    want_input_grad: bool = False,
-) -> dict[str, np.ndarray] | tuple[dict[str, np.ndarray], np.ndarray]:
+) -> dict[str, np.ndarray]:
     """Analytic gradients of the chosen loss for the chosen parameter subset.
 
     ``loss`` is "entropy" (unsupervised, labels ignored) or "cross_entropy"
@@ -507,10 +511,7 @@ def backward(
         raise EngineError(f"unknown loss {loss!r}")
 
     wanted = set(resolve_trainable(model, trainable))
-    grads, dx = _backprop(model, cache, dlogits, wanted, isinstance(mode, TrainBN), want_input_grad)
-    if want_input_grad:
-        return grads, dx
-    return grads
+    return _backprop(model, cache, dlogits, wanted, isinstance(mode, TrainBN), False)[0]
 
 
 def _backprop(
@@ -594,7 +595,6 @@ def finite_difference_gradients(
     labels: np.ndarray | None = None,
     mode: ForwardMode = Deterministic(),
     trainable: str = "all",
-    step: float = 1e-5,
 ) -> dict[str, np.ndarray]:
     """Central-difference gradients, touching only ``forward`` and the loss values.
 
@@ -623,12 +623,12 @@ def finite_difference_gradients(
         for _ in it:
             idx = it.multi_index
             orig = arr[idx]
-            arr[idx] = orig + step
+            arr[idx] = orig + FINITE_DIFFERENCE_STEP
             hi = eval_loss()
-            arr[idx] = orig - step
+            arr[idx] = orig - FINITE_DIFFERENCE_STEP
             lo = eval_loss()
             arr[idx] = orig
-            g[idx] = (hi - lo) / (2.0 * step)
+            g[idx] = (hi - lo) / (2.0 * FINITE_DIFFERENCE_STEP)
         grads[name] = g
     return grads
 
@@ -670,19 +670,16 @@ def gradcheck_max_error(
 
 @dataclass
 class OptimizerState:
-    """Adam or SGD settings plus Adam's moments.
+    """Adam or SGD settings plus the step count and Adam's moments.
 
-    The first Adam step lays ``m`` and ``v`` out as flat vectors over the
-    parameters it names, in that order (``names``); every later step must name
-    the same ones.
+    Adam's betas and epsilon are the ``ADAM_*`` module constants. The first
+    Adam step lays ``m`` and ``v`` out as flat vectors over the parameters it
+    names, in that order (``names``); every later step must name the same ones.
     """
 
     kind: str = "adam"  # "adam" | "sgd"
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step: int = 0
+    step: int = field(default=0, init=False)
     names: tuple[str, ...] = field(default=(), init=False)
     m: np.ndarray | None = field(default=None, init=False)
     v: np.ndarray | None = field(default=None, init=False)
@@ -721,7 +718,7 @@ def optimizer_step(model: MlpModel, grads: dict[str, np.ndarray], state: Optimiz
         if state.m is None:
             state.names, state.m, state.v = names, np.zeros(g.size), np.zeros(g.size)
         m, v = state.m, state.v
-        b1, b2 = state.beta1, state.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         # m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
         scratch = g * (1.0 - b1)
         m *= b1
@@ -735,7 +732,7 @@ def optimizer_step(model: MlpModel, grads: dict[str, np.ndarray], state: Optimiz
         update *= state.learning_rate
         np.divide(v, 1.0 - b2**state.step, out=scratch)
         np.sqrt(scratch, out=scratch)
-        scratch += state.eps
+        scratch += ADAM_EPS
         update /= scratch
     offset = 0
     for p in params:

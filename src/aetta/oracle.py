@@ -214,28 +214,30 @@ def verify_theorem2(construction: RobustConstruction) -> float:
     return abs(err - (construction.b * disagreement - correction_constant(construction)))
 
 
-def theorem2_sweep(
-    n_constructions: int = 120,
-    class_count: int = 4,
-    n_points: int = 6,
-    seed: int = 0,
-) -> list[tuple[float, float, float]]:
-    """(q0, b, residual) over a feasibility-respecting grid, deterministic."""
+SWEEP_CONSTRUCTIONS = 120
+SWEEP_CLASS_COUNT = 4
+SWEEP_POINTS = 6
+
+
+def theorem2_sweep(seed: int = 0) -> list[tuple[float, float, float]]:
+    """(q0, b, residual) of ``SWEEP_CONSTRUCTIONS`` random constructions, each with
+    ``SWEEP_POINTS`` points and ``SWEEP_CLASS_COUNT`` classes, over a
+    feasibility-respecting grid; deterministic."""
     rng = np.random.default_rng(seed)
     out: list[tuple[float, float, float]] = []
     q_grid = np.linspace(0.1, 0.9, 12)
-    while len(out) < n_constructions:
+    while len(out) < SWEEP_CONSTRUCTIONS:
         for q0 in q_grid:
-            if len(out) >= n_constructions:
+            if len(out) >= SWEEP_CONSTRUCTIONS:
                 break
             b_max = 1.0 / (1.0 - q0)
             b = float(rng.uniform(1.0, b_max))
             construction = make_robust_construction(
-                point_probs=rng.dirichlet(np.ones(n_points)),
-                other_probs=rng.dirichlet(np.ones(class_count - 1), size=n_points),
+                point_probs=rng.dirichlet(np.ones(SWEEP_POINTS)),
+                other_probs=rng.dirichlet(np.ones(SWEEP_CLASS_COUNT - 1), size=SWEEP_POINTS),
                 q0=float(q0),
                 b=b,
-                dominant_class=int(rng.integers(class_count)),
+                dominant_class=int(rng.integers(SWEEP_CLASS_COUNT)),
             )
             out.append((float(q0), b, verify_theorem2(construction)))
     return out

@@ -31,6 +31,11 @@ _SCALING_SPREAD_PER_SEVERITY = 0.15
 _SHIFT_PER_SEVERITY = 0.25
 _MAX_ROTATION_ANGLE = np.pi / 2.0
 
+HOLDOUT_FRACTION = 0.2  # share of each class's samples held out from source training
+SOURCE_BATCH_SIZE = 64
+SOURCE_LEARNING_RATE = 1e-3
+ACCURACY_GATE = 0.9
+
 # degree-13 Pade coefficients b_0..b_13, and theta_13: the largest 1-norm at
 # which that approximant is accurate to double precision without scaling
 _PADE13 = (
@@ -87,17 +92,16 @@ def class_means(spec: DatasetSpec) -> np.ndarray:
     return spec.cluster_separation * dirs
 
 
-def make_source_dataset(spec: DatasetSpec, holdout_fraction: float = 0.2) -> tuple[Split, Split]:
-    """Per-class Gaussian clouds split into disjoint train and holdout parts."""
-    if not 0.0 < holdout_fraction < 1.0:
-        raise StreamError("holdout_fraction must lie strictly inside (0, 1)")
+def make_source_dataset(spec: DatasetSpec) -> tuple[Split, Split]:
+    """Per-class Gaussian clouds split into disjoint train and holdout parts.
+
+    ``samples_per_class >= 5`` leaves every class at least one training sample.
+    """
     # independent generators, so drawing the features cannot disturb the shuffle order
     rng = np.random.default_rng((spec.seed, 1))
     rng_shuffle = np.random.default_rng((spec.seed, 3))
     means = class_means(spec)
-    holdout_per_class = max(1, round(spec.samples_per_class * holdout_fraction))
-    if holdout_per_class >= spec.samples_per_class:
-        raise StreamError("holdout fraction leaves no training data")
+    holdout_per_class = max(1, round(spec.samples_per_class * HOLDOUT_FRACTION))
 
     train_x, train_y, hold_x, hold_y = [], [], [], []
     for k in range(spec.class_count):
@@ -116,37 +120,30 @@ def make_source_dataset(spec: DatasetSpec, holdout_fraction: float = 0.2) -> tup
     return finish(train_x, train_y), finish(hold_x, hold_y)
 
 
-def train_source_model(
-    train: Split,
-    architecture: tuple[int, ...] = (64, 64),
-    epochs: int = 30,
-    seed: int = 0,
-    batch_size: int = 64,
-    learning_rate: float = 1e-3,
-    accuracy_gate: float = 0.9,
-) -> nn.MlpModel:
-    """Cross-entropy training of the source classifier.
+def train_source_model(train: Split, architecture: tuple[int, ...], epochs: int, seed: int = 0) -> nn.MlpModel:
+    """Cross-entropy training of the source classifier, with Adam on
+    ``SOURCE_BATCH_SIZE``-row batches at ``SOURCE_LEARNING_RATE``.
 
-    The accuracy gate is advisory: falling short is logged, never fatal.
+    A training accuracy below ``ACCURACY_GATE`` is logged, never fatal.
     """
     if len(train) == 0:
         raise StreamError("empty training split")
     class_count = int(train.labels.max()) + 1
     model = nn.build_mlp(train.features.shape[1], max(class_count, 2), hidden=architecture, seed=seed)
-    optimizer = nn.OptimizerState(kind="adam", learning_rate=learning_rate)
+    optimizer = nn.OptimizerState(kind="adam", learning_rate=SOURCE_LEARNING_RATE)
     rng = np.random.default_rng(seed + 1000)
     for _ in range(epochs):
         order = rng.permutation(len(train))
-        for start in range(0, len(train) - batch_size + 1, batch_size):
-            idx = order[start : start + batch_size]
+        for start in range(0, len(train) - SOURCE_BATCH_SIZE + 1, SOURCE_BATCH_SIZE):
+            idx = order[start : start + SOURCE_BATCH_SIZE]
             grads = nn.backward(
                 model, train.features[idx], loss="cross_entropy", labels=train.labels[idx], mode=nn.TrainBN()
             )
             nn.optimizer_step(model, grads, optimizer)
     if epochs > 0:
         accuracy = nn.accuracy(model, train.features, train.labels)
-        if accuracy < accuracy_gate:
-            log.warning("source training accuracy %.3f below gate %.3f", accuracy, accuracy_gate)
+        if accuracy < ACCURACY_GATE:
+            log.warning("source training accuracy %.3f below gate %.3f", accuracy, ACCURACY_GATE)
     return model
 
 
@@ -263,7 +260,7 @@ def continual_schedule(seed: int, severities: tuple[int, ...]) -> tuple[Corrupti
 
 
 def make_stream(
-    segments: list[tuple[CorruptionSpec, int]], pool: Split, batch_size: int = 64, seed: int = 0
+    segments: list[tuple[CorruptionSpec, int]], pool: Split, batch_size: int, seed: int = 0
 ) -> Iterator[StreamBatch]:
     """Check every ``(corruption, n_batches)`` segment against the pool, then
     return the batched test stream.
@@ -321,7 +318,6 @@ def _batches(
 
 @dataclass(frozen=True)
 class PreparedTask:
-    spec: DatasetSpec
     train: Split
     holdout: Split
     checkpoint: nn.MlpModel
@@ -332,8 +328,8 @@ _TASK_CACHE: dict[tuple, PreparedTask] = {}
 
 def prepared_task(
     spec: DatasetSpec,
-    architecture: tuple[int, ...] = (64, 64),
-    epochs: int = 30,
+    architecture: tuple[int, ...],
+    epochs: int,
     train_seed: int = 0,
 ) -> PreparedTask:
     """Dataset plus trained source model; training is memoised.
@@ -349,5 +345,5 @@ def prepared_task(
         checkpoint = train_source_model(train, architecture=architecture, epochs=epochs, seed=train_seed)
         for _, arr in nn.named_state(checkpoint):
             arr.flags.writeable = False
-        _TASK_CACHE[key] = PreparedTask(spec=spec, train=train, holdout=holdout, checkpoint=checkpoint)
+        _TASK_CACHE[key] = PreparedTask(train=train, holdout=holdout, checkpoint=checkpoint)
     return _TASK_CACHE[key]

@@ -50,7 +50,7 @@ def make_optimizer(config: AdaptConfig) -> nn.OptimizerState:
     return nn.OptimizerState(kind=config.optimizer, learning_rate=config.learning_rate)
 
 
-def tent_step(model: nn.MlpModel, x: np.ndarray, config: AdaptConfig, optimizer: nn.OptimizerState) -> nn.MlpModel:
+def tent_step(model: nn.MlpModel, x: np.ndarray, config: AdaptConfig, optimizer: nn.OptimizerState) -> None:
     """One entropy-minimisation step on BN gamma/beta only.
 
     Uses batch statistics for the forward (running stats refreshed in place);
@@ -60,15 +60,13 @@ def tent_step(model: nn.MlpModel, x: np.ndarray, config: AdaptConfig, optimizer:
         raise AdaptationError("tent adaptation needs at least one batchnorm layer")
     grads = nn.backward(model, x, loss="entropy", mode=nn.TrainBN(), trainable="bn")
     nn.optimizer_step(model, grads, optimizer)
-    return model
 
 
-def bn_stats_step(model: nn.MlpModel, x: np.ndarray) -> nn.MlpModel:
+def bn_stats_step(model: nn.MlpModel, x: np.ndarray) -> None:
     """Refresh BN running statistics from the batch; no gradients anywhere."""
     if not model.blocks:
         raise AdaptationError("bn_stats adaptation needs at least one batchnorm layer")
     nn.forward(model, x, nn.TrainBN())
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -140,27 +138,27 @@ def should_reset(
 
 def apply_reset(
     model: nn.MlpModel, optimizer: nn.OptimizerState, source_checkpoint: nn.MlpModel
-) -> tuple[nn.MlpModel, nn.OptimizerState]:
-    """Restore parameters and running stats bitwise; hand back a fresh optimizer.
+) -> nn.OptimizerState:
+    """Restore ``model``'s parameters and running stats bitwise, in place, from the
+    checkpoint; return a fresh optimizer of the same kind and learning rate.
 
     The caller's accuracy history is deliberately kept: it survives resets so
     repeated rollbacks stay visible in the logs.
     """
     nn.copy_into(model, source_checkpoint)
-    return model, nn.OptimizerState(kind=optimizer.kind, learning_rate=optimizer.learning_rate)
+    return nn.OptimizerState(kind=optimizer.kind, learning_rate=optimizer.learning_rate)
 
 
 def stochastic_restore_step(
     model: nn.MlpModel, source_checkpoint: nn.MlpModel, restore_prob: float, seed: int
-) -> nn.MlpModel:
+) -> None:
     """Independently revert each scalar parameter to source with given probability."""
     if not 0.0 <= restore_prob <= 1.0:
         raise AdaptationError("restore_prob must lie in [0, 1]")
     if restore_prob == 0.0:
-        return model
+        return
     rng = np.random.default_rng(seed)
     source = dict(nn.named_parameters(source_checkpoint))
     for name, param in nn.named_parameters(model):
         mask = rng.random(param.shape) < restore_prob
         param[mask] = source[name][mask]
-    return model

@@ -66,6 +66,16 @@ def test_collapse_rejects_a_fully_config_file(tmp_path, caplog, argv):
     assert not (tmp_path / "out").exists()
 
 
+def test_scenario_flag_rejects_a_fully_config_file(tmp_path, caplog):
+    """--scenario continual would otherwise ignore the file's n_batches and fully_corruption."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(tiny_config_dict()))
+    argv = ["run", "--config", str(path), "--scenario", "continual", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert "n_batches and fully_corruption apply only to the fully scenario" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 def test_fully_without_corruption_gets_a_default():
     args = cli.build_parser().parse_args(["run", "--scenario", "fully"])
     config = cli._config_from_args(args)
@@ -138,7 +148,8 @@ def test_sweep_writes_grid_csv(tmp_path):
 
 def test_recover_demo_prints_both_policies(tmp_path, capsys):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({**tiny_config_dict(), "scenario": "continual"}))
+    config = {key: value for key, value in tiny_config_dict().items() if key not in ("fully_corruption", "n_batches")}
+    path.write_text(json.dumps({**config, "scenario": "continual"}))
     code = cli.main(["recover-demo", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 0
     out = capsys.readouterr().out

@@ -114,7 +114,9 @@ def test_hidden_labels_only_affect_true_accuracy(monkeypatch):
 
 
 def test_a_failed_seed_logs_its_traceback_and_spares_the_others(monkeypatch, caplog):
-    config = tiny_config(scenario="continual", batches_per_segment=1, seeds=(0, 1, 2))
+    config = tiny_config(
+        scenario="continual", fully_corruption=None, n_batches=None, batches_per_segment=1, seeds=(0, 1, 2)
+    )
     clean = harness.run_experiment(config)
     real = streams.corrupt
 
@@ -146,7 +148,8 @@ def test_finished_segment_is_freed_before_the_next_is_corrupted(monkeypatch):
         return out
 
     monkeypatch.setattr(streams, "corrupt", corrupt)
-    result = harness.run_experiment(tiny_config(scenario="continual", batches_per_segment=2))
+    config = tiny_config(scenario="continual", fully_corruption=None, n_batches=None, batches_per_segment=2)
+    result = harness.run_experiment(config)
     assert not result.failed
     assert alive == [0] * 15
 
@@ -304,7 +307,7 @@ def test_window_above_five_can_fire(monkeypatch):
         accuracy = float(next(accuracies))
         return EstimateReport(
             pdd=0.0, e_avg=0.0, b_weight=1.0, raw_error=1.0 - accuracy,
-            smoothed_error=1.0 - accuracy, smoothed_accuracy=accuracy,
+            smoothed_error=1.0 - accuracy,
         )
 
     monkeypatch.setattr(harness, "aetta_estimate", falling)
@@ -534,6 +537,30 @@ def test_config_validation():
         tiny_config(batches_per_segment=0)
     with pytest.raises(harness.HarnessError):
         harness.ExperimentConfig(scenario="fully", fully_corruption=None)
+
+
+@pytest.mark.parametrize("scenario", ["continual", "collapse"])
+@pytest.mark.parametrize(
+    "setting", [{"n_batches": 7}, {"fully_corruption": {"kind": "rotation", "severity": 2}}], ids=["n_batches", "corruption"]
+)
+def test_fully_only_settings_are_rejected_in_other_scenarios(scenario, setting):
+    """A continual or collapse stream has 15 segments whatever these fields say,
+    so setting them there is an error, not a silent no-op."""
+    with pytest.raises(harness.HarnessError, match="n_batches and fully_corruption") as info:
+        harness.config_from_dict({**setting, "scenario": scenario})
+    assert repr(scenario) in str(info.value)
+
+
+def test_malformed_source_settings_are_rejected():
+    """A negative epoch count would skip training and the accuracy gate alike,
+    and a zero-width block fails every seed inside build_mlp."""
+    with pytest.raises(harness.HarnessError, match="train_epochs"):
+        harness.ExperimentConfig(train_epochs=-3)
+    for architecture in [(0,), (64, 0), (-1, 8)]:
+        with pytest.raises(harness.HarnessError, match="architecture"):
+            harness.ExperimentConfig(architecture=architecture)
+    # an untrained source model is a supported case, and so is a model with no hidden block
+    assert harness.ExperimentConfig(train_epochs=0, architecture=()).train_epochs == 0
 
 
 def test_collapse_preset_pins_adaptation_and_schedule():

@@ -43,3 +43,32 @@ def sibling_imports(path: Path) -> set[str]:
 def test_module_imports_only_its_allowed_siblings(module):
     assert sibling_imports(PACKAGE / f"{module}.py") == LAYERS[module]
 
+
+# perfbench/tracing.py traces these calls by replacing the harness module's own
+# bindings, and its Tracer.instrument skips a binding that is missing, so a call
+# spelled ``tta.apply_reset(...)`` would silently drop out of the per-layer trace
+TRACED_HARNESS_CALLS = (
+    "make_stream",
+    "prepared_task",
+    "src_valid",
+    "softmax_score",
+    "gde_agreement",
+    "adv_perturb_agreement",
+    "aetta_estimate",
+    "tent_step",
+    "should_reset",
+    "apply_reset",
+)
+
+
+def test_harness_calls_each_traced_function_through_its_imported_name():
+    tree = ast.parse((PACKAGE / "harness.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    called = {
+        node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for name in TRACED_HARNESS_CALLS:
+        assert name in imported, f"harness does not import {name} by name"
+        assert name in called, f"harness does not call {name} through its bare name"
+        assert name not in attributes, f"harness reaches {name} through a module attribute"

@@ -57,7 +57,6 @@ class TestForward:
             ],
             head=nn.DenseLayer(np.array([[0.6, -0.3], [-0.2, 0.5]]), np.array([0.01, -0.02])),
             dropout=nn.DropoutSpec((0.0,)),
-            class_count=2,
         )
         x = np.array([[1.0, 2.0]])
         z0 = 1.0 * 0.1 + 2.0 * 0.3 + 0.05
@@ -123,7 +122,7 @@ class TestForward:
         nn.forward_logits(model, x, mode)
         nn.dropout_forwards(model, x, [3, 4])
         y = np.arange(rows) % model.class_count
-        nn.backward(model, x, loss="cross_entropy", labels=y, mode=mode, want_input_grad=True)
+        nn.backward(model, x, loss="cross_entropy", labels=y, mode=mode)
         nn.input_gradient(model, x)
         if hidden:
             nn.backward(model, x, loss="entropy", mode=mode, trainable="bn")
@@ -306,7 +305,7 @@ class TestBackward:
     def test_bn_only_mask_limits_parameters(self):
         model = tiny_model()
         grads = nn.backward(model, batch(), loss="entropy", mode=nn.TrainBN(), trainable="bn")
-        assert set(grads) == set(nn.bn_parameter_names(model))
+        assert set(grads) == set(nn.resolve_trainable(model, "bn"))
 
     def test_bn_only_gradients_match_finite_differences(self):
         model = tiny_model(seed=9)
@@ -354,7 +353,7 @@ class TestBackward:
         x = batch(seed=4)
         blk = model.blocks[0]
         z = x @ blk.dense.weights + blk.dense.bias
-        xhat = (z - blk.norm.running_mean) / np.sqrt(blk.norm.running_var + blk.norm.eps)
+        xhat = (z - blk.norm.running_mean) / np.sqrt(blk.norm.running_var + nn.BN_EPS)
         pre = blk.norm.gamma * xhat + blk.norm.beta
         assert_allclose(nn.relu_kink_margin(model, x), np.abs(pre).min(), rtol=1e-12)
 
@@ -377,10 +376,11 @@ class TestBackward:
         own forward leaves the input gradient's bits unchanged."""
         model = tiny_model(seed=seed % 1000, hidden=hidden)
         x = np.random.default_rng(seed).normal(size=(rows, 5))
+        cache = nn._forward_cached(model, x, nn.Deterministic())
         labels = np.argmax(nn.forward(model, x), axis=1)
-        _, full = nn.backward(
-            model, x, loss="cross_entropy", labels=labels, trainable="all", want_input_grad=True
-        )
+        dlogits = nn._cross_entropy_logit_grad(cache.probs, nn._one_hot(labels, model.class_count))
+        wanted = set(nn.resolve_trainable(model, "all"))
+        _, full = nn._backprop(model, cache, dlogits, wanted, False, True)
         assert_array_equal(nn.input_gradient(model, x), full)
 
 
@@ -437,7 +437,7 @@ class TestOptimizer:
         params = dict(nn.named_parameters(reference))
         names = nn.resolve_trainable(model, subset) if isinstance(subset, str) else subset
         state = nn.OptimizerState(kind=kind, learning_rate=0.01)
-        lr, b1, b2, eps = state.learning_rate, state.beta1, state.beta2, state.eps
+        lr, b1, b2, eps = state.learning_rate, nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS
         ref_m = {name: np.zeros_like(params[name]) for name in names}
         ref_v = {name: np.zeros_like(params[name]) for name in names}
         rng = np.random.default_rng(0)

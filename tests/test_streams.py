@@ -88,32 +88,32 @@ class TestTraining:
 
     def test_different_seeds_give_different_models(self):
         train, _ = streams.make_source_dataset(small_spec())
-        a = streams.train_source_model(train, epochs=1, seed=0)
-        b = streams.train_source_model(train, epochs=1, seed=1)
+        a = streams.train_source_model(train, architecture=(64, 64), epochs=1, seed=0)
+        b = streams.train_source_model(train, architecture=(64, 64), epochs=1, seed=1)
         assert not np.array_equal(a.head.weights, b.head.weights)
 
-    def test_wide_margin_binary_task_is_linearly_separable(self):
+    def test_wide_margin_binary_task_is_linearly_separable(self, monkeypatch):
+        monkeypatch.setattr(streams, "SOURCE_LEARNING_RATE", 0.05)
         spec = streams.DatasetSpec(
             class_count=2, input_dim=4, samples_per_class=100, cluster_separation=50.0, seed=1
         )
         train, _ = streams.make_source_dataset(spec)
-        model = streams.train_source_model(
-            train, architecture=(), epochs=30, seed=0, learning_rate=0.05
-        )
+        model = streams.train_source_model(train, architecture=(), epochs=30, seed=0)
         preds = np.argmax(nn.forward(model, train.features), axis=1)
         assert float(np.mean(preds == train.labels)) >= 0.99
 
     def test_default_task_meets_holdout_gate(self):
         """Frozen empirical gate: the stock task trains to >= 0.90 holdout accuracy."""
         for seed in (0, 1, 2):
-            task = streams.prepared_task(streams.DatasetSpec(), train_seed=seed)
+            task = streams.prepared_task(streams.DatasetSpec(), architecture=(64, 64), epochs=30, train_seed=seed)
             preds = np.argmax(nn.forward(task.checkpoint, task.holdout.features), axis=1)
             assert float(np.mean(preds == task.holdout.labels)) >= 0.90
 
-    def test_missed_gate_warns_but_returns(self, caplog):
+    def test_missed_gate_warns_but_returns(self, caplog, monkeypatch):
+        monkeypatch.setattr(streams, "ACCURACY_GATE", 1.0)
         train, _ = streams.make_source_dataset(small_spec())
         with caplog.at_level(logging.WARNING, logger="aetta.streams"):
-            model = streams.train_source_model(train, epochs=1, seed=0, accuracy_gate=1.0)
+            model = streams.train_source_model(train, architecture=(64, 64), epochs=1, seed=0)
         assert model is not None
         assert any("below gate" in r.message for r in caplog.records)
 
@@ -137,7 +137,7 @@ class TestPreparedTask:
         for _, arr in nn.named_state(model):
             arr += 0.5
         optimizer = nn.OptimizerState(kind="adam", learning_rate=1e-3)
-        model, _ = tta.apply_reset(model, optimizer, task.checkpoint)
+        tta.apply_reset(model, optimizer, task.checkpoint)
         assert state_bytes(model) == state_bytes(task.checkpoint)
 
 
@@ -264,7 +264,7 @@ class TestCorrupt:
     def test_source_model_degrades_monotonically_with_noise(self):
         """Frozen empirical gate: severity tracks accuracy, one inversion tolerated."""
         for seed in (0, 1, 2):
-            task = streams.prepared_task(streams.DatasetSpec(), train_seed=seed)
+            task = streams.prepared_task(streams.DatasetSpec(), architecture=(64, 64), epochs=30, train_seed=seed)
             scale = float(task.holdout.features.std())
             accs = []
             for sev in range(6):
@@ -380,7 +380,7 @@ class TestMakeStream:
             streams.make_stream(continual(100), pool, batch_size=64, seed=0)
         # a fully stream over a pool smaller than one batch asks for len(pool) // batch_size == 0 batches
         with pytest.raises(streams.StreamError, match="no batches"):
-            streams.make_stream([(streams.CorruptionSpec(kind="rotation", severity=1), 0)], pool, seed=0)
+            streams.make_stream([(streams.CorruptionSpec(kind="rotation", severity=1), 0)], pool, batch_size=64, seed=0)
 
     def test_schedules(self):
         default = streams.continual_schedule(4, (5, 4, 3))

@@ -150,7 +150,7 @@ class TestApplyReset:
             tta.tent_step(model, make_batch(seed=i), cfg, opt)
         x = make_batch(seed=99)
         assert not np.array_equal(nn.forward(model, x), nn.forward(source, x))
-        model, opt = tta.apply_reset(model, opt, source)
+        opt = tta.apply_reset(model, opt, source)
         assert np.array_equal(nn.forward(model, x), nn.forward(source, x))
         assert state_bytes(model) == state_bytes(source)
 
@@ -161,7 +161,7 @@ class TestApplyReset:
         opt = tta.make_optimizer(cfg)
         tta.tent_step(model, make_batch(), cfg, opt)
         assert opt.step == 1 and opt.m is not None
-        _, opt = tta.apply_reset(model, opt, source)
+        opt = tta.apply_reset(model, opt, source)
         assert opt.step == 0 and opt.m is None and opt.v is None
         assert opt.kind == "adam" and opt.learning_rate == 0.01
 

@@ -20,16 +20,17 @@ _DEFAULT_FULLY = CorruptionSpec(kind="gaussian_noise", severity=3, seed=0)
 _SWEEP_GRIDS = (("n_dropout", (1, 5, 10, 15, 20)), ("alpha", (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)))
 
 
-def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
+def _add_experiment_flags(parser: argparse.ArgumentParser, scenario_flags: bool = True) -> None:
     parser.add_argument("--config", type=Path, default=None, help="JSON experiment config")
     parser.add_argument("--seed", type=int, action="append", default=None,
                         help="run seed; repeat the flag for several")
     parser.add_argument("--out", type=Path, default=None, help="output directory")
     parser.add_argument("--alpha", type=float, default=None, help="robustness exponent")
     parser.add_argument("--n-dropout", type=int, default=None, help="dropout inferences per batch")
-    parser.add_argument("--scenario", choices=("fully", "continual"), default=None)
-    parser.add_argument("--collapse", action="store_true",
-                        help="use the model-collapse preset (high-rate entropy adaptation)")
+    if scenario_flags:
+        parser.add_argument("--scenario", choices=("fully", "continual"), default=None)
+        parser.add_argument("--collapse", action="store_true",
+                            help="use the model-collapse preset (high-rate entropy adaptation)")
 
 
 def _config_from_args(args: argparse.Namespace) -> harness.ExperimentConfig:
@@ -85,7 +86,7 @@ def _cmd_verify_theorems(args: argparse.Namespace) -> int:
     print("calibrated spaces (200): max |E[Err] - E[PDD]| =", repr(worst_calibrated))
     print("mis-calibrated control:  residual =", repr(control))
 
-    rows = oracle.theorem2_sweep()
+    rows = oracle.theorem2_sweep(args.seed)
     worst_robust = max(residual for _, _, residual in rows)
     print(f"robust constructions ({len(rows)}): max residual = {worst_robust!r}")
     print("    q0      b       residual")
@@ -110,8 +111,8 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
         x = rng.normal(size=(4, input_dim))
         if nn.relu_kink_margin(model, x, nn.Deterministic()) < 1e-3:
             continue
-        analytic = nn.backward(model, x, loss="entropy", mode=nn.Deterministic())
-        numeric = nn.finite_difference_gradients(model, x, loss="entropy", mode=nn.Deterministic())
+        analytic = nn.backward(model, x, mode=nn.Deterministic())
+        numeric = nn.finite_difference_gradients(model, x, mode=nn.Deterministic())
         err = nn.gradcheck_max_error(analytic, numeric)
         worst = max(worst, err)
         checked += 1
@@ -187,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.set_defaults(func=_cmd_gradcheck)
 
     p_rec = sub.add_parser("recover-demo", help="collapse run with and without rollback")
-    _add_experiment_flags(p_rec)
-    p_rec.set_defaults(func=_cmd_recover_demo)
+    _add_experiment_flags(p_rec, scenario_flags=False)
+    p_rec.set_defaults(func=_cmd_recover_demo, scenario=None, collapse=False)
 
     p_sweep = sub.add_parser("sweep", help="MAE over ensemble-size and exponent grids")
     _add_experiment_flags(p_sweep)

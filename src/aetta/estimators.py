@@ -115,7 +115,7 @@ def aetta_estimate(
     seeds = range(config.base_seed, config.base_seed + config.n_dropout)
     ens_probs = nn.dropout_forwards(model, x, seeds)
     disagreement = pdd(base_labels, predicted_labels(ens_probs))
-    e_avg = nn.entropy_of(batch_aggregate(ens_probs))
+    e_avg = nn.entropy_loss(batch_aggregate(ens_probs)[None])
     b = robust_weight(e_avg, model.class_count, config.alpha)
     raw_error = b * disagreement
     # a non-finite model reads as wholly wrong, which keeps the EMA and the reset window finite

@@ -206,7 +206,7 @@ def _adaptation_step(
 ) -> None:
     method = config.adaptation.method
     if method == "tent":
-        tent_step(model, x, config.adaptation, optimizer)
+        tent_step(model, x, optimizer)
     elif method == "bn_stats":
         bn_stats_step(model, x)
 
@@ -478,6 +478,20 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     return written
 
 
+def _json_fits(hint: object, value: object) -> bool:
+    """Whether a JSON value fits a field annotated ``hint``: a bool is no number,
+    an int is no fraction, a tuple is a list of its element type, and null fits
+    only a union with None."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_json_fits(args[0], v) for v in value)
+    if args:
+        return any(_json_fits(t, value) for t in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
 def _from_dict(cls: type, data: object, name: str):
     """``cls`` from a partial dict; its nested objects and tuples are read from its own field types."""
     if not isinstance(data, dict):
@@ -494,6 +508,9 @@ def _from_dict(cls: type, data: object, name: str):
         nested = next((t for t in (hint, *args) if dataclasses.is_dataclass(t)), None)
         if nested is not None and not (value is None and type(None) in args):
             value = _from_dict(nested, value, key)
+        elif not _json_fits(hint, value):
+            expected = hint.__name__ if isinstance(hint, type) else hint
+            raise HarnessError(f"{name} key {key!r} must be {expected}, not {value!r}")
         elif typing.get_origin(hint) is tuple:
             value = tuple(value)
         kwargs[key] = value

@@ -421,12 +421,6 @@ def dropout_forwards(model: MlpModel, x: np.ndarray, seeds: Sequence[int]) -> np
 # ---------------------------------------------------------------------------
 
 
-def entropy_of(dist: np.ndarray) -> float:
-    """Natural-log entropy of one probability vector."""
-    p = np.asarray(dist, dtype=np.float64)
-    return float(-np.sum(p * np.log(np.maximum(p, _LOG_GUARD))))
-
-
 def entropy_loss(probs: np.ndarray) -> float:
     """Mean per-row natural-log entropy of a probability batch."""
     p = np.asarray(probs, dtype=np.float64)
@@ -464,17 +458,12 @@ def _entropy_logit_grad(probs: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _cross_entropy_logit_grad(probs: np.ndarray, target_probs: np.ndarray) -> np.ndarray:
-    """d(mean CE)/d logits for softmax outputs; zero when probs match targets."""
-    grad = probs - target_probs
+def _cross_entropy_logit_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """d(mean CE)/d logits for softmax outputs: ``probs`` less 1 at each row's label, over the row count."""
+    grad = probs.copy()
+    grad[np.arange(probs.shape[0]), labels] -= 1.0
     grad /= probs.shape[0]
     return grad
-
-
-def _one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], class_count))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -485,32 +474,30 @@ def _one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
 def backward(
     model: MlpModel,
     x: np.ndarray,
-    loss: str,
     labels: np.ndarray | None = None,
     mode: ForwardMode = Deterministic(),
     trainable: str = "all",
 ) -> dict[str, np.ndarray]:
-    """Analytic gradients of the chosen loss for the chosen parameter subset.
+    """Analytic gradients of the mean cross-entropy against ``labels``, or of the
+    mean row entropy when there are none, for the chosen parameter subset.
 
-    ``loss`` is "entropy" (unsupervised, labels ignored) or "cross_entropy"
-    (labels required). The gradient graph replays the exact forward used, so
-    dropout masks and the BN statistic source match the ``mode`` given. With
-    TrainBN the running stats are refreshed as a side effect, same as forward.
+    The gradient graph replays the exact forward used, so dropout masks and the
+    BN statistic source match the ``mode`` given. With TrainBN the running stats
+    are refreshed as a side effect, same as forward; the labels and ``trainable``
+    are checked first, so a rejected call leaves them untouched.
     """
-    cache = _forward_cached(model, x, mode)
-    if loss == "entropy":
-        dlogits = _entropy_logit_grad(cache.probs)
-    elif loss == "cross_entropy":
-        if labels is None:
-            raise EngineError("cross_entropy backward needs labels")
-        y = np.asarray(labels)
-        if np.any(y < 0) or np.any(y >= model.class_count):
-            raise EngineError("label out of range")
-        dlogits = _cross_entropy_logit_grad(cache.probs, _one_hot(y, model.class_count))
-    else:
-        raise EngineError(f"unknown loss {loss!r}")
-
     wanted = set(resolve_trainable(model, trainable))
+    if labels is not None:
+        labels = np.asarray(labels)
+        if labels.shape != (len(x),):
+            raise EngineError("labels must be one integer per row")
+        if np.any(labels < 0) or np.any(labels >= model.class_count):
+            raise EngineError("label out of range")
+    cache = _forward_cached(model, x, mode)
+    if labels is None:
+        dlogits = _entropy_logit_grad(cache.probs)
+    else:
+        dlogits = _cross_entropy_logit_grad(cache.probs, labels)
     return _backprop(model, cache, dlogits, wanted, isinstance(mode, TrainBN), False)[0]
 
 
@@ -579,7 +566,7 @@ def input_gradient(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """
     cache = _forward_cached(model, x, Deterministic())
     labels = np.argmax(cache.probs, axis=1)
-    dlogits = _cross_entropy_logit_grad(cache.probs, _one_hot(labels, model.class_count))
+    dlogits = _cross_entropy_logit_grad(cache.probs, labels)
     return _backprop(model, cache, dlogits, set(), False, True)[1]
 
 
@@ -591,29 +578,24 @@ def input_gradient(model: MlpModel, x: np.ndarray) -> np.ndarray:
 def finite_difference_gradients(
     model: MlpModel,
     x: np.ndarray,
-    loss: str,
     labels: np.ndarray | None = None,
     mode: ForwardMode = Deterministic(),
     trainable: str = "all",
 ) -> dict[str, np.ndarray]:
-    """Central-difference gradients, touching only ``forward`` and the loss values.
+    """Central-difference gradients of ``backward``'s loss, with ``backward``'s
+    parameters: the mean cross-entropy against ``labels``, or the mean row
+    entropy when there are none.
 
-    Deliberately ignorant of ``backward`` so it can serve as its oracle. Each
-    evaluation runs on a throwaway clone so TrainBN's running-stat side effect
-    cannot leak between probes.
+    Deliberately ignorant of ``backward``, touching only ``forward`` and the loss
+    values, so it can serve as its oracle. Each evaluation runs on a throwaway
+    clone so TrainBN's running-stat side effect cannot leak between probes.
     """
     work = clone(model)
     params = dict(named_parameters(work))
 
     def eval_loss() -> float:
         probs = forward(clone(work), x, mode)
-        if loss == "entropy":
-            return entropy_loss(probs)
-        if loss == "cross_entropy":
-            if labels is None:
-                raise EngineError("cross_entropy needs labels")
-            return cross_entropy_loss(probs, labels)
-        raise EngineError(f"unknown loss {loss!r}")
+        return entropy_loss(probs) if labels is None else cross_entropy_loss(probs, labels)
 
     grads: dict[str, np.ndarray] = {}
     for name in resolve_trainable(work, trainable):

@@ -136,9 +136,7 @@ def train_source_model(train: Split, architecture: tuple[int, ...], epochs: int,
         order = rng.permutation(len(train))
         for start in range(0, len(train) - SOURCE_BATCH_SIZE + 1, SOURCE_BATCH_SIZE):
             idx = order[start : start + SOURCE_BATCH_SIZE]
-            grads = nn.backward(
-                model, train.features[idx], loss="cross_entropy", labels=train.labels[idx], mode=nn.TrainBN()
-            )
+            grads = nn.backward(model, train.features[idx], labels=train.labels[idx], mode=nn.TrainBN())
             nn.optimizer_step(model, grads, optimizer)
     if epochs > 0:
         accuracy = nn.accuracy(model, train.features, train.labels)

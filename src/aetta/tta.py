@@ -50,15 +50,14 @@ def make_optimizer(config: AdaptConfig) -> nn.OptimizerState:
     return nn.OptimizerState(kind=config.optimizer, learning_rate=config.learning_rate)
 
 
-def tent_step(model: nn.MlpModel, x: np.ndarray, config: AdaptConfig, optimizer: nn.OptimizerState) -> None:
-    """One entropy-minimisation step on BN gamma/beta only.
+def tent_step(model: nn.MlpModel, x: np.ndarray, optimizer: nn.OptimizerState) -> None:
+    """One entropy-minimisation step on BN gamma/beta only, by ``optimizer``.
 
     Uses batch statistics for the forward (running stats refreshed in place);
-    every non-BN parameter is bitwise untouched.
+    every non-BN parameter is bitwise untouched. A model with no batchnorm
+    layer raises ``nn.EngineError`` before anything moves.
     """
-    if not model.blocks:
-        raise AdaptationError("tent adaptation needs at least one batchnorm layer")
-    grads = nn.backward(model, x, loss="entropy", mode=nn.TrainBN(), trainable="bn")
+    grads = nn.backward(model, x, mode=nn.TrainBN(), trainable="bn")
     nn.optimizer_step(model, grads, optimizer)
 
 

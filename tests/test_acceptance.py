@@ -117,8 +117,8 @@ def test_criterion_04_analytic_gradients_match_finite_differences():
         # central differences are only a valid oracle away from ReLU kinks
         if nn.relu_kink_margin(model, x, nn.Deterministic()) < 1e-3:
             continue
-        analytic = nn.backward(model, x, loss="entropy", mode=nn.Deterministic())
-        numeric = nn.finite_difference_gradients(model, x, loss="entropy", mode=nn.Deterministic())
+        analytic = nn.backward(model, x, mode=nn.Deterministic())
+        numeric = nn.finite_difference_gradients(model, x, mode=nn.Deterministic())
         worst = max(worst, nn.gradcheck_max_error(analytic, numeric))
         checked += 1
     elapsed = time.perf_counter() - t0

@@ -121,6 +121,15 @@ def test_verify_theorems_passes():
     assert cli.main(["verify-theorems"]) == 0
 
 
+def test_verify_theorems_seed_also_seeds_the_robust_sweep(capsys):
+    robust_rows = []
+    for seed in ("0", "1"):
+        assert cli.main(["verify-theorems", "--seed", seed]) == 0
+        out = capsys.readouterr().out
+        robust_rows.append(out[out.index("robust constructions"):])
+    assert robust_rows[0] != robust_rows[1]
+
+
 def test_gradcheck_passes():
     assert cli.main(["gradcheck"]) == 0
 
@@ -144,6 +153,13 @@ def test_sweep_writes_grid_csv(tmp_path):
     params = {line.split(",")[0] for line in lines[1:]}
     assert params == {"n_dropout", "alpha"}
     assert len(lines) == 1 + 5 + 6
+
+
+@pytest.mark.parametrize("flag", [["--scenario", "continual"], ["--collapse"]])
+def test_recover_demo_takes_no_scenario_flags(flag):
+    """The command always runs the collapse preset, so neither flag could take effect."""
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["recover-demo", *flag])
 
 
 def test_recover_demo_prints_both_policies(tmp_path, capsys):

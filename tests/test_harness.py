@@ -619,6 +619,24 @@ def test_config_from_dict_rejects_unknown_keys():
             harness.config_from_dict({section: {key: 1}})
 
 
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"batch_size": True}, "batch_size"),
+        ({"train_epochs": 2.5}, "train_epochs"),
+        ({"seeds": [0.5]}, "seeds"),
+        ({"estimator": {"n_dropout": 2.5}}, "n_dropout"),
+        ({"seeds": 3}, "seeds"),
+        ({"estimator": {"alpha": "3"}}, "alpha"),
+    ],
+)
+def test_config_values_of_the_wrong_json_type_are_rejected(data, key):
+    """Unchecked, a bool ran 1-row batches, a fraction failed every seed later,
+    and a scalar or string tuple raised a bare TypeError."""
+    with pytest.raises(harness.HarnessError, match=f"key '{key}' must be"):
+        harness.config_from_dict(data)
+
+
 def test_config_from_dict_accepts_partial_updates():
     config = harness.config_from_dict(
         {"seeds": [4, 5], "architecture": [32], "estimator": {"alpha": 1.5}}
@@ -628,3 +646,5 @@ def test_config_from_dict_accepts_partial_updates():
     assert config.estimator.alpha == 1.5
     assert config.estimator.n_dropout == 10
     assert config.batch_size == 64
+    # an integral float setting may be written without a fraction
+    assert harness.config_from_dict({"estimator": {"alpha": 3}}).estimator.alpha == 3.0

@@ -72,3 +72,15 @@ def test_harness_calls_each_traced_function_through_its_imported_name():
         assert name in imported, f"harness does not import {name} by name"
         assert name in called, f"harness does not call {name} through its bare name"
         assert name not in attributes, f"harness reaches {name} through a module attribute"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_a_name_from_nn(path):
+    """perfbench/tracing.py patches ``nn.forward``, ``nn.backward`` and the rest as
+    attributes of the ``nn`` module, so a name bound in another module by
+    ``from .nn import ...`` would skip the per-layer trace."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            assert (node.level, node.module) != (1, "nn") and node.module != "aetta.nn", (
+                f"{path.name} imports {[a.name for a in node.names]} from nn"
+            )

@@ -1,5 +1,6 @@
 """Engine tests: forward modes, losses, analytic gradients vs finite differences."""
 
+import inspect
 import math
 
 import numpy as np
@@ -122,10 +123,10 @@ class TestForward:
         nn.forward_logits(model, x, mode)
         nn.dropout_forwards(model, x, [3, 4])
         y = np.arange(rows) % model.class_count
-        nn.backward(model, x, loss="cross_entropy", labels=y, mode=mode)
+        nn.backward(model, x, labels=y, mode=mode)
         nn.input_gradient(model, x)
         if hidden:
-            nn.backward(model, x, loss="entropy", mode=mode, trainable="bn")
+            nn.backward(model, x, mode=mode, trainable="bn")
         assert x.tobytes() == before
 
     @given(
@@ -260,7 +261,7 @@ class TestLosses:
         assert_allclose(nn.entropy_loss(uniform), math.log(4.0), rtol=1e-15)
 
     def test_entropy_of_single_distribution(self):
-        assert_allclose(nn.entropy_of(np.array([0.25, 0.75])), -(0.25 * math.log(0.25) + 0.75 * math.log(0.75)), rtol=1e-15)
+        assert_allclose(nn.entropy_loss(np.array([[0.25, 0.75]])), -(0.25 * math.log(0.25) + 0.75 * math.log(0.75)), rtol=1e-15)
 
     def test_cross_entropy_frozen_value(self):
         p = np.array([[0.25, 0.75]])
@@ -289,8 +290,8 @@ class TestBackward:
     def test_entropy_gradients_match_finite_differences(self, mode):
         model = tiny_model(seed=2)
         x = kink_safe_batch(model, start_seed=3)
-        analytic = nn.backward(nn.clone(model), x, loss="entropy", mode=mode)
-        numeric = nn.finite_difference_gradients(model, x, loss="entropy", mode=mode)
+        analytic = nn.backward(nn.clone(model), x, mode=mode)
+        numeric = nn.finite_difference_gradients(model, x, mode=mode)
         assert nn.gradcheck_max_error(analytic, numeric) <= 1e-4
 
     @pytest.mark.parametrize("mode", ALL_MODES)
@@ -298,33 +299,67 @@ class TestBackward:
         model = tiny_model(seed=4)
         x = kink_safe_batch(model, start_seed=5)
         y = np.random.default_rng(6).integers(0, 3, size=x.shape[0])
-        analytic = nn.backward(nn.clone(model), x, loss="cross_entropy", labels=y, mode=mode)
-        numeric = nn.finite_difference_gradients(model, x, loss="cross_entropy", labels=y, mode=mode)
+        analytic = nn.backward(nn.clone(model), x, labels=y, mode=mode)
+        numeric = nn.finite_difference_gradients(model, x, labels=y, mode=mode)
         assert nn.gradcheck_max_error(analytic, numeric) <= 1e-4
 
     def test_bn_only_mask_limits_parameters(self):
         model = tiny_model()
-        grads = nn.backward(model, batch(), loss="entropy", mode=nn.TrainBN(), trainable="bn")
+        grads = nn.backward(model, batch(), mode=nn.TrainBN(), trainable="bn")
         assert set(grads) == set(nn.resolve_trainable(model, "bn"))
 
     def test_bn_only_gradients_match_finite_differences(self):
         model = tiny_model(seed=9)
         x = kink_safe_batch(model, start_seed=10)
-        analytic = nn.backward(nn.clone(model), x, loss="entropy", mode=nn.TrainBN(), trainable="bn")
-        numeric = nn.finite_difference_gradients(model, x, loss="entropy", mode=nn.TrainBN(), trainable="bn")
+        analytic = nn.backward(nn.clone(model), x, mode=nn.TrainBN(), trainable="bn")
+        numeric = nn.finite_difference_gradients(model, x, mode=nn.TrainBN(), trainable="bn")
         assert nn.gradcheck_max_error(analytic, numeric) <= 1e-4
 
     def test_matched_soft_targets_give_zero_logit_gradient(self):
-        """No learning signal when the output distribution equals the target one."""
-        uniform = np.full((4, 5), 0.2)
-        g = nn._cross_entropy_logit_grad(uniform, uniform)
+        """No learning signal when each row puts all its mass on its own label."""
+        labels = np.array([3, 0, 4, 1])
+        g = nn._cross_entropy_logit_grad(np.eye(5)[labels], labels)
         assert np.array_equal(g, np.zeros_like(g))
+
+    @given(seed=st.integers(0, 2**31 - 1), rows=st.integers(1, 12), k=st.integers(2, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_cross_entropy_logit_grad_is_bitwise_the_one_hot_difference(self, seed, rows, k):
+        """Subtracting 1 at each label is the one-hot difference, because p - 0.0 is p."""
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(k), size=rows)
+        y = rng.integers(0, k, size=rows)
+        assert_array_equal(nn._cross_entropy_logit_grad(p, y), (p - np.eye(k)[y]) / rows)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"labels": np.array([0, 1, 2, 3, 0, 1])},
+            {"labels": np.array([0, 1, -1, 2, 0, 1])},
+            {"labels": np.array([0, 1])},
+            {"trainable": "foo"},
+        ],
+        ids=["label-too-large", "label-negative", "label-count", "unknown-trainable"],
+    )
+    def test_rejected_call_leaves_running_statistics_untouched(self, kwargs):
+        """The labels and the trainable mask are checked before the TrainBN forward;
+        fancy indexing would otherwise wrap a label of -1 onto the last class."""
+        model = tiny_model()
+        before = state_bytes(model)
+        with pytest.raises(nn.EngineError):
+            nn.backward(model, batch(), mode=nn.TrainBN(), **kwargs)
+        assert state_bytes(model) == before
+
+    def test_oracle_takes_the_parameters_of_the_call_it_checks(self):
+        def parameters(fn):
+            return [(p.name, p.default) for p in inspect.signature(fn).parameters.values()]
+
+        assert parameters(nn.finite_difference_gradients) == parameters(nn.backward)
 
     def test_saturated_softmax_has_vanishing_entropy_gradient(self):
         model = tiny_model(seed=1)
         model.head.bias[...] = 0.0
         model.head.bias[0] = 40.0
-        grads = nn.backward(model, batch(), loss="entropy")
+        grads = nn.backward(model, batch())
         norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         assert norm < 1e-6
 
@@ -362,7 +397,7 @@ class TestBackward:
         next block's input anyway; the relu gate is read from that output."""
         model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
         x = np.random.default_rng(1).normal(size=(256, 16))
-        step = lambda: nn.backward(model, x, loss="entropy", mode=nn.TrainBN(), trainable="bn")
+        step = lambda: nn.backward(model, x, mode=nn.TrainBN(), trainable="bn")
         assert traced_peak(step) < 10 * 256 * 64 * 8
 
     @given(
@@ -378,7 +413,7 @@ class TestBackward:
         x = np.random.default_rng(seed).normal(size=(rows, 5))
         cache = nn._forward_cached(model, x, nn.Deterministic())
         labels = np.argmax(nn.forward(model, x), axis=1)
-        dlogits = nn._cross_entropy_logit_grad(cache.probs, nn._one_hot(labels, model.class_count))
+        dlogits = nn._cross_entropy_logit_grad(cache.probs, labels)
         wanted = set(nn.resolve_trainable(model, "all"))
         _, full = nn._backprop(model, cache, dlogits, wanted, False, True)
         assert_array_equal(nn.input_gradient(model, x), full)
@@ -406,7 +441,7 @@ class TestOptimizer:
     def test_zero_learning_rate_freezes_parameters(self):
         model = tiny_model()
         before = state_bytes(model)
-        grads = nn.backward(model, batch(), loss="entropy", mode=nn.Deterministic())
+        grads = nn.backward(model, batch(), mode=nn.Deterministic())
         nn.optimizer_step(model, grads, nn.OptimizerState(kind="adam", learning_rate=0.0))
         assert state_bytes(model) == before
 
@@ -464,7 +499,7 @@ class TestOptimizer:
     def test_adam_rejects_a_changed_parameter_set(self):
         model = tiny_model()
         state = nn.OptimizerState(kind="adam", learning_rate=0.01)
-        nn.optimizer_step(model, nn.backward(model, batch(), loss="entropy", trainable="bn"), state)
+        nn.optimizer_step(model, nn.backward(model, batch(), trainable="bn"), state)
         before = state_bytes(model)
         with pytest.raises(nn.EngineError):
             nn.optimizer_step(model, {"head.bias": np.ones(3)}, state)
@@ -520,7 +555,3 @@ class TestValidation:
         headless = nn.build_mlp(4, 3, hidden=(), seed=0)
         with pytest.raises(nn.EngineError):
             nn.resolve_trainable(headless, "bn")
-
-    def test_unknown_loss_rejected(self):
-        with pytest.raises(nn.EngineError):
-            nn.backward(tiny_model(), batch(), loss="hinge")

@@ -28,7 +28,7 @@ class TestTentStep:
             name: p.copy() for name, p in nn.named_parameters(model) if ".norm." not in name
         }
         for i in range(5):
-            tta.tent_step(model, make_batch(seed=i), cfg, opt)
+            tta.tent_step(model, make_batch(seed=i), opt)
         for name, p in nn.named_parameters(model):
             if ".norm." not in name:
                 assert np.array_equal(p, before[name]), name
@@ -37,7 +37,7 @@ class TestTentStep:
         model = make_model()
         cfg = tta.AdaptConfig(method="tent", learning_rate=0.01)
         gamma0 = model.blocks[0].norm.gamma.copy()
-        tta.tent_step(model, make_batch(), cfg, tta.make_optimizer(cfg))
+        tta.tent_step(model, make_batch(), tta.make_optimizer(cfg))
         assert not np.array_equal(model.blocks[0].norm.gamma, gamma0)
 
     def test_zero_learning_rate_still_refreshes_stats(self):
@@ -45,7 +45,7 @@ class TestTentStep:
         cfg = tta.AdaptConfig(method="tent", learning_rate=0.0)
         gamma0 = model.blocks[0].norm.gamma.copy()
         rm0 = model.blocks[0].norm.running_mean.copy()
-        tta.tent_step(model, make_batch(), cfg, tta.make_optimizer(cfg))
+        tta.tent_step(model, make_batch(), tta.make_optimizer(cfg))
         assert np.array_equal(model.blocks[0].norm.gamma, gamma0)
         assert not np.array_equal(model.blocks[0].norm.running_mean, rm0)
 
@@ -56,15 +56,15 @@ class TestTentStep:
             model = make_model(seed=seed)
             x = make_batch(seed=seed + 50)
             before = nn.entropy_loss(nn.forward(nn.clone(model), x, nn.TrainBN()))
-            tta.tent_step(model, x, cfg, tta.make_optimizer(cfg))
+            tta.tent_step(model, x, tta.make_optimizer(cfg))
             after = nn.entropy_loss(nn.forward(nn.clone(model), x, nn.TrainBN()))
             assert after <= before + 1e-12, f"seed {seed}: {before} -> {after}"
 
     def test_headless_model_rejected(self):
         model = nn.build_mlp(6, 4, hidden=(), seed=0)
         cfg = tta.AdaptConfig(method="tent")
-        with pytest.raises(tta.AdaptationError):
-            tta.tent_step(model, make_batch(), cfg, tta.make_optimizer(cfg))
+        with pytest.raises(nn.EngineError):
+            tta.tent_step(model, make_batch(), tta.make_optimizer(cfg))
         with pytest.raises(tta.AdaptationError):
             tta.bn_stats_step(model, make_batch())
 
@@ -147,7 +147,7 @@ class TestApplyReset:
         cfg = tta.AdaptConfig(method="tent", learning_rate=0.05)
         opt = tta.make_optimizer(cfg)
         for i in range(10):
-            tta.tent_step(model, make_batch(seed=i), cfg, opt)
+            tta.tent_step(model, make_batch(seed=i), opt)
         x = make_batch(seed=99)
         assert not np.array_equal(nn.forward(model, x), nn.forward(source, x))
         opt = tta.apply_reset(model, opt, source)
@@ -159,7 +159,7 @@ class TestApplyReset:
         source = nn.clone(model)
         cfg = tta.AdaptConfig(method="tent", learning_rate=0.01)
         opt = tta.make_optimizer(cfg)
-        tta.tent_step(model, make_batch(), cfg, opt)
+        tta.tent_step(model, make_batch(), opt)
         assert opt.step == 1 and opt.m is not None
         opt = tta.apply_reset(model, opt, source)
         assert opt.step == 0 and opt.m is None and opt.v is None

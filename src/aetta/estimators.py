@@ -44,6 +44,8 @@ class AettaConfig:
             raise EstimatorError("n_dropout must be at least 1")
         if self.alpha < 0:
             raise EstimatorError("alpha must be non-negative")
+        if self.base_seed < 0:
+            raise EstimatorError(f"base_seed must be non-negative, not {self.base_seed}")
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise HarnessError(f"unknown scenario {self.scenario!r}")
         if not self.seeds:
             raise HarnessError("need at least one seed")
+        if any(seed < 0 for seed in self.seeds):
+            raise HarnessError(f"seeds must be non-negative, not {self.seeds}")
         unknown = [e for e in self.estimators_enabled if e not in ESTIMATOR_NAMES]
         if unknown:
             raise HarnessError(f"unknown estimators {unknown}")

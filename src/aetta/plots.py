@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 _WIDTH = 720
 _HEIGHT = 360
@@ -11,6 +10,12 @@ _MARGIN_LEFT = 56
 _MARGIN_RIGHT = 16
 _MARGIN_TOP = 28
 _MARGIN_BOTTOM = 40
+
+
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as XML entities, ``&`` first: ``xml.sax.saxutils.escape``
+    without the import, which loads ``urllib.request`` and the network stack behind it."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _x(t: int, n: int) -> float:
@@ -45,7 +50,7 @@ def accuracy_trace_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_MARGIN_LEFT}" y="18" font-family="sans-serif" font-size="13">{escape(title)}</text>',
+        f'<text x="{_MARGIN_LEFT}" y="18" font-family="sans-serif" font-size="13">{_escape(title)}</text>',
     ]
     # y grid at 0, 0.25, ..., 1.0
     for i in range(5):

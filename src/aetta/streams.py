@@ -67,6 +67,8 @@ class DatasetSpec:
             raise StreamError("samples_per_class must be at least 5")
         if self.cluster_separation <= 0:
             raise StreamError("cluster_separation must be positive")
+        if self.seed < 0:
+            raise StreamError(f"seed must be non-negative, not {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -161,6 +163,8 @@ class CorruptionSpec:
             raise StreamError(f"unknown corruption kind {self.kind!r}")
         if not isinstance(self.severity, int) or not 0 <= self.severity <= 5:
             raise StreamError("severity must be an integer in 0..5")
+        if self.seed < 0:
+            raise StreamError(f"seed must be non-negative, not {self.seed}")
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -335,11 +339,19 @@ def prepared_task(
     Training is deterministic, so serving from cache is indistinguishable from
     recomputing. The trained model is the task's checkpoint, handed out with its
     arrays made read-only, so a write into it raises; callers that adapt a model
-    adapt a clone of it.
+    adapt a clone of it. The dataset depends on ``spec`` alone, so every cached
+    task of one spec shares the same ``train`` and ``holdout`` splits, whatever
+    its architecture, epochs or seed; their arrays are read-only too.
     """
     key = (spec, tuple(architecture), epochs, train_seed)
     if key not in _TASK_CACHE:
-        train, holdout = make_source_dataset(spec)
+        same_data = next((task for (s, *_), task in _TASK_CACHE.items() if s == spec), None)
+        if same_data is None:
+            train, holdout = make_source_dataset(spec)
+            for arr in (train.features, train.labels, holdout.features, holdout.labels):
+                arr.flags.writeable = False
+        else:
+            train, holdout = same_data.train, same_data.holdout
         checkpoint = train_source_model(train, architecture=architecture, epochs=epochs, seed=train_seed)
         for _, arr in nn.named_state(checkpoint):
             arr.flags.writeable = False

@@ -175,6 +175,10 @@ class TestAettaEstimate:
         with pytest.raises(est.EstimatorError):
             est.AettaConfig(alpha=-1.0)
 
+    def test_negative_base_seed_is_rejected(self):
+        with pytest.raises(est.EstimatorError, match="base_seed"):
+            est.AettaConfig(base_seed=-1)
+
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 0.99))
     @settings(max_examples=50, deadline=None)
     def test_smoothing_stays_between_inputs(self, prev, raw, c):

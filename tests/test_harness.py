@@ -454,6 +454,18 @@ def test_reset_markers_and_title_survive_in_svg(tmp_path):
     assert root.attrib["width"] == "720"
 
 
+def test_trace_title_is_escaped_as_saxutils_escapes_it(tmp_path):
+    from xml.sax.saxutils import escape  # the test may load it; the package must not
+
+    title = """a & b < c > d "e" 'f'"""
+    path = tmp_path / "t.svg"
+    plots.accuracy_trace_svg([0.9, 0.2], [0.8, 0.3], [], title, path)
+    assert f'font-size="13">{escape(title)}</text>' in path.read_text()
+    ns = "{http://www.w3.org/2000/svg}"
+    texts = [el.text for el in ET.parse(path).getroot().iter(f"{ns}text")]
+    assert texts[0] == title
+
+
 def test_srcvalid_tracks_true_accuracy_without_shift_or_adaptation():
     config = tiny_config(
         fully_corruption=CorruptionSpec(kind="gaussian_noise", severity=0, seed=5),
@@ -549,6 +561,16 @@ def test_fully_only_settings_are_rejected_in_other_scenarios(scenario, setting):
     with pytest.raises(harness.HarnessError, match="n_batches and fully_corruption") as info:
         harness.config_from_dict({**setting, "scenario": scenario})
     assert repr(scenario) in str(info.value)
+
+
+def test_negative_experiment_seeds_are_rejected():
+    """numpy refuses a negative seed only inside the run, so one would fail its
+    seed late, and a list of only negative seeds would end in "all seeds failed"."""
+    for seeds in [(-1, 0), (-3,)]:
+        with pytest.raises(harness.HarnessError, match="seeds"):
+            harness.ExperimentConfig(seeds=seeds)
+    with pytest.raises(harness.HarnessError, match="seeds"):
+        harness.config_from_dict({"seeds": [0, -2]})
 
 
 def test_malformed_source_settings_are_rejected():

@@ -1,6 +1,9 @@
 """The package's import graph: the low-level modules stay independent of the driver."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +87,22 @@ def test_no_module_imports_a_name_from_nn(path):
             assert (node.level, node.module) != (1, "nn") and node.module != "aetta.nn", (
                 f"{path.name} imports {[a.name for a in node.names]} from nn"
             )
+
+
+# what ``xml.sax.saxutils`` drags in through ``urllib.request``; ``urllib`` itself
+# is left off, because ``pathlib`` imports ``urllib.parse``
+NETWORK_MODULES = ("ssl", "socket", "http.client", "email", "urllib.request", "xml.sax")
+
+
+def test_cli_and_a_trace_plot_load_no_network_stack(tmp_path):
+    script = (
+        "import sys\n"
+        "import aetta.cli\n"
+        "from aetta import plots\n"
+        f"plots.accuracy_trace_svg([0.9, 0.2], [0.8, 0.3], [1], 'a & b', {str(tmp_path / 't.svg')!r})\n"
+        f"print(sorted(m for m in {NETWORK_MODULES!r} if m in sys.modules))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -52,6 +52,10 @@ class TestDataset:
         with pytest.raises(streams.StreamError):
             streams.DatasetSpec(cluster_separation=0.0)
 
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(streams.StreamError, match="seed"):
+            streams.DatasetSpec(seed=-1)
+
     def test_means_are_orthogonal_when_dims_allow(self):
         spec = small_spec(cluster_separation=2.0)
         m = streams.class_means(spec)
@@ -130,6 +134,28 @@ class TestPreparedTask:
         copy = nn.clone(task.checkpoint)
         assert all(arr.flags.writeable for _, arr in nn.named_state(copy))
         copy.head.bias[0] = 1.0
+
+    def test_one_spec_shares_one_read_only_dataset(self, monkeypatch):
+        """Seeds of one spec train on the same split objects, and the pinned
+        weights come out of them unchanged."""
+        monkeypatch.setattr(streams, "_TASK_CACHE", {})
+        spec = streams.DatasetSpec()
+        tasks = {seed: streams.prepared_task(spec, (64, 64), epochs=2, train_seed=seed) for seed in PINNED_WEIGHTS}
+        first, second = tasks.values()
+        assert second.train is first.train and second.holdout is first.holdout
+        for split in (first.train, first.holdout):
+            for arr in (split.features, split.labels):
+                with pytest.raises(ValueError):
+                    arr[0] = 1
+        for seed, task in tasks.items():
+            assert hashlib.sha256(state_bytes(task.checkpoint)).hexdigest() == PINNED_WEIGHTS[seed]
+        other = streams.prepared_task(small_spec(), (8,), epochs=0, train_seed=0)
+        assert other.train is not first.train and other.holdout is not first.holdout
+        # an emptied cache drops the data too, so the next call builds it again
+        streams._TASK_CACHE.clear()
+        cold = streams.prepared_task(spec, (64, 64), epochs=2, train_seed=0)
+        assert cold.train is not first.train
+        assert np.array_equal(cold.train.features, first.train.features)
 
     def test_reset_from_the_read_only_checkpoint_is_bitwise(self):
         task = self.task()
@@ -260,6 +286,10 @@ class TestCorrupt:
             streams.CorruptionSpec(kind="rotation", severity=6)
         with pytest.raises(streams.StreamError):
             streams.corrupt(np.zeros((0, 3)), streams.CorruptionSpec(kind="rotation", severity=1))
+
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(streams.StreamError, match="seed"):
+            streams.CorruptionSpec(kind="rotation", severity=1, seed=-1)
 
     def test_source_model_degrades_monotonically_with_noise(self):
         """Frozen empirical gate: severity tracks accuracy, one inversion tolerated."""

@@ -31,6 +31,8 @@ class EstimatorError(ValueError):
 
 EMA_COEFFICIENT = 0.9  # AETTA's weight on the previous smoothed error
 ENTROPY_FLOOR = 1e-8  # keeps the robust weight finite on a fully collapsed aggregate
+SOFTMAX_TEMPERATURE = 2.0  # divides the logits before the softmax baseline's max probability
+ADV_EPSILON = 1.0 / 255.0  # AdvPerturb's nominal step, in units of ``feature_scale``
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,8 @@ class AettaConfig:
     def __post_init__(self) -> None:
         if self.n_dropout < 1:
             raise EstimatorError("n_dropout must be at least 1")
-        if self.alpha < 0:
-            raise EstimatorError("alpha must be non-negative")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise EstimatorError(f"alpha must be finite and >= 0, not {self.alpha}")
         if self.base_seed < 0:
             raise EstimatorError(f"base_seed must be non-negative, not {self.base_seed}")
 
@@ -136,11 +138,9 @@ def aetta_estimate(
 # ---------------------------------------------------------------------------
 
 
-def softmax_score(logits: np.ndarray, temperature: float = 2.0) -> float:
-    """Mean max softmax probability after temperature scaling of the logits."""
-    if temperature <= 0:
-        raise EstimatorError("temperature must be positive")
-    probs = nn.softmax(logits / temperature)
+def softmax_score(logits: np.ndarray) -> float:
+    """Mean max softmax probability of the logits over ``SOFTMAX_TEMPERATURE``."""
+    probs = nn.softmax(logits / SOFTMAX_TEMPERATURE)
     return float(probs.max(axis=1).mean())
 
 
@@ -162,20 +162,17 @@ def adv_perturb_agreement(
     source_model: nn.MlpModel,
     adapted_model: nn.MlpModel,
     x: np.ndarray,
-    epsilon: float = 1.0 / 255.0,
-    feature_scale: float | np.ndarray = 1.0,
+    feature_scale: float | np.ndarray,
 ) -> float:
     """Prediction agreement after a gradient-sign nudge away from the source labels.
 
     The perturbation direction comes from the frozen source model's own
     predictions, so no stream labels are involved. ``feature_scale`` maps the
-    nominal step onto each input dimension's natural range.
+    nominal step ``ADV_EPSILON`` onto each input dimension's natural range.
     """
-    if epsilon < 0:
-        raise EstimatorError("epsilon must be non-negative")
     x = np.asarray(x, dtype=np.float64)
     grad = nn.input_gradient(source_model, x)
-    x_adv = x + epsilon * np.asarray(feature_scale, dtype=np.float64) * np.sign(grad)
+    x_adv = x + ADV_EPSILON * np.asarray(feature_scale, dtype=np.float64) * np.sign(grad)
     adapted = predicted_labels(nn.forward(adapted_model, x_adv, nn.Deterministic()))
     source = predicted_labels(nn.forward(source_model, x_adv, nn.Deterministic()))
     return float(np.mean(adapted == source))

@@ -97,6 +97,9 @@ class ExperimentConfig:
             raise HarnessError("need at least one seed")
         if any(seed < 0 for seed in self.seeds):
             raise HarnessError(f"seeds must be non-negative, not {self.seeds}")
+        repeated = sorted({seed for seed in self.seeds if self.seeds.count(seed) > 1})
+        if repeated:
+            raise HarnessError(f"seeds {repeated} repeat in {self.seeds}")
         unknown = [e for e in self.estimators_enabled if e not in ESTIMATOR_NAMES]
         if unknown:
             raise HarnessError(f"unknown estimators {unknown}")

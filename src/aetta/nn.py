@@ -98,18 +98,6 @@ class HiddenBlock:
     norm: BatchNormLayer
 
 
-@dataclass(frozen=True)
-class DropoutSpec:
-    """Per-hidden-block dropout rates, each in [0, 1)."""
-
-    rates: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        for r in self.rates:
-            if not 0.0 <= r < 1.0:
-                raise EngineError(f"dropout rate {r} outside [0, 1)")
-
-
 def default_dropout_rate(class_count: int) -> float:
     """Wider heads get lighter dropout; tuned per output-space size."""
     if class_count <= 10:
@@ -123,11 +111,11 @@ def default_dropout_rate(class_count: int) -> float:
 class MlpModel:
     blocks: list[HiddenBlock]
     head: DenseLayer
-    dropout: DropoutSpec
+    dropout_rate: float  # after every hidden activation in a Dropout forward
 
     def __post_init__(self) -> None:
-        if len(self.dropout.rates) != len(self.blocks):
-            raise EngineError("need exactly one dropout rate per hidden block")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise EngineError(f"dropout rate {self.dropout_rate} outside [0, 1)")
         if self.class_count < 2:
             raise EngineError("need at least two classes")
 
@@ -146,15 +134,13 @@ def build_mlp(
     input_dim: int,
     class_count: int,
     hidden: tuple[int, ...],
-    dropout_rates: tuple[float, ...] | None = None,
     seed: int = 0,
 ) -> MlpModel:
-    """He-initialised MLP; BN starts at identity (gamma 1, beta 0)."""
+    """He-initialised MLP; BN starts at identity (gamma 1, beta 0). Every hidden
+    block drops at the model's one rate, ``default_dropout_rate(class_count)``."""
     if input_dim < 1:
         raise EngineError("input_dim must be positive")
     rng = np.random.default_rng(seed)
-    if dropout_rates is None:
-        dropout_rates = tuple(default_dropout_rate(class_count) for _ in hidden)
     blocks: list[HiddenBlock] = []
     fan_in = input_dim
     for width in hidden:
@@ -175,7 +161,7 @@ def build_mlp(
         weights=rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, class_count)),
         bias=np.zeros(class_count),
     )
-    return MlpModel(blocks=blocks, head=head, dropout=DropoutSpec(tuple(dropout_rates)))
+    return MlpModel(blocks=blocks, head=head, dropout_rate=default_dropout_rate(class_count))
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +339,9 @@ def _forward_cached(model: MlpModel, x: np.ndarray, mode: ForwardMode) -> _Forwa
     train_bn = isinstance(mode, TrainBN)
     caches: list[_BlockCache] = []
     h = x
-    for blk, rate in zip(model.blocks, model.dropout.rates):
+    for blk in model.blocks:
         act, xhat, inv_std = _block(blk, h, train_bn, keep_xhat=True)
-        act, mask = _dropout(act, rate, rng)
+        act, mask = _dropout(act, model.dropout_rate, rng)
         caches.append(_BlockCache(x_in=h, xhat=xhat, inv_std=inv_std, out=act, mask=mask))
         h = act
     logits = _head(model, h)
@@ -366,8 +352,8 @@ def _logits_from(
     model: MlpModel, h: np.ndarray, rng: np.random.Generator | None, train_bn: bool, start: int
 ) -> np.ndarray:
     """Logits from the input ``h`` of block ``start`` on, keeping only the current activation."""
-    for blk, rate in zip(model.blocks[start:], model.dropout.rates[start:]):
-        h, _ = _dropout(_block(blk, h, train_bn)[0], rate, rng)
+    for blk in model.blocks[start:]:
+        h, _ = _dropout(_block(blk, h, train_bn)[0], model.dropout_rate, rng)
     return _head(model, h)
 
 
@@ -411,7 +397,7 @@ def dropout_forwards(model: MlpModel, x: np.ndarray, seeds: Sequence[int]) -> np
     shared = _block(model.blocks[0], x, False)[0] if model.blocks else x
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        h = _dropout(shared, model.dropout.rates[0], rng, in_place=False)[0] if model.blocks else x
+        h = _dropout(shared, model.dropout_rate, rng, in_place=False)[0] if model.blocks else x
         softmax(_logits_from(model, h, rng, False, 1), out=probs[i])
     return probs
 
@@ -521,10 +507,9 @@ def _backprop(
     for i in reversed(range(len(model.blocks))):
         blk = model.blocks[i]
         bc = cache.blocks[i]
-        rate = model.dropout.rates[i]
         if bc.mask is not None:
             dh *= bc.mask
-            dh /= 1.0 - rate
+            dh /= 1.0 - model.dropout_rate
         dh *= bc.out > 0.0
         if f"blocks.{i}.norm.gamma" in wanted:
             grads[f"blocks.{i}.norm.gamma"] = (dh * bc.xhat).sum(axis=0)

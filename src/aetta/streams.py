@@ -65,8 +65,8 @@ class DatasetSpec:
             raise StreamError("input_dim must be at least 2")
         if self.samples_per_class < 5:
             raise StreamError("samples_per_class must be at least 5")
-        if self.cluster_separation <= 0:
-            raise StreamError("cluster_separation must be positive")
+        if not (math.isfinite(self.cluster_separation) and self.cluster_separation > 0):
+            raise StreamError(f"cluster_separation must be finite and > 0, not {self.cluster_separation}")
         if self.seed < 0:
             raise StreamError(f"seed must be non-negative, not {self.seed}")
 
@@ -248,7 +248,6 @@ class StreamBatch:
     corruption_id: str
     severity: int
     batch_index: int
-    segment_index: int
     at_boundary: bool
 
 
@@ -305,7 +304,6 @@ def _batches(
                 corruption_id=corruption.kind,
                 severity=corruption.severity,
                 batch_index=t,
-                segment_index=seg_idx,
                 at_boundary=j == 0,
             )
             t += 1

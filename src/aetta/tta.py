@@ -11,6 +11,7 @@ a random sprinkle of scalars.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -40,8 +41,8 @@ class AdaptConfig:
     def __post_init__(self) -> None:
         if self.method not in ADAPT_METHODS:
             raise AdaptationError(f"unknown adaptation method {self.method!r}")
-        if self.learning_rate < 0:
-            raise AdaptationError("learning_rate must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise AdaptationError(f"learning_rate must be finite and >= 0, not {self.learning_rate}")
         if self.optimizer not in ("adam", "sgd"):
             raise AdaptationError(f"unknown optimizer {self.optimizer!r}")
 
@@ -88,8 +89,8 @@ class RecoveryPolicy:
             raise AdaptationError("window must be at least 1")
         if not 0.0 <= self.hard_threshold <= 1.0:
             raise AdaptationError("hard_threshold must lie in [0, 1]")
-        if self.mrs_threshold < 0:
-            raise AdaptationError("mrs_threshold must be non-negative")
+        if not (math.isfinite(self.mrs_threshold) and self.mrs_threshold >= 0):
+            raise AdaptationError(f"mrs_threshold must be finite and >= 0, not {self.mrs_threshold}")
         if not 0.0 <= self.restore_prob <= 1.0:
             raise AdaptationError("restore_prob must lie in [0, 1]")
 

@@ -117,6 +117,36 @@ def test_broken_config_exits_nonzero(tmp_path):
     assert cli.main(["run", "--config", str(path)]) == 1
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "update, flags, field",
+    [
+        ({"adaptation": {"learning_rate": NAN}}, [], "learning_rate"),
+        ({"estimator": {"alpha": NAN}}, [], "alpha"),
+        ({"estimator": {"alpha": INF}}, [], "alpha"),
+        ({"recovery": {"kind": "mrs", "mrs_threshold": NAN}}, [], "mrs_threshold"),
+        ({"dataset": {"cluster_separation": NAN}}, [], "cluster_separation"),
+        ({}, ["--alpha", "nan"], "alpha"),
+        ({}, ["--alpha", "inf"], "alpha"),
+    ],
+    ids=["lr-nan", "alpha-nan", "alpha-inf", "mrs-nan", "separation-nan", "flag-alpha-nan", "flag-alpha-inf"],
+)
+def test_non_finite_float_settings_are_rejected(tmp_path, caplog, update, flags, field):
+    """json reads NaN and Infinity and argparse's float reads nan and inf; a
+    non-finite setting passes a bare range check and would run to NaN estimates,
+    a pinned AETTA, an MRS reset that never fires, or a failure in every seed."""
+    cfg = tiny_config_dict()
+    for section, values in update.items():
+        cfg[section] = {**cfg.get(section, {}), **values}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), *flags, "--out", str(tmp_path / "out")]) == 1
+    assert f"{field} must be finite" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_theorems_passes():
     assert cli.main(["verify-theorems"]) == 0
 

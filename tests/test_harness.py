@@ -573,6 +573,15 @@ def test_negative_experiment_seeds_are_rejected():
         harness.config_from_dict({"seeds": [0, -2]})
 
 
+def test_repeated_seeds_are_rejected():
+    """A repeated seed would run twice and report an mae_std of 0 across one seed."""
+    with pytest.raises(harness.HarnessError, match=r"seeds \[0\] repeat"):
+        harness.ExperimentConfig(seeds=(0, 0))
+    with pytest.raises(harness.HarnessError, match=r"seeds \[1, 3\] repeat"):
+        harness.config_from_dict({"seeds": [3, 1, 2, 3, 1]})
+    assert harness.ExperimentConfig(seeds=(2, 0, 1)).seeds == (2, 0, 1)
+
+
 def test_malformed_source_settings_are_rejected():
     """A negative epoch count would skip training and the accuracy gate alike,
     and a zero-width block fails every seed inside build_mlp."""

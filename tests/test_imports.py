@@ -1,9 +1,13 @@
-"""The package's import graph: the low-level modules stay independent of the driver."""
+"""The package's import graph: the low-level modules stay independent of the driver,
+and the constants the README quotes are the package's own."""
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -106,3 +110,18 @@ def test_cli_and_a_trace_plot_load_no_network_stack(tmp_path):
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+# a README pair such as `nn.BN_EPS` (1e-5); the name and its value may wrap onto two lines
+README_CONSTANT = re.compile(r"`(\w+)\.([A-Z][A-Z0-9_]*)`\s+\(([0-9./e+-]+)")
+
+
+def test_readme_constants_match_the_package():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    pairs = README_CONSTANT.findall(text)
+    assert pairs, "the README quotes no `module.NAME` (value) constants"
+    for module, name, value in pairs:
+        numerator, _, denominator = value.partition("/")
+        expected = float(Fraction(int(numerator), int(denominator))) if denominator else float(value)
+        actual = getattr(importlib.import_module(f"aetta.{module}"), name)
+        assert actual == expected, f"README says {module}.{name} is {value}, the package has {actual!r}"

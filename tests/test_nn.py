@@ -1,5 +1,6 @@
 """Engine tests: forward modes, losses, analytic gradients vs finite differences."""
 
+import dataclasses
 import inspect
 import math
 
@@ -12,8 +13,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 from aetta import nn
 
 
-def tiny_model(seed=0, input_dim=5, hidden=(8, 8), class_count=3, rates=None):
-    return nn.build_mlp(input_dim, class_count, hidden=hidden, dropout_rates=rates, seed=seed)
+def tiny_model(seed=0, input_dim=5, hidden=(8, 8), class_count=3, rate=None):
+    model = nn.build_mlp(input_dim, class_count, hidden=hidden, seed=seed)
+    return model if rate is None else dataclasses.replace(model, dropout_rate=rate)
 
 
 def state_bytes(model):
@@ -57,7 +59,7 @@ class TestForward:
                 )
             ],
             head=nn.DenseLayer(np.array([[0.6, -0.3], [-0.2, 0.5]]), np.array([0.01, -0.02])),
-            dropout=nn.DropoutSpec((0.0,)),
+            dropout_rate=0.0,
         )
         x = np.array([[1.0, 2.0]])
         z0 = 1.0 * 0.1 + 2.0 * 0.3 + 0.05
@@ -78,7 +80,7 @@ class TestForward:
         assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_zero_rate_dropout_is_bitwise_deterministic(self):
-        model = tiny_model(rates=(0.0, 0.0))
+        model = tiny_model(rate=0.0)
         x = batch()
         det = nn.forward(model, x, nn.Deterministic())
         drop = nn.forward(model, x, nn.Dropout(seed=123))
@@ -133,17 +135,16 @@ class TestForward:
         seed=st.integers(0, 2**31 - 1),
         rows=st.integers(1, 12),
         hidden=st.sampled_from([(), (8,), (8, 8), (8, 8, 8)]),
-        zero_rate_block=st.sampled_from([None, 0, 1, 2]),
+        rate=st.sampled_from([0.0, 0.4]),
         seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
     )
-    @example(seed=1, rows=5, hidden=(8, 8, 8), zero_rate_block=0, seeds=[0, 1, 2])
-    @example(seed=2, rows=1, hidden=(8, 8, 8), zero_rate_block=2, seeds=[5, 5])
+    @example(seed=1, rows=5, hidden=(8, 8, 8), rate=0.0, seeds=[0, 1, 2])
+    @example(seed=2, rows=1, hidden=(8, 8, 8), rate=0.4, seeds=[5, 5])
     @settings(max_examples=60, deadline=None)
-    def test_inference_matches_cached_forward_bitwise(self, seed, rows, hidden, zero_rate_block, seeds):
+    def test_inference_matches_cached_forward_bitwise(self, seed, rows, hidden, rate, seeds):
         """The forwards that keep nothing, and the ensemble that shares block 0,
         give exactly the bits of the forward that keeps backward's cache."""
-        rates = tuple(0.0 if i == zero_rate_block else 0.4 for i in range(len(hidden)))
-        model = tiny_model(seed=seed % 1000, hidden=hidden, rates=rates)
+        model = tiny_model(seed=seed % 1000, hidden=hidden, rate=rate)
         x = np.random.default_rng(seed).normal(size=(rows, 5))
         for mode in (nn.Deterministic(), nn.Dropout(seed=seeds[0])):
             cache = nn._forward_cached(model, x, mode)
@@ -229,7 +230,7 @@ class TestBatchNorm:
 class TestDropout:
     def test_inverted_scaling_matches_expectation(self):
         """Mean post-dropout activation over many seeds ~ deterministic activation."""
-        model = tiny_model(hidden=(8,), input_dim=4, rates=(0.4,))
+        model = tiny_model(hidden=(8,), input_dim=4, rate=0.4)
         x = batch(rows=4, cols=4)
         # with one hidden block the head input is that block's post-dropout activation
         det = nn._forward_cached(model, x, nn.Deterministic()).head_in
@@ -243,9 +244,9 @@ class TestDropout:
 
     def test_rate_validation(self):
         with pytest.raises(nn.EngineError):
-            nn.DropoutSpec((1.0,))
+            tiny_model(rate=1.0)
         with pytest.raises(nn.EngineError):
-            nn.DropoutSpec((-0.1,))
+            tiny_model(rate=-0.1)
 
     def test_default_rates_by_class_count(self):
         assert nn.default_dropout_rate(10) == 0.4

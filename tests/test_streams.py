@@ -308,13 +308,16 @@ class TestCorrupt:
 
 def stream_digest(stream):
     """sha256 over each batch's features, hidden labels, corruption, severity,
-    index, segment and boundary flag, in stream order."""
+    index, segment and boundary flag, in stream order. The segment is counted
+    from the boundary flags."""
     h = hashlib.sha256()
+    segment = -1
     for b in stream:
+        segment += b.at_boundary
         h.update(repr((b.features.shape, b.features.dtype.str, b.hidden_labels.dtype.str)).encode())
         h.update(b.features.tobytes())
         h.update(b.hidden_labels.tobytes())
-        h.update(repr((b.corruption_id, b.severity, b.batch_index, b.segment_index, b.at_boundary)).encode())
+        h.update(repr((b.corruption_id, b.severity, b.batch_index, segment, b.at_boundary)).encode())
     return h.hexdigest()
 
 

@@ -79,14 +79,6 @@ def pdd(base_labels: np.ndarray, ensemble_labels: np.ndarray) -> float:
     return float(np.mean(ens != base[None, :]))
 
 
-def batch_aggregate(ensemble_probs: np.ndarray) -> np.ndarray:
-    """Single distribution: mean over dropout inferences and batch rows."""
-    p = np.asarray(ensemble_probs)
-    if p.ndim != 3 or p.shape[0] == 0 or p.shape[1] == 0:
-        raise EstimatorError("expected non-empty (n, batch, K) probabilities")
-    return p.mean(axis=(0, 1))
-
-
 def robust_weight(e_avg: float, class_count: int, alpha: float) -> float:
     """(e_avg / ln K) ** -alpha, with e_avg floored away from zero.
 
@@ -115,11 +107,28 @@ def aetta_estimate(
 
     ``base_labels`` are the deterministic predictions of ``model`` on ``x``, and
     ``ema_error`` is the previous batch's ``smoothed_error`` (None on the first).
+
+    The dropout members are reduced one at a time, so the working memory does
+    not grow with ``n_dropout``. Each member adds its count of flipped labels,
+    which is exact, so the PDD is bitwise ``pdd`` of the stacked labels. It also
+    copies its probabilities into rows 1.. of a (batch + 1, K) buffer whose row
+    0 carries the running sum. numpy reduces a C-contiguous array over its
+    leading axes row by row, so ``e_avg`` is bitwise that of the mean over an
+    (n, batch, K) stack of the members.
     """
-    seeds = range(config.base_seed, config.base_seed + config.n_dropout)
-    ens_probs = nn.dropout_forwards(model, x, seeds)
-    disagreement = pdd(base_labels, predicted_labels(ens_probs))
-    e_avg = nn.entropy_loss(batch_aggregate(ens_probs)[None])
+    base = np.asarray(base_labels)
+    n, rows = config.n_dropout, np.shape(x)[0]
+    if base.shape != (rows,):
+        raise EstimatorError("base_labels must be one label per row of x")
+    flips = 0
+    total = np.zeros((rows + 1, model.class_count))
+    seeds = range(config.base_seed, config.base_seed + n)
+    for member in nn.dropout_forwards(model, x, seeds):
+        flips += int(np.count_nonzero(predicted_labels(member) != base))
+        total[1:] = member
+        total[0] = np.add.reduce(total, axis=0)
+    disagreement = flips / (n * rows)
+    e_avg = nn.entropy_loss((total[0] / (n * rows))[None])
     b = robust_weight(e_avg, model.class_count, config.alpha)
     raw_error = b * disagreement
     # a non-finite model reads as wholly wrong, which keeps the EMA and the reset window finite

@@ -10,11 +10,14 @@ allocated, with the plain expressions' operations in the same order (IEEE
 multiplication commutes, so ``z *= gamma`` is ``gamma * z``): every result is
 bitwise that of the plain code. They never write into the caller's input, into
 the block-0 activation ``dropout_forwards`` shares between its seeds, or into an
-array once backward's cache holds it. An inference forward allocates one
-(rows, width) array per block, its activation; ``_forward_cached``, which
-``backward`` replays, also keeps each block's input, ``xhat`` and dropout mask.
+array while backward's cache holds it. An inference forward allocates one
+(rows, width) array per block, its activation. ``_forward_cached``, which
+``backward`` replays, keeps per block ``xhat``, ``inv_std``, the dropout mask
+and a bool relu gate; it keeps each block's input and the head input only when
+a dense or head weight gradient needs them. ``_backprop`` consumes the cache,
+dropping each block's entry once it is used.
 
-Backward gates the relu with the cached block output, ``out > 0``, which equals
+The relu gate is ``out > 0`` on the block output after dropout, which equals
 ``gamma * xhat + beta > 0``: a dropped unit reads 0, but its upstream gradient
 was already multiplied by the same mask, and a kept one is only scaled by
 ``1 / (1 - rate) >= 1``.
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -234,23 +237,23 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 class _BlockCache:
     """What backward reads of one hidden block.
 
-    ``out`` is the block output after relu and dropout. It is the next block's
-    ``x_in`` or the head input, so keeping it costs no array, and ``out > 0`` is
-    the relu gate (see the module docstring). ``gamma * xhat + beta``, the
-    pre-relu value, is not kept.
+    ``gate`` is the relu gate, ``out > 0`` on the block output after dropout (see
+    the module docstring), so neither the float output nor the pre-relu value
+    ``gamma * xhat + beta`` is kept. ``x_in`` is None unless the dense weight
+    gradient is wanted. ``_backprop`` pops the entry once it has used it.
     """
 
-    x_in: np.ndarray
+    x_in: np.ndarray | None
     xhat: np.ndarray
     inv_std: np.ndarray  # 1/sqrt(var + eps), batch or running depending on mode
-    out: np.ndarray
+    gate: np.ndarray  # bool
     mask: np.ndarray | None  # dropout keep mask, None when inactive
 
 
 @dataclass
 class _ForwardCache:
     blocks: list[_BlockCache]
-    head_in: np.ndarray
+    head_in: np.ndarray | None
     logits: np.ndarray
     probs: np.ndarray
 
@@ -332,8 +335,11 @@ def _head(model: MlpModel, h: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _forward_cached(model: MlpModel, x: np.ndarray, mode: ForwardMode) -> _ForwardCache:
-    """The forward with every per-block array backward reads."""
+def _forward_cached(
+    model: MlpModel, x: np.ndarray, mode: ForwardMode, keep_inputs: bool = False
+) -> _ForwardCache:
+    """The forward with every per-block array backward reads; each block's input
+    and the head input only with ``keep_inputs``, for the weight gradients."""
     x = _check_input(model, x)
     rng = _mode_rng(mode)
     train_bn = isinstance(mode, TrainBN)
@@ -342,10 +348,10 @@ def _forward_cached(model: MlpModel, x: np.ndarray, mode: ForwardMode) -> _Forwa
     for blk in model.blocks:
         act, xhat, inv_std = _block(blk, h, train_bn, keep_xhat=True)
         act, mask = _dropout(act, model.dropout_rate, rng)
-        caches.append(_BlockCache(x_in=h, xhat=xhat, inv_std=inv_std, out=act, mask=mask))
+        caches.append(_BlockCache(h if keep_inputs else None, xhat, inv_std, act > 0.0, mask))
         h = act
     logits = _head(model, h)
-    return _ForwardCache(blocks=caches, head_in=h, logits=logits, probs=softmax(logits))
+    return _ForwardCache(caches, h if keep_inputs else None, logits, softmax(logits))
 
 
 def _logits_from(
@@ -386,20 +392,21 @@ def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
     return correct / x.shape[0]
 
 
-def dropout_forwards(model: MlpModel, x: np.ndarray, seeds: Sequence[int]) -> np.ndarray:
-    """``forward(model, x, Dropout(seed))`` for each seed, as one (len(seeds), batch, K) array.
+def dropout_forwards(model: MlpModel, x: np.ndarray, seeds: Iterable[int]) -> Iterator[np.ndarray]:
+    """Yield ``forward(model, x, Dropout(seed))`` for each seed in turn, one
+    (batch, K) array at a time, so a caller that reduces each member as it comes
+    holds one member whatever the number of seeds.
 
     Dropout comes after block 0's relu, so block 0 runs once and every seed
     reads its activation without writing into it.
     """
     x = _check_input(model, x)
-    probs = np.empty((len(seeds), x.shape[0], model.class_count))
     shared = _block(model.blocks[0], x, False)[0] if model.blocks else x
-    for i, seed in enumerate(seeds):
+    for seed in seeds:
         rng = np.random.default_rng(seed)
         h = _dropout(shared, model.dropout_rate, rng, in_place=False)[0] if model.blocks else x
-        softmax(_logits_from(model, h, rng, False, 1), out=probs[i])
-    return probs
+        logits = _logits_from(model, h, rng, False, 1)
+        yield softmax(logits, out=logits)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +486,8 @@ def backward(
             raise EngineError("labels must be one integer per row")
         if np.any(labels < 0) or np.any(labels >= model.class_count):
             raise EngineError("label out of range")
-    cache = _forward_cached(model, x, mode)
+    keep_inputs = any(name.endswith(".weights") for name in wanted)
+    cache = _forward_cached(model, x, mode, keep_inputs)
     if labels is None:
         dlogits = _entropy_logit_grad(cache.probs)
     else:
@@ -495,24 +503,31 @@ def _backprop(
     train_bn: bool,
     want_input_grad: bool,
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
-    """Gradients of the ``wanted`` parameters from d loss/d logits, and d loss/d input if wanted."""
+    """Gradients of the ``wanted`` parameters from d loss/d logits, and d loss/d input if wanted.
+
+    Consumes ``cache``: the head input and each block's entry are dropped once
+    used, so their arrays are freed as the gradient moves down the stack.
+    """
     grads: dict[str, np.ndarray] = {}
-    # every array written below was allocated here; the cache is only read
+    # every array written below was allocated here; the cache's arrays are only read
     if "head.weights" in wanted:
         grads["head.weights"] = cache.head_in.T @ dlogits
+        cache.head_in = None
     if "head.bias" in wanted:
         grads["head.bias"] = dlogits.sum(axis=0)
     dh = dlogits @ model.head.weights.T
 
     for i in reversed(range(len(model.blocks))):
         blk = model.blocks[i]
-        bc = cache.blocks[i]
+        bc = cache.blocks.pop()
         if bc.mask is not None:
             dh *= bc.mask
             dh /= 1.0 - model.dropout_rate
-        dh *= bc.out > 0.0
+        dh *= bc.gate
+        scratch = None  # the one (rows, width) temporary for ``dz * xhat``
         if f"blocks.{i}.norm.gamma" in wanted:
-            grads[f"blocks.{i}.norm.gamma"] = (dh * bc.xhat).sum(axis=0)
+            scratch = np.multiply(dh, bc.xhat)
+            grads[f"blocks.{i}.norm.gamma"] = scratch.sum(axis=0)
         if f"blocks.{i}.norm.beta" in wanted:
             grads[f"blocks.{i}.norm.beta"] = dh.sum(axis=0)
         dz = dh
@@ -525,20 +540,21 @@ def _backprop(
         else:
             # dz = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv_std
             n = dz.shape[0]
-            scaled = dz * bc.xhat
-            dot = scaled.sum(axis=0)
+            scratch = np.multiply(dz, bc.xhat, out=scratch)
+            dot = scratch.sum(axis=0)
             dot /= n
             mean = dz.sum(axis=0)
             mean /= n
-            np.multiply(bc.xhat, dot, out=scaled)
+            np.multiply(bc.xhat, dot, out=scratch)
             dz -= mean
-            dz -= scaled
+            dz -= scratch
             dz *= bc.inv_std
         if f"blocks.{i}.dense.weights" in wanted:
             grads[f"blocks.{i}.dense.weights"] = bc.x_in.T @ dz
         if f"blocks.{i}.dense.bias" in wanted:
             grads[f"blocks.{i}.dense.bias"] = dz.sum(axis=0)
         if i > 0 or want_input_grad:
+            scratch = bc = None  # freed before the next gradient is allocated
             dh = dz @ blk.dense.weights.T
     return grads, dh if want_input_grad else None
 

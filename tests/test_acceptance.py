@@ -86,7 +86,7 @@ def test_criterion_03_estimator_unit_identities():
         base = np.argmax(nn.forward(model, x, nn.Deterministic()), axis=-1)
         report = aetta_estimate(model, x, base, config, None)
 
-        ensemble = nn.dropout_forwards(model, x, range(i, i + 4))
+        ensemble = np.stack(list(nn.dropout_forwards(model, x, range(i, i + 4))))
         expected = pdd(base, np.argmax(ensemble, axis=-1))
         bitwise = bitwise and report.smoothed_error == expected and report.pdd == expected
 

@@ -2,10 +2,11 @@
 
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -62,12 +63,31 @@ class TestPdd:
 
 
 class TestAggregateAndWeight:
-    def test_aggregate_is_mean_distribution(self):
-        rng = np.random.default_rng(3)
-        p = rng.dirichlet(np.ones(5), size=(4, 7))
-        agg = est.batch_aggregate(p)
-        assert_allclose(agg, p.reshape(-1, 5).mean(axis=0), rtol=1e-12)
-        assert_allclose(agg.sum(), 1.0, atol=1e-12)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 20),
+        rows=st.integers(1, 300),
+        k=st.integers(2, 100),
+        nan_member=st.none(),
+    )
+    @example(seed=0, n=3, rows=7, k=4, nan_member=1)
+    @settings(max_examples=60, deadline=None)
+    def test_member_by_member_reduction_is_bitwise_the_stacked_one(self, seed, n, rows, k, nan_member):
+        """AETTA reduces its dropout members one at a time; its PDD and the entropy
+        of the mean distribution over members and rows are bitwise those of the
+        stacked (n, rows, K) ensemble, a non-finite member included."""
+        rng = np.random.default_rng(seed)
+        members = [rng.dirichlet(np.ones(k), size=rows) for _ in range(n)]
+        if nan_member is not None:
+            members[nan_member][...] = np.nan
+        base = rng.integers(0, k, size=rows)
+        model = nn.build_mlp(1, k, hidden=())
+        with mock.patch.object(nn, "dropout_forwards", lambda *_: iter(members)):
+            report = est.aetta_estimate(model, np.zeros((rows, 1)), base, est.AettaConfig(n_dropout=n), None)
+        stacked = np.stack(members)
+        assert report.pdd == est.pdd(base, np.argmax(stacked, axis=-1))
+        e_avg = nn.entropy_loss(stacked.mean(axis=(0, 1))[None])
+        assert report.e_avg == e_avg or (math.isnan(report.e_avg) and math.isnan(e_avg))
 
     def test_weight_frozen_half_entropy_cube(self):
         """K=10, aggregate entropy at half the maximum, alpha 3 -> exactly 2**3."""
@@ -112,12 +132,25 @@ class TestDropoutEnsemble:
         model = streams.train_source_model(train, architecture=(64, 64), epochs=2, seed=seed)
         noise = streams.CorruptionSpec(kind="gaussian_noise", severity=5, seed=0)
         x = streams.corrupt(holdout.features[:256], noise)
-        ens = nn.dropout_forwards(model, x, range(10))
+        ens = np.stack(list(nn.dropout_forwards(model, x, range(10))))
         assert ens.shape == (10, 256, 10)
         assert hashlib.sha256(ens.tobytes()).hexdigest() == PINNED_ENSEMBLES[seed]
 
 
 class TestAettaEstimate:
+    def test_working_memory_does_not_grow_with_the_ensemble(self, traced_peak):
+        """Each dropout member is reduced as it comes, so at 256 rows twenty members
+        peak within one (256, K) array of two."""
+        model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
+        x = np.random.default_rng(1).normal(size=(256, 16))
+        base = labels_of(model, x)
+
+        def peak(n):
+            cfg = est.AettaConfig(n_dropout=n)
+            return traced_peak(lambda: est.aetta_estimate(model, x, base, cfg, None))
+
+        assert peak(20) - peak(2) < 256 * model.class_count * 8
+
     def test_full_trace_recomputed_independently(self):
         """Re-derive every report field from raw forwards with the same seeds."""
         model, x = model_and_batch(seed=5)

@@ -123,7 +123,7 @@ class TestForward:
         before = x.tobytes()
         nn.forward(model, x, mode)
         nn.forward_logits(model, x, mode)
-        nn.dropout_forwards(model, x, [3, 4])
+        list(nn.dropout_forwards(model, x, [3, 4]))
         y = np.arange(rows) % model.class_count
         nn.backward(model, x, labels=y, mode=mode)
         nn.input_gradient(model, x)
@@ -150,7 +150,7 @@ class TestForward:
             cache = nn._forward_cached(model, x, mode)
             assert_array_equal(nn.forward(model, x, mode), cache.probs)
             assert_array_equal(nn.forward_logits(model, x, mode), cache.logits)
-        ensemble = nn.dropout_forwards(model, x, seeds)
+        ensemble = np.stack(list(nn.dropout_forwards(model, x, seeds)))
         assert ensemble.shape == (len(seeds), rows, model.class_count)
         for probs, s in zip(ensemble, seeds):
             assert_array_equal(probs, nn._forward_cached(model, x, nn.Dropout(seed=s)).probs)
@@ -233,11 +233,11 @@ class TestDropout:
         model = tiny_model(hidden=(8,), input_dim=4, rate=0.4)
         x = batch(rows=4, cols=4)
         # with one hidden block the head input is that block's post-dropout activation
-        det = nn._forward_cached(model, x, nn.Deterministic()).head_in
+        det = nn._forward_cached(model, x, nn.Deterministic(), keep_inputs=True).head_in
         n = 10_000
         acc = np.zeros((n,) + det.shape)
         for s in range(n):
-            acc[s] = nn._forward_cached(model, x, nn.Dropout(seed=s)).head_in
+            acc[s] = nn._forward_cached(model, x, nn.Dropout(seed=s), keep_inputs=True).head_in
         mean = acc.mean(axis=0)
         sem = acc.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(mean - det) <= 3.0 * sem + 1e-12)
@@ -394,12 +394,21 @@ class TestBackward:
         assert_allclose(nn.relu_kink_margin(model, x), np.abs(pre).min(), rtol=1e-12)
 
     def test_tent_backward_caches_no_pre_relu_array(self, traced_peak):
-        """The cached forward keeps ``xhat`` and the block output, which is the
-        next block's input anyway; the relu gate is read from that output."""
+        """The cached forward keeps ``xhat`` and a bool relu gate, computed in the
+        forward from the block output, so the pre-relu value is never kept."""
         model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
         x = np.random.default_rng(1).normal(size=(256, 16))
         step = lambda: nn.backward(model, x, mode=nn.TrainBN(), trainable="bn")
         assert traced_peak(step) < 10 * 256 * 64 * 8
+
+    def test_bn_backward_keeps_no_block_outputs(self, traced_peak):
+        """With no weight gradient wanted, the cache keeps neither the block
+        inputs nor the head input, and backward frees each block's entry once
+        used: a BN-only step at 256 rows peaks below six (256, 64) arrays."""
+        model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
+        x = np.random.default_rng(1).normal(size=(256, 16))
+        step = lambda: nn.backward(model, x, mode=nn.TrainBN(), trainable="bn")
+        assert traced_peak(step) < 6 * 256 * 64 * 8
 
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -412,7 +421,7 @@ class TestBackward:
         own forward leaves the input gradient's bits unchanged."""
         model = tiny_model(seed=seed % 1000, hidden=hidden)
         x = np.random.default_rng(seed).normal(size=(rows, 5))
-        cache = nn._forward_cached(model, x, nn.Deterministic())
+        cache = nn._forward_cached(model, x, nn.Deterministic(), keep_inputs=True)
         labels = np.argmax(nn.forward(model, x), axis=1)
         dlogits = nn._cross_entropy_logit_grad(cache.probs, labels)
         wanted = set(nn.resolve_trainable(model, "all"))

@@ -39,7 +39,7 @@ ADV_EPSILON = 1.0 / 255.0  # AdvPerturb's nominal step, in units of ``feature_sc
 class AettaConfig:
     n_dropout: int = 10
     alpha: float = 3.0
-    base_seed: int = 0
+    base_seed: int = 0  # the first word of every batch's mask seed (base_seed, run_seed, batch_index)
 
     def __post_init__(self) -> None:
         if self.n_dropout < 1:
@@ -50,7 +50,7 @@ class AettaConfig:
             raise EstimatorError(f"base_seed must be non-negative, not {self.base_seed}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EstimateReport:
     pdd: float
     e_avg: float
@@ -102,11 +102,16 @@ def aetta_estimate(
     base_labels: np.ndarray,
     config: AettaConfig,
     ema_error: float | None,
+    position: tuple[int, int],
 ) -> EstimateReport:
     """One batch of dropout-disagreement accuracy estimation.
 
-    ``base_labels`` are the deterministic predictions of ``model`` on ``x``, and
-    ``ema_error`` is the previous batch's ``smoothed_error`` (None on the first).
+    ``base_labels`` are the deterministic predictions of ``model`` on ``x``,
+    ``ema_error`` is the previous batch's ``smoothed_error`` (None on the first),
+    and ``position`` is the batch's place in its stream, ``(run_seed,
+    batch_index)``. The members' masks come from one generator seeded with
+    ``(config.base_seed, run_seed, batch_index)``, so every batch draws fresh
+    masks and a rerun draws the same ones.
 
     The dropout members are reduced one at a time, so the working memory does
     not grow with ``n_dropout``. Each member adds its count of flipped labels,
@@ -115,6 +120,12 @@ def aetta_estimate(
     0 carries the running sum. numpy reduces a C-contiguous array over its
     leading axes row by row, so ``e_avg`` is bitwise that of the mean over an
     (n, batch, K) stack of the members.
+
+    No flip in ``n * batch`` draws does not show a flip rate of 0, so when the
+    weight is on (``alpha > 0``) the weighted error floors the disagreement at
+    one flip, and a model that predicts one class with confidence reads as
+    wrong, not as wholly right. The reported ``pdd`` stays the raw count, and at
+    ``alpha == 0`` the error is the raw disagreement, bitwise.
     """
     base = np.asarray(base_labels)
     n, rows = config.n_dropout, np.shape(x)[0]
@@ -122,15 +133,15 @@ def aetta_estimate(
         raise EstimatorError("base_labels must be one label per row of x")
     flips = 0
     total = np.zeros((rows + 1, model.class_count))
-    seeds = range(config.base_seed, config.base_seed + n)
-    for member in nn.dropout_forwards(model, x, seeds):
+    for member in nn.dropout_forwards(model, x, n, (config.base_seed, *position)):
         flips += int(np.count_nonzero(predicted_labels(member) != base))
         total[1:] = member
         total[0] = np.add.reduce(total, axis=0)
     disagreement = flips / (n * rows)
     e_avg = nn.entropy_loss((total[0] / (n * rows))[None])
     b = robust_weight(e_avg, model.class_count, config.alpha)
-    raw_error = b * disagreement
+    floor = 1.0 / (n * rows) if config.alpha > 0 else 0.0
+    raw_error = b * max(disagreement, floor)
     # a non-finite model reads as wholly wrong, which keeps the EMA and the reset window finite
     raw_error = min(max(raw_error, 0.0), 1.0) if math.isfinite(raw_error) else 1.0
     if ema_error is None:

@@ -55,6 +55,7 @@ ESTIMATOR_NAMES = ("srcvalid", "softmax", "gde", "advperturb", "aetta")
 SCENARIO_KINDS = ("fully", "continual", "collapse")
 
 CSV_COLUMNS = (
+    "seed",
     "t",
     "corruption",
     "severity",
@@ -139,7 +140,7 @@ def collapse_preset(base: ExperimentConfig | None = None) -> ExperimentConfig:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunRecord:
     seed: int
     batch_index: int
@@ -294,7 +295,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
         if "advperturb" in enabled:
             estimates["advperturb"] = adv_perturb_agreement(source, model, x, feature_scale=feature_scale)
         if "aetta" in enabled:
-            report = aetta_estimate(model, x, labels, config.estimator, ema_error)
+            report = aetta_estimate(model, x, labels, config.estimator, ema_error, (seed, batch.batch_index))
             ema_error = report.smoothed_error
             history.append(report.smoothed_accuracy)
             estimates["aetta"] = report.smoothed_accuracy
@@ -384,6 +385,7 @@ def summarize(result: ExperimentResult) -> list[SummaryRow]:
 def _csv_row(record: RunRecord) -> dict[str, str]:
     """Disabled estimators have no key, so their columns stay empty."""
     row = {
+        "seed": str(record.seed),
         "t": str(record.batch_index),
         "corruption": record.corruption_id,
         "severity": str(record.severity),
@@ -407,25 +409,25 @@ def write_run_csv(result: ExperimentResult, path: str | Path) -> None:
 
 
 def load_run_csv(path: str | Path) -> list[list[RunRecord]]:
-    """Inverse of write_run_csv; seeds are split where the batch index restarts.
-    A rollback is recorded by its trigger: a ``reset`` that disagrees is rejected."""
+    """Inverse of write_run_csv: one record list per seed, in file order, each
+    record keeping the seed its row names. A rollback is recorded by its
+    trigger: a ``reset`` that disagrees is rejected."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise HarnessError(f"unexpected CSV header {reader.fieldnames}")
-        by_seed: list[list[RunRecord]] = []
-        current: list[RunRecord] = []
+        by_seed: dict[int, list[RunRecord]] = {}
         for row in reader:
-            t = int(row["t"])
             if row["reset"] != ("1" if row["trigger"] else "0"):
-                raise HarnessError(f"t={t}: reset {row['reset']!r} disagrees with trigger {row['trigger']!r}")
-            if current and t <= current[-1].batch_index:
-                by_seed.append(current)
-                current = []
-            current.append(
+                raise HarnessError(
+                    f"seed {row['seed']} t={row['t']}: reset {row['reset']!r}"
+                    f" disagrees with trigger {row['trigger']!r}"
+                )
+            seed = int(row["seed"])
+            by_seed.setdefault(seed, []).append(
                 RunRecord(
-                    seed=len(by_seed),
-                    batch_index=t,
+                    seed=seed,
+                    batch_index=int(row["t"]),
                     corruption_id=row["corruption"],
                     severity=int(row["severity"]),
                     true_accuracy=float(row["true_acc"]),
@@ -435,9 +437,7 @@ def load_run_csv(path: str | Path) -> list[list[RunRecord]]:
                     trigger=row["trigger"],
                 )
             )
-        if current:
-            by_seed.append(current)
-    return by_seed
+    return list(by_seed.values())
 
 
 def write_summary_csv(rows: list[SummaryRow], path: str | Path) -> None:

@@ -9,7 +9,7 @@ backward and the optimizer step therefore work in place on arrays they
 allocated, with the plain expressions' operations in the same order (IEEE
 multiplication commutes, so ``z *= gamma`` is ``gamma * z``): every result is
 bitwise that of the plain code. They never write into the caller's input, into
-the block-0 activation ``dropout_forwards`` shares between its seeds, or into an
+the block-0 activation ``dropout_forwards`` shares between its members, or into an
 array while backward's cache holds it. An inference forward allocates one
 (rows, width) array per block, its activation. ``_forward_cached``, which
 ``backward`` replays, keeps per block ``xhat``, ``inv_std``, the dropout mask
@@ -20,7 +20,8 @@ dropping each block's entry once it is used.
 The relu gate is ``out > 0`` on the block output after dropout, which equals
 ``gamma * xhat + beta > 0``: a dropped unit reads 0, but its upstream gradient
 was already multiplied by the same mask, and a kept one is only scaled by
-``1 / (1 - rate) >= 1``.
+``1 / keep >= 1``, where ``keep`` is the keep probability the mask draws
+(``_keep_threshold``).
 
 Layer and optimizer hyperparameters that no caller varies are module
 constants, not fields: ``BN_MOMENTUM`` and ``BN_EPS`` for every batchnorm
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -45,6 +46,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 FINITE_DIFFERENCE_STEP = 1e-5  # the probe step of ``finite_difference_gradients``
+MASK_LEVELS = 65536  # a dropout mask compares 16-bit raw words against rate * MASK_LEVELS
 
 
 class EngineError(ValueError):
@@ -63,9 +65,13 @@ class Deterministic:
 
 @dataclass(frozen=True)
 class Dropout:
-    """Inference mode with seeded inverted dropout after each hidden activation."""
+    """Inference mode with seeded inverted dropout after each hidden activation.
 
-    seed: int
+    ``seed`` is anything ``np.random.default_rng`` takes; a Generator is used as
+    it is, so forwards that share one draw their masks from it in turn.
+    """
+
+    seed: int | tuple[int, ...] | np.random.Generator
 
 
 @dataclass(frozen=True)
@@ -314,18 +320,34 @@ def _block(
     return out, z if keep_xhat else None, inv_std
 
 
+def _keep_threshold(rate: float) -> tuple[int, float]:
+    """The mask's threshold on a 16-bit word, and the keep probability it draws.
+
+    Forward and ``_backprop`` both scale by this keep probability, so backward
+    replays the forward exactly.
+    """
+    threshold = round(rate * MASK_LEVELS)
+    return threshold, 1.0 - threshold / MASK_LEVELS
+
+
 def _dropout(
     h: np.ndarray, rate: float, rng: np.random.Generator | None, in_place: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Seeded inverted dropout of an activation: (result, keep mask or None).
 
-    Writes into ``h`` unless ``in_place`` is False, for an ``h`` that is shared.
+    A unit is kept when its 16-bit word of ``rng``'s raw 64-bit output, four
+    units to a raw word, is at least the threshold; at rate 0.4 that drops with
+    probability 26214/65536. A threshold of 0 draws nothing, so it leaves
+    ``rng`` where it was. Writes into ``h`` unless ``in_place`` is False, for an
+    ``h`` that is shared.
     """
-    if rng is None or rate == 0.0:
+    threshold, keep = _keep_threshold(rate)
+    if rng is None or threshold == 0:
         return h, None
-    mask = rng.random(h.shape) >= rate
+    words = rng.bit_generator.random_raw(-(-h.size // 4)).view(np.uint16)[: h.size]
+    mask = (words >= threshold).reshape(h.shape)
     h = np.multiply(h, mask, out=h if in_place else None)
-    h /= 1.0 - rate
+    h /= keep
     return h, mask
 
 
@@ -392,18 +414,21 @@ def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
     return correct / x.shape[0]
 
 
-def dropout_forwards(model: MlpModel, x: np.ndarray, seeds: Iterable[int]) -> Iterator[np.ndarray]:
-    """Yield ``forward(model, x, Dropout(seed))`` for each seed in turn, one
-    (batch, K) array at a time, so a caller that reduces each member as it comes
-    holds one member whatever the number of seeds.
+def dropout_forwards(
+    model: MlpModel, x: np.ndarray, n: int, seed: int | tuple[int, ...] | np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Yield ``n`` dropout forwards of ``x``, one (batch, K) array at a time, so a
+    caller that reduces each member as it comes holds one member whatever ``n``.
 
-    Dropout comes after block 0's relu, so block 0 runs once and every seed
-    reads its activation without writing into it.
+    One generator, ``np.random.default_rng(seed)``, serves every member: member k
+    is ``forward(model, x, Dropout(g))`` called for the k-th time on a shared
+    ``g``. Dropout comes after block 0's relu, so block 0 runs once and every
+    member reads its activation without writing into it.
     """
     x = _check_input(model, x)
+    rng = np.random.default_rng(seed)
     shared = _block(model.blocks[0], x, False)[0] if model.blocks else x
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
+    for _ in range(n):
         h = _dropout(shared, model.dropout_rate, rng, in_place=False)[0] if model.blocks else x
         logits = _logits_from(model, h, rng, False, 1)
         yield softmax(logits, out=logits)
@@ -522,7 +547,7 @@ def _backprop(
         bc = cache.blocks.pop()
         if bc.mask is not None:
             dh *= bc.mask
-            dh /= 1.0 - model.dropout_rate
+            dh /= _keep_threshold(model.dropout_rate)[1]
         dh *= bc.gate
         scratch = None  # the one (rows, width) temporary for ``dz * xhat``
         if f"blocks.{i}.norm.gamma" in wanted:

@@ -84,9 +84,9 @@ def test_criterion_03_estimator_unit_identities():
         x = rng.normal(size=(8, 6))
         config = AettaConfig(n_dropout=4, alpha=0.0, base_seed=i)
         base = np.argmax(nn.forward(model, x, nn.Deterministic()), axis=-1)
-        report = aetta_estimate(model, x, base, config, None)
+        report = aetta_estimate(model, x, base, config, None, (0, 0))
 
-        ensemble = np.stack(list(nn.dropout_forwards(model, x, range(i, i + 4))))
+        ensemble = np.stack(list(nn.dropout_forwards(model, x, 4, (i, 0, 0))))
         expected = pdd(base, np.argmax(ensemble, axis=-1))
         bitwise = bitwise and report.smoothed_error == expected and report.pdd == expected
 

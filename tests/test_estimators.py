@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -24,9 +24,9 @@ def labels_of(model, x):
     return est.predicted_labels(nn.forward(model, x))
 
 
-def estimate(model, x, cfg, ema_error=None):
+def estimate(model, x, cfg, ema_error=None, position=(0, 0)):
     """aetta_estimate with the base labels from a deterministic forward."""
-    return est.aetta_estimate(model, x, labels_of(model, x), cfg, ema_error)
+    return est.aetta_estimate(model, x, labels_of(model, x), cfg, ema_error, position)
 
 
 class TestPdd:
@@ -83,7 +83,9 @@ class TestAggregateAndWeight:
         base = rng.integers(0, k, size=rows)
         model = nn.build_mlp(1, k, hidden=())
         with mock.patch.object(nn, "dropout_forwards", lambda *_: iter(members)):
-            report = est.aetta_estimate(model, np.zeros((rows, 1)), base, est.AettaConfig(n_dropout=n), None)
+            report = est.aetta_estimate(
+                model, np.zeros((rows, 1)), base, est.AettaConfig(n_dropout=n), None, (0, 0)
+            )
         stacked = np.stack(members)
         assert report.pdd == est.pdd(base, np.argmax(stacked, axis=-1))
         e_avg = nn.entropy_loss(stacked.mean(axis=(0, 1))[None])
@@ -116,11 +118,12 @@ class TestAggregateAndWeight:
         assert est.robust_weight(e_avg, k, alpha) >= 1.0
 
 
-# sha256 of nn.dropout_forwards(model, x, range(10)) for the default (64, 64) model after
-# 2 epochs, by training seed; x is 256 holdout rows under severity-5 gaussian noise
+# sha256 of nn.dropout_forwards(model, x, 10, (0, 0, 0)), the masks of batch 0 of run
+# seed 0 under the default base_seed, for the default (64, 64) model after 2 epochs,
+# by training seed; x is 256 holdout rows under severity-5 gaussian noise
 PINNED_ENSEMBLES = {
-    0: "4a6993d065da27b98b4b1cc1573f0c66129b1b3c5062dc4a65d32ca5f3de0573",
-    1: "e0d02d0c4bd065485d9f79827c515e9ad304ac8553e8597b1ac0d412c00f8965",
+    0: "4c1de0c296192c49c0c422e4dc907b9d521cbc6236c7928cb0791e8acd0be609",
+    1: "7749fcc7c7bb27438bff2dc3d9af6927582e2cda2b91ced37f33f9fa6e607793",
 }
 
 
@@ -132,7 +135,7 @@ class TestDropoutEnsemble:
         model = streams.train_source_model(train, architecture=(64, 64), epochs=2, seed=seed)
         noise = streams.CorruptionSpec(kind="gaussian_noise", severity=5, seed=0)
         x = streams.corrupt(holdout.features[:256], noise)
-        ens = np.stack(list(nn.dropout_forwards(model, x, range(10))))
+        ens = np.stack(list(nn.dropout_forwards(model, x, 10, (0, 0, 0))))
         assert ens.shape == (10, 256, 10)
         assert hashlib.sha256(ens.tobytes()).hexdigest() == PINNED_ENSEMBLES[seed]
 
@@ -147,18 +150,20 @@ class TestAettaEstimate:
 
         def peak(n):
             cfg = est.AettaConfig(n_dropout=n)
-            return traced_peak(lambda: est.aetta_estimate(model, x, base, cfg, None))
+            return traced_peak(lambda: est.aetta_estimate(model, x, base, cfg, None, (0, 0)))
 
         assert peak(20) - peak(2) < 256 * model.class_count * 8
 
     def test_full_trace_recomputed_independently(self):
-        """Re-derive every report field from raw forwards with the same seeds."""
+        """Re-derive every report field from raw forwards that draw their masks in
+        turn from the batch's one generator."""
         model, x = model_and_batch(seed=5)
         cfg = est.AettaConfig(n_dropout=6, alpha=2.5, base_seed=40)
-        report = estimate(model, x, cfg)
+        report = estimate(model, x, cfg, position=(3, 7))
 
         base = np.argmax(nn.forward(model, x), axis=1)
-        probs = np.stack([nn.forward(model, x, nn.Dropout(seed=40 + i)) for i in range(6)])
+        rng = np.random.default_rng((40, 3, 7))
+        probs = np.stack([nn.forward(model, x, nn.Dropout(seed=rng)) for _ in range(6)])
         labels = np.argmax(probs, axis=2)
         expected_pdd = np.mean([np.mean(labels[i] != base) for i in range(6)])
         agg = probs.mean(axis=(0, 1))
@@ -172,6 +177,25 @@ class TestAettaEstimate:
         assert_allclose(report.raw_error, expected_raw, rtol=1e-15)
         assert report.smoothed_error == report.raw_error  # first batch seeds the EMA
         assert report.smoothed_accuracy == 1.0 - report.smoothed_error
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        k=st.integers(2, 10),
+        bias=st.floats(40.0, 200.0),
+        position=st.tuples(st.integers(0, 99), st.integers(0, 99)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_model_that_predicts_one_class_reads_as_inaccurate(self, seed, k, bias, position):
+        """When every dropout member predicts one class and the aggregate entropy
+        is nearly 0, no member flips, and the estimate still reads at most 1/K."""
+        model, x = model_and_batch(seed=seed % 1000, class_count=k)
+        model.head.bias[seed % k] += bias
+        cfg = est.AettaConfig()
+        members = np.stack(list(nn.dropout_forwards(model, x, cfg.n_dropout, (cfg.base_seed, *position))))
+        report = estimate(model, x, cfg, position=position)
+        assume(np.all(np.argmax(members, axis=-1) == seed % k) and report.e_avg < 1e-3)
+        assert report.pdd == 0.0
+        assert report.smoothed_accuracy <= 1.0 / k
 
     def test_alpha_zero_is_bitwise_pdd(self):
         cfg = est.AettaConfig(alpha=0.0)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aetta import harness, plots, streams
+from aetta import harness, nn, plots, streams
 from aetta.estimators import AettaConfig, EstimateReport, softmax_score, src_valid
 from aetta.nn import build_mlp, forward_logits, named_parameters, named_state
 from aetta.streams import CorruptionSpec, DatasetSpec, prepared_task
@@ -240,9 +240,9 @@ def test_disabled_estimators_are_absent_from_records_and_csv(tmp_path):
     harness.write_run_csv(result, path)
     header, first = path.read_text().splitlines()[:2]
     assert header == ",".join(harness.CSV_COLUMNS)
-    cells = first.split(",")
-    assert cells[4] == "" and cells[6] == "" and cells[7] == ""
-    assert cells[5] != "" and cells[8] != ""
+    cells = dict(zip(harness.CSV_COLUMNS, first.split(",")))
+    assert cells["est_srcvalid"] == "" and cells["est_gde"] == "" and cells["est_advperturb"] == ""
+    assert cells["est_softmax"] != "" and cells["est_aetta"] != ""
 
 
 def test_run_csv_round_trips(tmp_path):
@@ -263,31 +263,94 @@ def test_run_csv_round_trips(tmp_path):
             assert b.trigger == a.trigger
 
 
+def test_seeds_keep_their_numbers_through_run_csv(tmp_path, monkeypatch):
+    """Seeds (3, 7), and 3, 5, 7 with 5 failing, read back under their own numbers."""
+    real = harness._run_seed
+
+    def fails_on_five(config, seed):
+        if seed == 5:
+            raise RuntimeError("seed 5 fails")
+        return real(config, seed)
+
+    monkeypatch.setattr(harness, "_run_seed", fails_on_five)
+    for seeds in ((3, 7), (3, 5, 7)):
+        result = harness.run_experiment(tiny_config(seeds=seeds))
+        harness.write_run_csv(result, tmp_path / "run.csv")
+        loaded = harness.load_run_csv(tmp_path / "run.csv")
+        assert [[(r.seed, r.batch_index) for r in records] for records in loaded] == [
+            [(seed, t) for t in range(4)] for seed in (3, 7)
+        ]
+
+
+def test_records_hold_no_instance_dict():
+    """A run keeps one record per batch, so records are slotted."""
+    report = EstimateReport(pdd=0.1, e_avg=1.0, b_weight=1.0, raw_error=0.1, smoothed_error=0.1)
+    record = harness.RunRecord(0, 0, "gaussian_noise", 2, 0.9, {"aetta": 0.9}, "", report)
+    assert not hasattr(record, "__dict__")
+    assert not hasattr(report, "__dict__")
+
+
+def test_every_batch_draws_its_own_dropout_masks(monkeypatch):
+    """AETTA seeds each batch's ensemble from its place in the stream, so no two
+    batches of a run, across seeds too, draw from the same generator seed."""
+    seeds = []
+    real = nn.dropout_forwards
+
+    def spy(model, x, n, seed):
+        seeds.append(seed)
+        return real(model, x, n, seed)
+
+    monkeypatch.setattr(nn, "dropout_forwards", spy)
+    harness.run_experiment(tiny_config(seeds=(0, 1)))
+    assert len(seeds) == 8
+    assert len(set(seeds)) == len(seeds)
+
+
+def test_a_source_model_that_predicts_one_class_is_rolled_back_on_the_first_batch(monkeypatch):
+    """A checkpoint with a dominant head bias predicts class 0 on every row, so no
+    dropout member flips; AETTA still reads it as inaccurate, and the
+    hard-threshold trigger fires on the stream's first batch."""
+    real = harness.prepared_task
+
+    def one_class(*args, **kwargs):
+        task = real(*args, **kwargs)
+        checkpoint = nn.clone(task.checkpoint)
+        checkpoint.head.bias[0] += 50.0
+        return dataclasses.replace(task, checkpoint=checkpoint)
+
+    monkeypatch.setattr(harness, "prepared_task", one_class)
+    config = tiny_config(recovery=RecoveryPolicy(kind="aetta_reset", hard_threshold=0.5))
+    first = harness.run_experiment(config).records_by_seed[0][0]
+    assert first.aetta_report.pdd == 0.0
+    assert first.trigger == "hard_threshold"
+
+
 # run.csv digests of tiny_config over 9 batches of 8 rows, one policy per
-# recovery kind, each set so that it fires. They were recorded before the
-# estimators shared one deterministic forward per batch; a change to output
-# bytes has to record them again and say why in CHANGES.md.
+# recovery kind, each set so that it fires. They were recorded when run.csv
+# gained its seed column and AETTA's masks became per-batch draws of 16-bit raw
+# words; a change to output bytes has to record them again and say why in
+# CHANGES.md.
 PINNED_RUN_CSV = {
-    "none": (RecoveryPolicy(), "6130fb4fdf037396bacc4ad1200b49fdd79d89873104769ffde5b789e64cf999"),
+    "none": (RecoveryPolicy(), "d021f37508a3d504a0e10de22cccbf0f8a6365995d24457df690bcdce49f1d31"),
     "aetta_reset": (
         RecoveryPolicy(kind="aetta_reset", window=2, hard_threshold=0.65),
-        "904bec1a5653ed3554616a96e44fe63ffe272b1e37306019ffe8fea2d36af3c8",
+        "652ee734b8954983f551dbc85ac0bf4dadeaabab683d8810615e08ff907933a4",
     ),
     "episodic": (
         RecoveryPolicy(kind="episodic"),
-        "7ddf3213dbc9c52579b3f880ef6833406b09268b57c21dffdebbd409cd038ed6",
+        "731a750d906450e687750fbe19f8dbf4c086eac8e2136ccf5efb02d9731ca4e1",
     ),
     "mrs": (
         RecoveryPolicy(kind="mrs", mrs_threshold=1.0),
-        "af10c2f99c551a359e12532be8e127f0399301689c4b36f7a93a4cba365179ea",
+        "e11ae10424decae254552144fc7929b5b29f9a150b78b2f300f370b98bc2b9af",
     ),
     "stochastic_restore": (
         RecoveryPolicy(kind="stochastic_restore", restore_prob=0.5),
-        "e354a8a0f312650e0a9bfd0770e2b99edb08c434a08760201588ebf753c8fc79",
+        "fae750bebf4b02a91de591e548becd904aeac0472fb137da0f80c297122c96ff",
     ),
     "dist_shift": (
         RecoveryPolicy(kind="dist_shift"),
-        "add2b7676e716223cb3a288d55b5ff924f4a8d2b611d8cdd60fc82fa9d97fbf4",
+        "9338d3753a98689196895e28ec056a09bccd49df4f47931b7c6cdbe78ed8315a",
     ),
 }
 
@@ -303,7 +366,7 @@ def test_run_csv_bytes_are_pinned(tmp_path, kind):
 def test_window_above_five_can_fire(monkeypatch):
     accuracies = iter(np.linspace(0.9, 0.6, 14))
 
-    def falling(model, x, labels, config, ema_error):
+    def falling(model, x, labels, config, ema_error, position):
         accuracy = float(next(accuracies))
         return EstimateReport(
             pdd=0.0, e_avg=0.0, b_weight=1.0, raw_error=1.0 - accuracy,

@@ -123,7 +123,7 @@ class TestForward:
         before = x.tobytes()
         nn.forward(model, x, mode)
         nn.forward_logits(model, x, mode)
-        list(nn.dropout_forwards(model, x, [3, 4]))
+        list(nn.dropout_forwards(model, x, 2, 3))
         y = np.arange(rows) % model.class_count
         nn.backward(model, x, labels=y, mode=mode)
         nn.input_gradient(model, x)
@@ -136,24 +136,27 @@ class TestForward:
         rows=st.integers(1, 12),
         hidden=st.sampled_from([(), (8,), (8, 8), (8, 8, 8)]),
         rate=st.sampled_from([0.0, 0.4]),
-        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        n=st.integers(1, 4),
+        mask_seed=st.integers(0, 2**32 - 1) | st.tuples(st.integers(0, 9), st.integers(0, 9)),
     )
-    @example(seed=1, rows=5, hidden=(8, 8, 8), rate=0.0, seeds=[0, 1, 2])
-    @example(seed=2, rows=1, hidden=(8, 8, 8), rate=0.4, seeds=[5, 5])
+    @example(seed=1, rows=5, hidden=(8, 8, 8), rate=0.0, n=3, mask_seed=0)
+    @example(seed=2, rows=1, hidden=(8, 8, 8), rate=0.4, n=2, mask_seed=5)
     @settings(max_examples=60, deadline=None)
-    def test_inference_matches_cached_forward_bitwise(self, seed, rows, hidden, rate, seeds):
+    def test_inference_matches_cached_forward_bitwise(self, seed, rows, hidden, rate, n, mask_seed):
         """The forwards that keep nothing, and the ensemble that shares block 0,
-        give exactly the bits of the forward that keeps backward's cache."""
+        give exactly the bits of the forward that keeps backward's cache. Member
+        k of the ensemble is the k-th cached forward on one shared generator."""
         model = tiny_model(seed=seed % 1000, hidden=hidden, rate=rate)
         x = np.random.default_rng(seed).normal(size=(rows, 5))
-        for mode in (nn.Deterministic(), nn.Dropout(seed=seeds[0])):
+        for mode in (nn.Deterministic(), nn.Dropout(seed=mask_seed)):
             cache = nn._forward_cached(model, x, mode)
             assert_array_equal(nn.forward(model, x, mode), cache.probs)
             assert_array_equal(nn.forward_logits(model, x, mode), cache.logits)
-        ensemble = np.stack(list(nn.dropout_forwards(model, x, seeds)))
-        assert ensemble.shape == (len(seeds), rows, model.class_count)
-        for probs, s in zip(ensemble, seeds):
-            assert_array_equal(probs, nn._forward_cached(model, x, nn.Dropout(seed=s)).probs)
+        ensemble = np.stack(list(nn.dropout_forwards(model, x, n, mask_seed)))
+        assert ensemble.shape == (n, rows, model.class_count)
+        shared = np.random.default_rng(mask_seed)
+        for probs in ensemble:
+            assert_array_equal(probs, nn._forward_cached(model, x, nn.Dropout(seed=shared)).probs)
 
     def test_inference_forward_keeps_no_per_block_arrays(self, traced_peak):
         """A deterministic forward holds about four (rows, 64) arrays at its peak,
@@ -241,6 +244,37 @@ class TestDropout:
         mean = acc.mean(axis=0)
         sem = acc.std(axis=0, ddof=1) / math.sqrt(n)
         assert np.all(np.abs(mean - det) <= 3.0 * sem + 1e-12)
+
+    def test_mask_draw_keeps_and_scales_at_the_drawn_rate(self):
+        """Over 200 000 units the kept fraction lies within 4 sigma of the keep
+        probability the threshold draws, and the scaled output's mean within
+        4 sigma of the input's; rate 0 draws no word."""
+        threshold, keep = nn._keep_threshold(0.4)
+        assert (threshold, keep) == (26214, 1.0 - 26214 / 65536)
+        h = np.random.default_rng(0).uniform(0.5, 1.5, size=(500, 400))
+        out, mask = nn._dropout(h, 0.4, np.random.default_rng(1), in_place=False)
+        assert abs(mask.mean() - keep) <= 4.0 * math.sqrt(keep * (1.0 - keep) / h.size)
+        sigma = math.sqrt((h**2).sum() * (1.0 - keep) / keep) / h.size
+        assert abs(out.mean() - h.mean()) <= 4.0 * sigma
+        rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
+        out, mask = nn._dropout(h, 0.0, rng)
+        assert out is h and mask is None and rng.bit_generator.state == state
+
+    def test_forward_and_backward_scale_by_the_drawn_keep_probability(self):
+        """At rate 0.4 both divide by 1 - 26214/65536, the keep probability the
+        mask draws, so the backward replays the forward's scale bit for bit."""
+        model = tiny_model(hidden=(8,), rate=0.4)
+        x = batch()
+        keep = 1.0 - 26214 / 65536
+        act = nn._forward_cached(model, x, nn.Deterministic(), keep_inputs=True).head_in
+        cache = nn._forward_cached(model, x, nn.Dropout(seed=5), keep_inputs=True)
+        mask, gate = cache.blocks[0].mask, cache.blocks[0].gate
+        assert_array_equal(cache.head_in, act * mask / keep)
+        dlogits = nn._entropy_logit_grad(cache.probs)
+        grads = nn.backward(model, x, mode=nn.Dropout(seed=5), trainable="bn")
+        expected = ((dlogits @ model.head.weights.T) * mask / keep * gate).sum(axis=0)
+        assert_array_equal(grads["blocks.0.norm.beta"], expected)
 
     def test_rate_validation(self):
         with pytest.raises(nn.EngineError):

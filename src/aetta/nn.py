@@ -9,13 +9,15 @@ backward and the optimizer step therefore work in place on arrays they
 allocated, with the plain expressions' operations in the same order (IEEE
 multiplication commutes, so ``z *= gamma`` is ``gamma * z``): every result is
 bitwise that of the plain code. They never write into the caller's input, into
-the block-0 activation ``dropout_forwards`` shares between its members, or into an
-array while backward's cache holds it. An inference forward allocates one
-(rows, width) array per block, its activation. ``_forward_cached``, which
-``backward`` replays, keeps per block ``xhat``, ``inv_std``, the dropout mask
-and a bool relu gate; it keeps each block's input and the head input only when
-a dense or head weight gradient needs them. ``_backprop`` consumes the cache,
-dropping each block's entry once it is used.
+the block-0 activation that ``dropout_forwards`` shares between its members
+once the first member has read it, or into an array while backward's cache holds
+it. An inference forward allocates one (rows, width) array per block, its
+activation. ``_forward_cached``, which ``backward`` replays, keeps per block
+``xhat``, ``inv_std``, the dropout mask and a bool relu gate; it keeps each
+block's input and the head input only when a dense or head weight gradient
+needs them. ``_backprop`` consumes the cache, dropping each block's entry once
+it is used, and stops after block 0's BN gradients when nothing below them is
+wanted.
 
 The relu gate is ``out > 0`` on the block output after dropout, which equals
 ``gamma * xhat + beta > 0``: a dropped unit reads 0, but its upstream gradient
@@ -38,7 +40,7 @@ import numpy as np
 
 _CE_PROB_FLOOR = 1e-12
 _LOG_GUARD = 1e-300
-_ACCURACY_BLOCK_ROWS = 512
+_ACCURACY_BLOCK_ROWS = 256
 
 BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-statistics update
 BN_EPS = 1e-5  # added to the variance before its square root
@@ -123,8 +125,9 @@ class MlpModel:
     dropout_rate: float  # after every hidden activation in a Dropout forward
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise EngineError(f"dropout rate {self.dropout_rate} outside [0, 1)")
+        # from 1 - 1/131072 on, the mask threshold rounds to MASK_LEVELS and keeps no unit
+        if not 0.0 <= self.dropout_rate < 1.0 or _keep_threshold(self.dropout_rate)[0] == MASK_LEVELS:
+            raise EngineError(f"dropout rate {self.dropout_rate} outside [0, 1 - 1/131072)")
         if self.class_count < 2:
             raise EngineError("need at least two classes")
 
@@ -281,15 +284,20 @@ def _mode_rng(mode: ForwardMode) -> np.random.Generator | None:
     return np.random.default_rng(mode.seed) if isinstance(mode, Dropout) else None
 
 
+def _running_inv_std(norm: BatchNormLayer) -> np.ndarray:
+    return 1.0 / np.sqrt(norm.running_var + BN_EPS)
+
+
 def _block(
-    blk: HiddenBlock, x_in: np.ndarray, train_bn: bool, keep_xhat: bool = False
+    blk: HiddenBlock, x_in: np.ndarray, train_bn: bool, keep_xhat: bool = False, inv_std: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Dense -> BN -> relu of one hidden block: (activation, xhat, inv_std).
 
     Without ``keep_xhat`` the affine and the relu overwrite the normalised dense
     output, so the activation is the one (rows, width) array the block
     allocates and ``xhat`` comes back as None. With it, ``xhat`` stays intact
-    and the activation is a second array.
+    and the activation is a second array. Outside TrainBN, a caller may pass
+    in the block's ``_running_inv_std`` to reuse it.
     """
     z = x_in @ blk.dense.weights
     z += blk.dense.bias
@@ -311,7 +319,8 @@ def _block(
         blk.norm.running_var *= 1.0 - BN_MOMENTUM
         blk.norm.running_var += BN_MOMENTUM * var_running
     else:
-        inv_std = 1.0 / np.sqrt(blk.norm.running_var + BN_EPS)
+        if inv_std is None:
+            inv_std = _running_inv_std(blk.norm)
         z -= blk.norm.running_mean
     z *= inv_std
     out = np.multiply(z, blk.norm.gamma, out=None if keep_xhat else z)
@@ -330,23 +339,36 @@ def _keep_threshold(rate: float) -> tuple[int, float]:
     return threshold, 1.0 - threshold / MASK_LEVELS
 
 
-def _dropout(
-    h: np.ndarray, rate: float, rng: np.random.Generator | None, in_place: bool = True
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Seeded inverted dropout of an activation: (result, keep mask or None).
+def _keep_masks(rng: np.random.Generator, shapes: list[tuple[int, int]], threshold: int) -> list[np.ndarray]:
+    """Bool keep masks of the given shapes from one ``random_raw`` call.
 
     A unit is kept when its 16-bit word of ``rng``'s raw 64-bit output, four
-    units to a raw word, is at least the threshold; at rate 0.4 that drops with
-    probability 26214/65536. A threshold of 0 draws nothing, so it leaves
-    ``rng`` where it was. Writes into ``h`` unless ``in_place`` is False, for an
-    ``h`` that is shared.
+    units to a raw word, is at least ``threshold``. Each shape takes its own
+    ``ceil(size / 4)`` raw words in turn, as one call per shape would.
+    """
+    counts = [-(-rows * width // 4) for rows, width in shapes]
+    raw = rng.bit_generator.random_raw(sum(counts))
+    masks, start = [], 0
+    for (rows, width), count in zip(shapes, counts):
+        words = raw[start : start + count].view(np.uint16)[: rows * width]
+        masks.append((words >= threshold).reshape(rows, width))
+        start += count
+    return masks
+
+
+def _dropout(
+    h: np.ndarray, rate: float, rng: np.random.Generator | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Seeded inverted dropout of an activation, in place: (result, keep mask or None).
+
+    At rate 0.4 a unit drops with probability 26214/65536 (``_keep_masks``). A
+    threshold of 0 draws nothing, so it leaves ``rng`` where it was.
     """
     threshold, keep = _keep_threshold(rate)
     if rng is None or threshold == 0:
         return h, None
-    words = rng.bit_generator.random_raw(-(-h.size // 4)).view(np.uint16)[: h.size]
-    mask = (words >= threshold).reshape(h.shape)
-    h = np.multiply(h, mask, out=h if in_place else None)
+    mask = _keep_masks(rng, [h.shape], threshold)[0]
+    h *= mask
     h /= keep
     return h, mask
 
@@ -376,17 +398,12 @@ def _forward_cached(
     return _ForwardCache(caches, h if keep_inputs else None, logits, softmax(logits))
 
 
-def _logits_from(
-    model: MlpModel, h: np.ndarray, rng: np.random.Generator | None, train_bn: bool, start: int
-) -> np.ndarray:
-    """Logits from the input ``h`` of block ``start`` on, keeping only the current activation."""
-    for blk in model.blocks[start:]:
+def _logits(model: MlpModel, x: np.ndarray, mode: ForwardMode) -> np.ndarray:
+    """Logits keeping only the current activation."""
+    h, rng, train_bn = _check_input(model, x), _mode_rng(mode), isinstance(mode, TrainBN)
+    for blk in model.blocks:
         h, _ = _dropout(_block(blk, h, train_bn)[0], model.dropout_rate, rng)
     return _head(model, h)
-
-
-def _logits(model: MlpModel, x: np.ndarray, mode: ForwardMode) -> np.ndarray:
-    return _logits_from(model, _check_input(model, x), _mode_rng(mode), isinstance(mode, TrainBN), 0)
 
 
 def forward(model: MlpModel, x: np.ndarray, mode: ForwardMode = Deterministic()) -> np.ndarray:
@@ -399,7 +416,7 @@ def forward_logits(model: MlpModel, x: np.ndarray, mode: ForwardMode = Determini
 
 
 def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy of the deterministic forward, scored in blocks of 512 rows.
+    """Top-1 accuracy of the deterministic forward, scored in blocks of 256 rows.
 
     Blocks bound the activations whatever the number of rows. A count of correct
     rows is exact, so this is bitwise ``np.mean(argmax(forward(model, x), 1) == labels)``.
@@ -422,15 +439,32 @@ def dropout_forwards(
 
     One generator, ``np.random.default_rng(seed)``, serves every member: member k
     is ``forward(model, x, Dropout(g))`` called for the k-th time on a shared
-    ``g``. Dropout comes after block 0's relu, so block 0 runs once and every
-    member reads its activation without writing into it.
+    ``g``. What no member changes is done once per batch: each block's running
+    inverse std, and block 0, whose activation is divided by the keep
+    probability in place, so a member only multiplies it by its mask.
+    ``(h * m) / keep`` is ``(h / keep) * m`` for ``m`` in {0, 1}, NaN, inf and
+    -0 included; only an ``h / keep`` that overflows would read NaN where a
+    dropped unit reads 0. A member draws all its masks in one ``_keep_masks``
+    call; a threshold of 0 draws nothing.
     """
     x = _check_input(model, x)
     rng = np.random.default_rng(seed)
-    shared = _block(model.blocks[0], x, False)[0] if model.blocks else x
+    threshold, keep = _keep_threshold(model.dropout_rate)
+    blocks = model.blocks
+    inv_stds = [_running_inv_std(blk.norm) for blk in blocks]
+    shared = _block(blocks[0], x, False, inv_std=inv_stds[0])[0] if blocks else x
+    shapes = [(x.shape[0], blk.dense.weights.shape[1]) for blk in blocks] if threshold else []
+    if shapes:
+        shared /= keep
     for _ in range(n):
-        h = _dropout(shared, model.dropout_rate, rng, in_place=False)[0] if model.blocks else x
-        logits = _logits_from(model, h, rng, False, 1)
+        masks = _keep_masks(rng, shapes, threshold) if shapes else []
+        h = shared * masks[0] if masks else shared
+        for i in range(1, len(blocks)):
+            h = _block(blocks[i], h, False, inv_std=inv_stds[i])[0]
+            if masks:
+                h *= masks[i]
+                h /= keep
+        logits = _head(model, h)
         yield softmax(logits, out=logits)
 
 
@@ -555,6 +589,8 @@ def _backprop(
             grads[f"blocks.{i}.norm.gamma"] = scratch.sum(axis=0)
         if f"blocks.{i}.norm.beta" in wanted:
             grads[f"blocks.{i}.norm.beta"] = dh.sum(axis=0)
+        if i == 0 and not want_input_grad and not wanted & {"blocks.0.dense.weights", "blocks.0.dense.bias"}:
+            break  # a BN-only step, as TENT's: nothing below block 0's BN gradients is wanted
         dz = dh
         dz *= blk.norm.gamma  # d xhat
         if not train_bn:

@@ -278,13 +278,14 @@ class TestComparisonEstimators:
         assert_allclose(est.src_valid(model, x, labels), 0.75, rtol=1e-15)
 
     def test_src_valid_scores_in_blocks(self, traced_peak):
-        """4096 holdout rows are forwarded 512 at a time, so the peak is one
-        block's activations, not two (4096, 64) arrays."""
+        """4096 holdout rows are forwarded 256 at a time, so the peak is one
+        block's input and output, two (256, 64) arrays, not two (4096, 64)
+        arrays."""
         model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4096, 16))
         labels = rng.integers(0, 10, size=4096)
-        assert traced_peak(lambda: est.src_valid(model, x, labels)) < 3 * 512 * 64 * 8
+        assert traced_peak(lambda: est.src_valid(model, x, labels)) < 3 * 256 * 64 * 8
 
     def test_src_valid_label_shape_checked(self):
         model, x = model_and_batch()

@@ -134,18 +134,20 @@ class TestForward:
     @given(
         seed=st.integers(0, 2**31 - 1),
         rows=st.integers(1, 12),
-        hidden=st.sampled_from([(), (8,), (8, 8), (8, 8, 8)]),
+        hidden=st.sampled_from([(), (8,), (8, 8), (8, 8, 8), (7, 5, 3)]),
         rate=st.sampled_from([0.0, 0.4]),
         n=st.integers(1, 4),
         mask_seed=st.integers(0, 2**32 - 1) | st.tuples(st.integers(0, 9), st.integers(0, 9)),
     )
     @example(seed=1, rows=5, hidden=(8, 8, 8), rate=0.0, n=3, mask_seed=0)
     @example(seed=2, rows=1, hidden=(8, 8, 8), rate=0.4, n=2, mask_seed=5)
+    @example(seed=3, rows=3, hidden=(7, 5, 3), rate=0.4, n=3, mask_seed=6)
     @settings(max_examples=60, deadline=None)
     def test_inference_matches_cached_forward_bitwise(self, seed, rows, hidden, rate, n, mask_seed):
         """The forwards that keep nothing, and the ensemble that shares block 0,
         give exactly the bits of the forward that keeps backward's cache. Member
-        k of the ensemble is the k-th cached forward on one shared generator."""
+        k of the ensemble is the k-th cached forward on one shared generator,
+        also when blocks of different widths split one member's draw."""
         model = tiny_model(seed=seed % 1000, hidden=hidden, rate=rate)
         x = np.random.default_rng(seed).normal(size=(rows, 5))
         for mode in (nn.Deterministic(), nn.Dropout(seed=mask_seed)):
@@ -173,6 +175,9 @@ class TestForward:
         assert traced_peak(lambda: nn.forward(model, x)) < 2.5 * 1000 * 64 * 8
 
     @given(rows=st.integers(1, 1100), seed=st.integers(0, 2**31 - 1))
+    @example(rows=255, seed=5)
+    @example(rows=256, seed=6)
+    @example(rows=257, seed=7)
     @example(rows=511, seed=0)
     @example(rows=512, seed=1)
     @example(rows=513, seed=2)
@@ -252,7 +257,7 @@ class TestDropout:
         threshold, keep = nn._keep_threshold(0.4)
         assert (threshold, keep) == (26214, 1.0 - 26214 / 65536)
         h = np.random.default_rng(0).uniform(0.5, 1.5, size=(500, 400))
-        out, mask = nn._dropout(h, 0.4, np.random.default_rng(1), in_place=False)
+        out, mask = nn._dropout(h.copy(), 0.4, np.random.default_rng(1))
         assert abs(mask.mean() - keep) <= 4.0 * math.sqrt(keep * (1.0 - keep) / h.size)
         sigma = math.sqrt((h**2).sum() * (1.0 - keep) / keep) / h.size
         assert abs(out.mean() - h.mean()) <= 4.0 * sigma
@@ -260,6 +265,16 @@ class TestDropout:
         state = rng.bit_generator.state
         out, mask = nn._dropout(h, 0.0, rng)
         assert out is h and mask is None and rng.bit_generator.state == state
+
+    def test_zero_rate_ensemble_draws_nothing(self):
+        """At rate 0 the mask threshold is 0, so no member draws a word and every
+        member is the deterministic forward."""
+        model, x = tiny_model(rate=0.0), batch()
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        for member in nn.dropout_forwards(model, x, 3, rng):
+            assert_array_equal(member, nn.forward(model, x))
+        assert rng.bit_generator.state == state
 
     def test_forward_and_backward_scale_by_the_drawn_keep_probability(self):
         """At rate 0.4 both divide by 1 - 26214/65536, the keep probability the
@@ -281,6 +296,20 @@ class TestDropout:
             tiny_model(rate=1.0)
         with pytest.raises(nn.EngineError):
             tiny_model(rate=-0.1)
+
+    @pytest.mark.parametrize("rate", [1.0 - 1.0 / 131072, 0.999995, math.nextafter(1.0, 0.0)])
+    def test_rate_whose_threshold_drops_every_unit_is_rejected(self, rate):
+        """From 1 - 1/131072 on, ``round(rate * 65536)`` is 65536: every unit
+        would drop, the keep probability would be 0, and every member NaN."""
+        with pytest.raises(nn.EngineError, match=str(rate)):
+            tiny_model(rate=rate)
+
+    def test_highest_accepted_rate_keeps_some_units(self):
+        rate = math.nextafter(1.0 - 1.0 / 131072, 0.0)
+        threshold, keep = nn._keep_threshold(rate)
+        assert (threshold, keep) == (nn.MASK_LEVELS - 1, 1.0 / nn.MASK_LEVELS)
+        model = tiny_model(rate=rate)
+        assert np.all(np.isfinite(nn.forward(model, batch(), nn.Dropout(seed=0))))
 
     def test_default_rates_by_class_count(self):
         assert nn.default_dropout_rate(10) == 0.4
@@ -443,6 +472,25 @@ class TestBackward:
         x = np.random.default_rng(1).normal(size=(256, 16))
         step = lambda: nn.backward(model, x, mode=nn.TrainBN(), trainable="bn")
         assert traced_peak(step) < 6 * 256 * 64 * 8
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        rows=st.integers(1, 12),
+        hidden=st.sampled_from([(8,), (8, 8), (8, 8, 8)]),
+        mode=st.sampled_from((nn.Deterministic(), nn.TrainBN())),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bn_only_gradients_are_bitwise_the_full_backward_ones(self, seed, rows, hidden, mode):
+        """The BN-only backward stops after block 0's BN gradients; what it
+        returns is bitwise the BN entries of the backward that goes on to the
+        dense gradients below them."""
+        model = tiny_model(seed=seed % 1000, hidden=hidden)
+        x = np.random.default_rng(seed).normal(size=(rows, 5))
+        bn = nn.backward(nn.clone(model), x, mode=mode, trainable="bn")
+        full = nn.backward(nn.clone(model), x, mode=mode, trainable="all")
+        assert set(bn) == set(nn.resolve_trainable(model, "bn"))
+        for name, grad in bn.items():
+            assert_array_equal(grad, full[name])
 
     @given(
         seed=st.integers(0, 2**31 - 1),

@@ -123,6 +123,9 @@ class ExperimentConfig:
         # only the AETTA estimator fills the accuracy window that aetta_reset reads
         if self.recovery.kind == "aetta_reset" and "aetta" not in self.estimators_enabled:
             raise HarnessError("aetta_reset recovery needs the aetta estimator enabled")
+        # with no hidden block there is no batchnorm layer to adapt and no unit for aetta to drop
+        if not self.architecture and (self.adaptation.method != "none" or "aetta" in self.estimators_enabled):
+            raise HarnessError("a model with no hidden block needs adaptation method none and no aetta estimator")
 
 
 def collapse_preset(base: ExperimentConfig | None = None) -> ExperimentConfig:

@@ -1,8 +1,8 @@
 """Small float64 MLP engine with explicit forward modes and hand-written gradients.
 
-The model is a stack of dense -> batchnorm -> relu blocks, with dropout after
-each activation when requested, ending in a linear head. ``named_state`` is the
-one list of a model's arrays.
+The model is a stack of dense -> batchnorm -> relu blocks ending in a linear
+head; ``named_state`` is the one list of a model's arrays. Only
+``dropout_forwards``, the members of AETTA's inference-time ensemble, drops units.
 
 Layers are about 64 wide, so numpy's per-call overhead sets the cost. Forward,
 backward and the optimizer step therefore work in place on arrays they
@@ -13,17 +13,10 @@ the block-0 activation that ``dropout_forwards`` shares between its members
 once the first member has read it, or into an array while backward's cache holds
 it. An inference forward allocates one (rows, width) array per block, its
 activation. ``_forward_cached``, which ``backward`` replays, keeps per block
-``xhat``, ``inv_std``, the dropout mask and a bool relu gate; it keeps each
-block's input and the head input only when a dense or head weight gradient
-needs them. ``_backprop`` consumes the cache, dropping each block's entry once
-it is used, and stops after block 0's BN gradients when nothing below them is
-wanted.
-
-The relu gate is ``out > 0`` on the block output after dropout, which equals
-``gamma * xhat + beta > 0``: a dropped unit reads 0, but its upstream gradient
-was already multiplied by the same mask, and a kept one is only scaled by
-``1 / keep >= 1``, where ``keep`` is the keep probability the mask draws
-(``_keep_threshold``).
+``xhat``, ``inv_std`` and a bool relu gate; it keeps each block's input and the
+head input only when a dense or head weight gradient needs them. ``_backprop``
+consumes the cache, dropping each block's entry once it is used, and stops
+after block 0's BN gradients when nothing below them is wanted.
 
 Layer and optimizer hyperparameters that no caller varies are module
 constants, not fields: ``BN_MOMENTUM`` and ``BN_EPS`` for every batchnorm
@@ -62,18 +55,7 @@ class EngineError(ValueError):
 
 @dataclass(frozen=True)
 class Deterministic:
-    """Inference mode: running BN statistics, dropout disabled."""
-
-
-@dataclass(frozen=True)
-class Dropout:
-    """Inference mode with seeded inverted dropout after each hidden activation.
-
-    ``seed`` is anything ``np.random.default_rng`` takes; a Generator is used as
-    it is, so forwards that share one draw their masks from it in turn.
-    """
-
-    seed: int | tuple[int, ...] | np.random.Generator
+    """Inference mode: running BN statistics."""
 
 
 @dataclass(frozen=True)
@@ -81,7 +63,14 @@ class TrainBN:
     """Training-style BN: batch statistics are used and running stats updated."""
 
 
-ForwardMode = Deterministic | Dropout | TrainBN
+ForwardMode = Deterministic | TrainBN
+
+
+def _train_bn(mode: ForwardMode) -> bool:
+    """Whether ``mode`` normalises with batch statistics; any other mode is an error."""
+    if isinstance(mode, (Deterministic, TrainBN)):
+        return isinstance(mode, TrainBN)
+    raise EngineError(f"unknown forward mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +111,7 @@ def default_dropout_rate(class_count: int) -> float:
 class MlpModel:
     blocks: list[HiddenBlock]
     head: DenseLayer
-    dropout_rate: float  # after every hidden activation in a Dropout forward
+    dropout_rate: float  # after every hidden activation of a ``dropout_forwards`` member
 
     def __post_init__(self) -> None:
         # from 1 - 1/131072 on, the mask threshold rounds to MASK_LEVELS and keeps no unit
@@ -244,19 +233,15 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass
 class _BlockCache:
-    """What backward reads of one hidden block.
-
-    ``gate`` is the relu gate, ``out > 0`` on the block output after dropout (see
-    the module docstring), so neither the float output nor the pre-relu value
-    ``gamma * xhat + beta`` is kept. ``x_in`` is None unless the dense weight
-    gradient is wanted. ``_backprop`` pops the entry once it has used it.
-    """
+    """What backward reads of one hidden block. ``gate`` is the relu gate ``out > 0``,
+    so neither the float output nor the pre-relu value ``gamma * xhat + beta`` is
+    kept; ``x_in`` is None unless the dense weight gradient is wanted. ``_backprop``
+    pops the entry once it has used it."""
 
     x_in: np.ndarray | None
     xhat: np.ndarray
     inv_std: np.ndarray  # 1/sqrt(var + eps), batch or running depending on mode
     gate: np.ndarray  # bool
-    mask: np.ndarray | None  # dropout keep mask, None when inactive
 
 
 @dataclass
@@ -278,10 +263,6 @@ def _check_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise EngineError("non-finite values in input batch")
     return x
-
-
-def _mode_rng(mode: ForwardMode) -> np.random.Generator | None:
-    return np.random.default_rng(mode.seed) if isinstance(mode, Dropout) else None
 
 
 def _running_inv_std(norm: BatchNormLayer) -> np.ndarray:
@@ -330,11 +311,9 @@ def _block(
 
 
 def _keep_threshold(rate: float) -> tuple[int, float]:
-    """The mask's threshold on a 16-bit word, and the keep probability it draws.
-
-    Forward and ``_backprop`` both scale by this keep probability, so backward
-    replays the forward exactly.
-    """
+    """The mask's threshold on a 16-bit word, and the keep probability it draws,
+    by which a dropout member divides its kept units. At rate 0.4 a unit drops
+    with probability 26214/65536."""
     threshold = round(rate * MASK_LEVELS)
     return threshold, 1.0 - threshold / MASK_LEVELS
 
@@ -356,23 +335,6 @@ def _keep_masks(rng: np.random.Generator, shapes: list[tuple[int, int]], thresho
     return masks
 
 
-def _dropout(
-    h: np.ndarray, rate: float, rng: np.random.Generator | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Seeded inverted dropout of an activation, in place: (result, keep mask or None).
-
-    At rate 0.4 a unit drops with probability 26214/65536 (``_keep_masks``). A
-    threshold of 0 draws nothing, so it leaves ``rng`` where it was.
-    """
-    threshold, keep = _keep_threshold(rate)
-    if rng is None or threshold == 0:
-        return h, None
-    mask = _keep_masks(rng, [h.shape], threshold)[0]
-    h *= mask
-    h /= keep
-    return h, mask
-
-
 def _head(model: MlpModel, h: np.ndarray) -> np.ndarray:
     logits = h @ model.head.weights
     logits += model.head.bias
@@ -384,15 +346,11 @@ def _forward_cached(
 ) -> _ForwardCache:
     """The forward with every per-block array backward reads; each block's input
     and the head input only with ``keep_inputs``, for the weight gradients."""
-    x = _check_input(model, x)
-    rng = _mode_rng(mode)
-    train_bn = isinstance(mode, TrainBN)
+    h, train_bn = _check_input(model, x), _train_bn(mode)
     caches: list[_BlockCache] = []
-    h = x
     for blk in model.blocks:
         act, xhat, inv_std = _block(blk, h, train_bn, keep_xhat=True)
-        act, mask = _dropout(act, model.dropout_rate, rng)
-        caches.append(_BlockCache(h if keep_inputs else None, xhat, inv_std, act > 0.0, mask))
+        caches.append(_BlockCache(h if keep_inputs else None, xhat, inv_std, act > 0.0))
         h = act
     logits = _head(model, h)
     return _ForwardCache(caches, h if keep_inputs else None, logits, softmax(logits))
@@ -400,9 +358,9 @@ def _forward_cached(
 
 def _logits(model: MlpModel, x: np.ndarray, mode: ForwardMode) -> np.ndarray:
     """Logits keeping only the current activation."""
-    h, rng, train_bn = _check_input(model, x), _mode_rng(mode), isinstance(mode, TrainBN)
+    h, train_bn = _check_input(model, x), _train_bn(mode)
     for blk in model.blocks:
-        h, _ = _dropout(_block(blk, h, train_bn)[0], model.dropout_rate, rng)
+        h = _block(blk, h, train_bn)[0]
     return _head(model, h)
 
 
@@ -437,11 +395,12 @@ def dropout_forwards(
     """Yield ``n`` dropout forwards of ``x``, one (batch, K) array at a time, so a
     caller that reduces each member as it comes holds one member whatever ``n``.
 
-    One generator, ``np.random.default_rng(seed)``, serves every member: member k
-    is ``forward(model, x, Dropout(g))`` called for the k-th time on a shared
-    ``g``. What no member changes is done once per batch: each block's running
-    inverse std, and block 0, whose activation is divided by the keep
-    probability in place, so a member only multiplies it by its mask.
+    Member k is the deterministic forward with inverted dropout, ``h * mask /
+    keep``, after each hidden block's relu; its masks are the k-th draw from one
+    generator, ``np.random.default_rng(seed)``. What no member changes is done
+    once per batch: each block's running inverse std, and block 0, whose
+    activation is divided by the keep probability in place, so a member only
+    multiplies it by its mask.
     ``(h * m) / keep`` is ``(h / keep) * m`` for ``m`` in {0, 1}, NaN, inf and
     -0 included; only an ``h / keep`` that overflows would read NaN where a
     dropped unit reads 0. A member draws all its masks in one ``_keep_masks``
@@ -533,8 +492,8 @@ def backward(
     """Analytic gradients of the mean cross-entropy against ``labels``, or of the
     mean row entropy when there are none, for the chosen parameter subset.
 
-    The gradient graph replays the exact forward used, so dropout masks and the
-    BN statistic source match the ``mode`` given. With TrainBN the running stats
+    The gradient graph replays the exact forward used, so the BN statistic
+    source matches the ``mode`` given. With TrainBN the running stats
     are refreshed as a side effect, same as forward; the labels and ``trainable``
     are checked first, so a rejected call leaves them untouched.
     """
@@ -551,7 +510,7 @@ def backward(
         dlogits = _entropy_logit_grad(cache.probs)
     else:
         dlogits = _cross_entropy_logit_grad(cache.probs, labels)
-    return _backprop(model, cache, dlogits, wanted, isinstance(mode, TrainBN), False)[0]
+    return _backprop(model, cache, dlogits, wanted, _train_bn(mode), False)[0]
 
 
 def _backprop(
@@ -579,9 +538,6 @@ def _backprop(
     for i in reversed(range(len(model.blocks))):
         blk = model.blocks[i]
         bc = cache.blocks.pop()
-        if bc.mask is not None:
-            dh *= bc.mask
-            dh /= _keep_threshold(model.dropout_rate)[1]
         dh *= bc.gate
         scratch = None  # the one (rows, width) temporary for ``dz * xhat``
         if f"blocks.{i}.norm.gamma" in wanted:

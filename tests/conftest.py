@@ -2,7 +2,10 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
+
+from aetta import nn
 
 
 @pytest.fixture
@@ -23,3 +26,34 @@ def traced_peak():
             tracemalloc.stop()
 
     return measure
+
+
+def _reference_members(model, x, n, seed):
+    """``n`` dropout members of ``x`` as plain expressions, stacked (n, rows, K).
+
+    Each hidden block is ``((h @ W + b) - rm) * inv_std * gamma + beta``, then
+    relu, then ``h * mask / keep``; every mask is drawn in turn from the one
+    generator ``np.random.default_rng(seed)``, one ``nn._keep_masks`` call per
+    block. Rate 0 draws nothing and leaves each member the deterministic forward.
+    """
+    rng = np.random.default_rng(seed)
+    threshold, keep = nn._keep_threshold(model.dropout_rate)
+    members = []
+    for _ in range(n):
+        h = np.asarray(x, dtype=np.float64)
+        for blk in model.blocks:
+            inv_std = 1.0 / np.sqrt(blk.norm.running_var + nn.BN_EPS)
+            h = ((h @ blk.dense.weights + blk.dense.bias) - blk.norm.running_mean) * inv_std * blk.norm.gamma
+            h = np.maximum(h + blk.norm.beta, 0.0)
+            if threshold:
+                h = h * nn._keep_masks(rng, [h.shape], threshold)[0] / keep
+        logits = h @ model.head.weights + model.head.bias
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        members.append(e / e.sum(axis=1, keepdims=True))
+    return np.stack(members)
+
+
+@pytest.fixture(scope="session")
+def reference_members():
+    """The plain-expression dropout ensemble that ``nn.dropout_forwards`` must match bitwise."""
+    return _reference_members

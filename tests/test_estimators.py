@@ -154,16 +154,15 @@ class TestAettaEstimate:
 
         assert peak(20) - peak(2) < 256 * model.class_count * 8
 
-    def test_full_trace_recomputed_independently(self):
-        """Re-derive every report field from raw forwards that draw their masks in
-        turn from the batch's one generator."""
+    def test_full_trace_recomputed_independently(self, reference_members):
+        """Re-derive every report field from plain-expression dropout members that
+        draw their masks in turn from the batch's one generator."""
         model, x = model_and_batch(seed=5)
         cfg = est.AettaConfig(n_dropout=6, alpha=2.5, base_seed=40)
         report = estimate(model, x, cfg, position=(3, 7))
 
         base = np.argmax(nn.forward(model, x), axis=1)
-        rng = np.random.default_rng((40, 3, 7))
-        probs = np.stack([nn.forward(model, x, nn.Dropout(seed=rng)) for _ in range(6)])
+        probs = reference_members(model, x, 6, (40, 3, 7))
         labels = np.argmax(probs, axis=2)
         expected_pdd = np.mean([np.mean(labels[i] != base) for i in range(6)])
         agg = probs.mean(axis=(0, 1))

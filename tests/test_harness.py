@@ -19,7 +19,7 @@ from aetta import harness, nn, plots, streams
 from aetta.estimators import AettaConfig, EstimateReport, softmax_score, src_valid
 from aetta.nn import build_mlp, forward_logits, named_parameters, named_state
 from aetta.streams import CorruptionSpec, DatasetSpec, prepared_task
-from aetta.tta import RecoveryPolicy
+from aetta.tta import AdaptConfig, RecoveryPolicy
 
 TINY = DatasetSpec(class_count=3, input_dim=4, samples_per_class=120, seed=0)
 
@@ -653,8 +653,32 @@ def test_malformed_source_settings_are_rejected():
     for architecture in [(0,), (64, 0), (-1, 8)]:
         with pytest.raises(harness.HarnessError, match="architecture"):
             harness.ExperimentConfig(architecture=architecture)
-    # an untrained source model is a supported case, and so is a model with no hidden block
-    assert harness.ExperimentConfig(train_epochs=0, architecture=()).train_epochs == 0
+    # an untrained source model is a supported case, and so is a model with no
+    # hidden block that is neither adapted nor estimated by dropout
+    headless = harness.ExperimentConfig(
+        train_epochs=0,
+        architecture=(),
+        adaptation=AdaptConfig(method="none"),
+        estimators_enabled=("srcvalid", "softmax", "gde", "advperturb"),
+    )
+    assert headless.train_epochs == 0
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {},
+        {"adaptation": AdaptConfig(method="bn_stats"), "estimators_enabled": ("softmax",)},
+        {"adaptation": AdaptConfig(method="none"), "estimators_enabled": ("softmax", "aetta")},
+    ],
+    ids=["tent", "bn-stats", "aetta"],
+)
+def test_a_model_with_no_hidden_block_is_rejected_where_it_cannot_work(changes):
+    """With no hidden block, TENT and BN statistics have no batchnorm layer and
+    would fail every seed, and no dropout member can flip, so AETTA's PDD is 0
+    on every batch and reads accuracy 1."""
+    with pytest.raises(harness.HarnessError, match="no hidden block"):
+        harness.ExperimentConfig(architecture=(), **changes)
 
 
 def test_collapse_preset_pins_adaptation_and_schedule():

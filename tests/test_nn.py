@@ -27,7 +27,7 @@ def batch(seed=0, rows=6, cols=5):
     return np.random.default_rng(seed).normal(size=(rows, cols))
 
 
-ALL_MODES = (nn.Deterministic(), nn.TrainBN(), nn.Dropout(seed=11))
+ALL_MODES = (nn.Deterministic(), nn.TrainBN())
 
 
 def kink_safe_batch(model, start_seed=0, rows=6, margin=1e-3):
@@ -79,19 +79,12 @@ class TestForward:
         assert np.all(p >= 0)
         assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_zero_rate_dropout_is_bitwise_deterministic(self):
-        model = tiny_model(rate=0.0)
-        x = batch()
-        det = nn.forward(model, x, nn.Deterministic())
-        drop = nn.forward(model, x, nn.Dropout(seed=123))
-        assert np.array_equal(det, drop)
-
     def test_dropout_is_reproducible_per_seed(self):
         model = tiny_model()
         x = batch()
-        a = nn.forward(model, x, nn.Dropout(seed=7))
-        b = nn.forward(model, x, nn.Dropout(seed=7))
-        c = nn.forward(model, x, nn.Dropout(seed=8))
+        a = np.stack(list(nn.dropout_forwards(model, x, 2, 7)))
+        b = np.stack(list(nn.dropout_forwards(model, x, 2, 7)))
+        c = np.stack(list(nn.dropout_forwards(model, x, 2, 8)))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -99,7 +92,22 @@ class TestForward:
         model = tiny_model()
         before = state_bytes(model)
         nn.forward(model, batch(), nn.Deterministic())
-        nn.forward(model, batch(), nn.Dropout(seed=3))
+        list(nn.dropout_forwards(model, batch(), 2, 3))
+        assert state_bytes(model) == before
+
+    @pytest.mark.parametrize("mode", ["train", None, object()], ids=["string", "none", "object"])
+    def test_unknown_forward_mode_is_rejected(self, mode):
+        """Only Deterministic and TrainBN are modes; anything else is an error,
+        not a forward with running statistics that a caller may take for another mode."""
+        model, x = tiny_model(), batch()
+        before = state_bytes(model)
+        for call in (nn.forward, nn.forward_logits, nn.relu_kink_margin):
+            with pytest.raises(nn.EngineError, match="unknown forward mode"):
+                call(model, x, mode)
+        with pytest.raises(nn.EngineError, match="unknown forward mode"):
+            nn.backward(model, x, mode=mode)
+        with pytest.raises(nn.EngineError, match="unknown forward mode"):
+            nn.backward(model, x, labels=np.arange(6) % 3, mode=mode, trainable="bn")
         assert state_bytes(model) == before
 
     def test_train_bn_mutates_only_running_stats(self):
@@ -143,22 +151,22 @@ class TestForward:
     @example(seed=2, rows=1, hidden=(8, 8, 8), rate=0.4, n=2, mask_seed=5)
     @example(seed=3, rows=3, hidden=(7, 5, 3), rate=0.4, n=3, mask_seed=6)
     @settings(max_examples=60, deadline=None)
-    def test_inference_matches_cached_forward_bitwise(self, seed, rows, hidden, rate, n, mask_seed):
-        """The forwards that keep nothing, and the ensemble that shares block 0,
-        give exactly the bits of the forward that keeps backward's cache. Member
-        k of the ensemble is the k-th cached forward on one shared generator,
-        also when blocks of different widths split one member's draw."""
+    def test_inference_matches_cached_forward_bitwise(
+        self, seed, rows, hidden, rate, n, mask_seed, reference_members
+    ):
+        """The forwards that keep nothing give exactly the bits of the forward
+        that keeps backward's cache, and the ensemble that shares block 0 gives
+        exactly those of the plain-expression members, whose masks come from one
+        generator in turn, one draw per block, also when blocks of different
+        widths split one member's draw."""
         model = tiny_model(seed=seed % 1000, hidden=hidden, rate=rate)
         x = np.random.default_rng(seed).normal(size=(rows, 5))
-        for mode in (nn.Deterministic(), nn.Dropout(seed=mask_seed)):
-            cache = nn._forward_cached(model, x, mode)
-            assert_array_equal(nn.forward(model, x, mode), cache.probs)
-            assert_array_equal(nn.forward_logits(model, x, mode), cache.logits)
+        cache = nn._forward_cached(model, x, nn.Deterministic())
+        assert_array_equal(nn.forward(model, x), cache.probs)
+        assert_array_equal(nn.forward_logits(model, x), cache.logits)
         ensemble = np.stack(list(nn.dropout_forwards(model, x, n, mask_seed)))
         assert ensemble.shape == (n, rows, model.class_count)
-        shared = np.random.default_rng(mask_seed)
-        for probs in ensemble:
-            assert_array_equal(probs, nn._forward_cached(model, x, nn.Dropout(seed=shared)).probs)
+        assert_array_equal(ensemble, reference_members(model, x, n, mask_seed))
 
     def test_inference_forward_keeps_no_per_block_arrays(self, traced_peak):
         """A deterministic forward holds about four (rows, 64) arrays at its peak,
@@ -198,7 +206,7 @@ class TestForward:
     def test_forward_distribution_property(self, seed, rows, k):
         model = nn.build_mlp(4, k, hidden=(6,), seed=seed % 1000)
         x = np.random.default_rng(seed).normal(size=(rows, 4))
-        p = nn.forward(model, x, nn.Dropout(seed=seed))
+        (p,) = nn.dropout_forwards(model, x, 1, seed)
         assert p.shape == (rows, k)
         assert np.all(p > 0)
         assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
@@ -236,35 +244,20 @@ class TestBatchNorm:
 
 
 class TestDropout:
-    def test_inverted_scaling_matches_expectation(self):
-        """Mean post-dropout activation over many seeds ~ deterministic activation."""
-        model = tiny_model(hidden=(8,), input_dim=4, rate=0.4)
-        x = batch(rows=4, cols=4)
-        # with one hidden block the head input is that block's post-dropout activation
-        det = nn._forward_cached(model, x, nn.Deterministic(), keep_inputs=True).head_in
-        n = 10_000
-        acc = np.zeros((n,) + det.shape)
-        for s in range(n):
-            acc[s] = nn._forward_cached(model, x, nn.Dropout(seed=s), keep_inputs=True).head_in
-        mean = acc.mean(axis=0)
-        sem = acc.std(axis=0, ddof=1) / math.sqrt(n)
-        assert np.all(np.abs(mean - det) <= 3.0 * sem + 1e-12)
-
     def test_mask_draw_keeps_and_scales_at_the_drawn_rate(self):
         """Over 200 000 units the kept fraction lies within 4 sigma of the keep
-        probability the threshold draws, and the scaled output's mean within
-        4 sigma of the input's; rate 0 draws no word."""
+        probability the threshold draws, and the mean of ``h * mask / keep``
+        within 4 sigma of the input's; a threshold of 0 keeps every unit."""
         threshold, keep = nn._keep_threshold(0.4)
         assert (threshold, keep) == (26214, 1.0 - 26214 / 65536)
         h = np.random.default_rng(0).uniform(0.5, 1.5, size=(500, 400))
-        out, mask = nn._dropout(h.copy(), 0.4, np.random.default_rng(1))
+        (mask,) = nn._keep_masks(np.random.default_rng(1), [h.shape], threshold)
+        assert mask.shape == h.shape and mask.dtype == bool
         assert abs(mask.mean() - keep) <= 4.0 * math.sqrt(keep * (1.0 - keep) / h.size)
         sigma = math.sqrt((h**2).sum() * (1.0 - keep) / keep) / h.size
-        assert abs(out.mean() - h.mean()) <= 4.0 * sigma
-        rng = np.random.default_rng(2)
-        state = rng.bit_generator.state
-        out, mask = nn._dropout(h, 0.0, rng)
-        assert out is h and mask is None and rng.bit_generator.state == state
+        assert abs((h * mask / keep).mean() - h.mean()) <= 4.0 * sigma
+        assert nn._keep_threshold(0.0) == (0, 1.0)
+        assert nn._keep_masks(np.random.default_rng(2), [h.shape], 0)[0].all()
 
     def test_zero_rate_ensemble_draws_nothing(self):
         """At rate 0 the mask threshold is 0, so no member draws a word and every
@@ -275,21 +268,6 @@ class TestDropout:
         for member in nn.dropout_forwards(model, x, 3, rng):
             assert_array_equal(member, nn.forward(model, x))
         assert rng.bit_generator.state == state
-
-    def test_forward_and_backward_scale_by_the_drawn_keep_probability(self):
-        """At rate 0.4 both divide by 1 - 26214/65536, the keep probability the
-        mask draws, so the backward replays the forward's scale bit for bit."""
-        model = tiny_model(hidden=(8,), rate=0.4)
-        x = batch()
-        keep = 1.0 - 26214 / 65536
-        act = nn._forward_cached(model, x, nn.Deterministic(), keep_inputs=True).head_in
-        cache = nn._forward_cached(model, x, nn.Dropout(seed=5), keep_inputs=True)
-        mask, gate = cache.blocks[0].mask, cache.blocks[0].gate
-        assert_array_equal(cache.head_in, act * mask / keep)
-        dlogits = nn._entropy_logit_grad(cache.probs)
-        grads = nn.backward(model, x, mode=nn.Dropout(seed=5), trainable="bn")
-        expected = ((dlogits @ model.head.weights.T) * mask / keep * gate).sum(axis=0)
-        assert_array_equal(grads["blocks.0.norm.beta"], expected)
 
     def test_rate_validation(self):
         with pytest.raises(nn.EngineError):
@@ -309,7 +287,7 @@ class TestDropout:
         threshold, keep = nn._keep_threshold(rate)
         assert (threshold, keep) == (nn.MASK_LEVELS - 1, 1.0 / nn.MASK_LEVELS)
         model = tiny_model(rate=rate)
-        assert np.all(np.isfinite(nn.forward(model, batch(), nn.Dropout(seed=0))))
+        assert np.all(np.isfinite(np.stack(list(nn.dropout_forwards(model, batch(), 3, 0)))))
 
     def test_default_rates_by_class_count(self):
         assert nn.default_dropout_rate(10) == 0.4

@@ -106,8 +106,8 @@ class ExperimentConfig:
             raise HarnessError(f"unknown estimators {unknown}")
         if self.train_epochs < 0:
             raise HarnessError("train_epochs must be non-negative")
-        if any(width < 1 for width in self.architecture):
-            raise HarnessError(f"every architecture width must be at least 1, not {self.architecture}")
+        if not self.architecture or any(width < 1 for width in self.architecture):
+            raise HarnessError(f"architecture {self.architecture} needs at least one hidden block, each 1+ wide")
         if self.n_batches is not None and self.n_batches < 1:
             raise HarnessError("n_batches must be at least 1")
         if self.batches_per_segment < 1:
@@ -123,9 +123,6 @@ class ExperimentConfig:
         # only the AETTA estimator fills the accuracy window that aetta_reset reads
         if self.recovery.kind == "aetta_reset" and "aetta" not in self.estimators_enabled:
             raise HarnessError("aetta_reset recovery needs the aetta estimator enabled")
-        # with no hidden block there is no batchnorm layer to adapt and no unit for aetta to drop
-        if not self.architecture and (self.adaptation.method != "none" or "aetta" in self.estimators_enabled):
-            raise HarnessError("a model with no hidden block needs adaptation method none and no aetta estimator")
 
 
 def collapse_preset(base: ExperimentConfig | None = None) -> ExperimentConfig:

@@ -1,7 +1,7 @@
 """Small float64 MLP engine with explicit forward modes and hand-written gradients.
 
-The model is a stack of dense -> batchnorm -> relu blocks ending in a linear
-head; ``named_state`` is the one list of a model's arrays. Only
+The model is a stack of one or more dense -> batchnorm -> relu blocks ending
+in a linear head; ``named_state`` is the one list of a model's arrays. Only
 ``dropout_forwards``, the members of AETTA's inference-time ensemble, drops units.
 
 Layers are about 64 wide, so numpy's per-call overhead sets the cost. Forward,
@@ -119,6 +119,8 @@ class MlpModel:
             raise EngineError(f"dropout rate {self.dropout_rate} outside [0, 1 - 1/131072)")
         if self.class_count < 2:
             raise EngineError("need at least two classes")
+        if not self.blocks:
+            raise EngineError("need at least one hidden block")
 
     @property
     def class_count(self) -> int:
@@ -126,9 +128,7 @@ class MlpModel:
 
     @property
     def input_dim(self) -> int:
-        if self.blocks:
-            return self.blocks[0].dense.weights.shape[0]
-        return self.head.weights.shape[0]
+        return self.blocks[0].dense.weights.shape[0]
 
 
 def build_mlp(
@@ -212,10 +212,7 @@ def resolve_trainable(model: MlpModel, trainable: str) -> tuple[str, ...]:
     if trainable == "all":
         return tuple(name for name, _ in named_parameters(model))
     if trainable == "bn":
-        names = tuple(name for name, _ in named_parameters(model) if ".norm." in name)
-        if not names:
-            raise EngineError("model has no batchnorm parameters to train")
-        return names
+        return tuple(name for name, _ in named_parameters(model) if ".norm." in name)
     raise EngineError(f"unknown trainable mask {trainable!r}")
 
 
@@ -404,25 +401,25 @@ def dropout_forwards(
     ``(h * m) / keep`` is ``(h / keep) * m`` for ``m`` in {0, 1}, NaN, inf and
     -0 included; only an ``h / keep`` that overflows would read NaN where a
     dropped unit reads 0. A member draws all its masks in one ``_keep_masks``
-    call; a threshold of 0 draws nothing.
+    call, so the generator advances by the same words at every rate. At rate 0
+    every mask keeps every unit and ``keep`` is 1.0, so each member is bitwise
+    the deterministic forward.
     """
     x = _check_input(model, x)
     rng = np.random.default_rng(seed)
     threshold, keep = _keep_threshold(model.dropout_rate)
     blocks = model.blocks
     inv_stds = [_running_inv_std(blk.norm) for blk in blocks]
-    shared = _block(blocks[0], x, False, inv_std=inv_stds[0])[0] if blocks else x
-    shapes = [(x.shape[0], blk.dense.weights.shape[1]) for blk in blocks] if threshold else []
-    if shapes:
-        shared /= keep
+    shared = _block(blocks[0], x, False, inv_std=inv_stds[0])[0]
+    shared /= keep
+    shapes = [(x.shape[0], blk.dense.weights.shape[1]) for blk in blocks]
     for _ in range(n):
-        masks = _keep_masks(rng, shapes, threshold) if shapes else []
-        h = shared * masks[0] if masks else shared
+        masks = _keep_masks(rng, shapes, threshold)
+        h = shared * masks[0]
         for i in range(1, len(blocks)):
             h = _block(blocks[i], h, False, inv_std=inv_stds[i])[0]
-            if masks:
-                h *= masks[i]
-                h /= keep
+            h *= masks[i]
+            h /= keep
         logits = _head(model, h)
         yield softmax(logits, out=logits)
 
@@ -641,8 +638,6 @@ def relu_kink_margin(model: MlpModel, x: np.ndarray, mode: ForwardMode = Determi
     comfortably larger than the step.
     """
     cache = _forward_cached(clone(model), x, mode)
-    if not cache.blocks:
-        return float("inf")
     return min(
         float(np.min(np.abs(blk.norm.gamma * bc.xhat + blk.norm.beta)))
         for blk, bc in zip(model.blocks, cache.blocks)

@@ -55,8 +55,7 @@ def tent_step(model: nn.MlpModel, x: np.ndarray, optimizer: nn.OptimizerState) -
     """One entropy-minimisation step on BN gamma/beta only, by ``optimizer``.
 
     Uses batch statistics for the forward (running stats refreshed in place);
-    every non-BN parameter is bitwise untouched. A model with no batchnorm
-    layer raises ``nn.EngineError`` before anything moves.
+    every non-BN parameter is bitwise untouched.
     """
     grads = nn.backward(model, x, mode=nn.TrainBN(), trainable="bn")
     nn.optimizer_step(model, grads, optimizer)
@@ -64,8 +63,6 @@ def tent_step(model: nn.MlpModel, x: np.ndarray, optimizer: nn.OptimizerState) -
 
 def bn_stats_step(model: nn.MlpModel, x: np.ndarray) -> None:
     """Refresh BN running statistics from the batch; no gradients anywhere."""
-    if not model.blocks:
-        raise AdaptationError("bn_stats adaptation needs at least one batchnorm layer")
     nn.forward(model, x, nn.TrainBN())
 
 
@@ -155,8 +152,6 @@ def stochastic_restore_step(
     """Independently revert each scalar parameter to source with given probability."""
     if not 0.0 <= restore_prob <= 1.0:
         raise AdaptationError("restore_prob must lie in [0, 1]")
-    if restore_prob == 0.0:
-        return
     rng = np.random.default_rng(seed)
     source = dict(nn.named_parameters(source_checkpoint))
     for name, param in nn.named_parameters(model):

@@ -81,7 +81,7 @@ class TestAggregateAndWeight:
         if nan_member is not None:
             members[nan_member][...] = np.nan
         base = rng.integers(0, k, size=rows)
-        model = nn.build_mlp(1, k, hidden=())
+        model = nn.build_mlp(1, k, hidden=(1,))
         with mock.patch.object(nn, "dropout_forwards", lambda *_: iter(members)):
             report = est.aetta_estimate(
                 model, np.zeros((rows, 1)), base, est.AettaConfig(n_dropout=n), None, (0, 0)
@@ -243,9 +243,10 @@ class TestAettaEstimate:
 
 
 class TestComparisonEstimators:
-    def test_softmax_score_frozen_headless_case(self):
-        """Logits fixed at (2, 0); at temperature 2 the max softmax is e/(1+e)."""
-        model = nn.build_mlp(3, 2, hidden=(), seed=0)
+    def test_softmax_score_frozen_bias_only_case(self):
+        """Logits fixed at (2, 0) by a zeroed head and its bias; at temperature 2
+        the max softmax is e/(1+e)."""
+        model = nn.build_mlp(3, 2, hidden=(1,), seed=0)
         model.head.weights[...] = 0.0
         model.head.bias[...] = np.array([2.0, 0.0])
         x = np.zeros((5, 3))

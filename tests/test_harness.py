@@ -325,40 +325,52 @@ def test_a_source_model_that_predicts_one_class_is_rolled_back_on_the_first_batc
     assert first.trigger == "hard_threshold"
 
 
-# run.csv digests of tiny_config over 9 batches of 8 rows, one policy per
-# recovery kind, each set so that it fires. They were recorded when run.csv
-# gained its seed column and AETTA's masks became per-batch draws of 16-bit raw
-# words; a change to output bytes has to record them again and say why in
-# CHANGES.md.
+# run.csv digests of tiny_config over 9 batches of 8 rows: one per recovery
+# kind under TENT, each set so that it fires, and one per other adaptation
+# method with no recovery. The recovery pins were recorded when run.csv gained
+# its seed column and AETTA's masks became per-batch draws of 16-bit raw words,
+# the method pins before the model with no hidden block was removed. A change
+# to output bytes has to record them again and say why in CHANGES.md.
 PINNED_RUN_CSV = {
-    "none": (RecoveryPolicy(), "d021f37508a3d504a0e10de22cccbf0f8a6365995d24457df690bcdce49f1d31"),
+    "none": (
+        dict(recovery=RecoveryPolicy()),
+        "d021f37508a3d504a0e10de22cccbf0f8a6365995d24457df690bcdce49f1d31",
+    ),
     "aetta_reset": (
-        RecoveryPolicy(kind="aetta_reset", window=2, hard_threshold=0.65),
+        dict(recovery=RecoveryPolicy(kind="aetta_reset", window=2, hard_threshold=0.65)),
         "652ee734b8954983f551dbc85ac0bf4dadeaabab683d8810615e08ff907933a4",
     ),
     "episodic": (
-        RecoveryPolicy(kind="episodic"),
+        dict(recovery=RecoveryPolicy(kind="episodic")),
         "731a750d906450e687750fbe19f8dbf4c086eac8e2136ccf5efb02d9731ca4e1",
     ),
     "mrs": (
-        RecoveryPolicy(kind="mrs", mrs_threshold=1.0),
+        dict(recovery=RecoveryPolicy(kind="mrs", mrs_threshold=1.0)),
         "e11ae10424decae254552144fc7929b5b29f9a150b78b2f300f370b98bc2b9af",
     ),
     "stochastic_restore": (
-        RecoveryPolicy(kind="stochastic_restore", restore_prob=0.5),
+        dict(recovery=RecoveryPolicy(kind="stochastic_restore", restore_prob=0.5)),
         "fae750bebf4b02a91de591e548becd904aeac0472fb137da0f80c297122c96ff",
     ),
     "dist_shift": (
-        RecoveryPolicy(kind="dist_shift"),
+        dict(recovery=RecoveryPolicy(kind="dist_shift")),
         "9338d3753a98689196895e28ec056a09bccd49df4f47931b7c6cdbe78ed8315a",
+    ),
+    "method_none": (
+        dict(adaptation=AdaptConfig(method="none")),
+        "98514c60cbcf858c10446c7e146416b68dee1b4c8d7feb8290d77aef8f98fdd1",
+    ),
+    "method_bn_stats": (
+        dict(adaptation=AdaptConfig(method="bn_stats")),
+        "f694bf3da13e7aa992d4ad5bd2e628a11cc94b3360f4da1adeab478494c9c7cf",
     ),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_RUN_CSV))
 def test_run_csv_bytes_are_pinned(tmp_path, kind):
-    policy, digest = PINNED_RUN_CSV[kind]
-    result = harness.run_experiment(tiny_config(recovery=policy, n_batches=9, batch_size=8))
+    overrides, digest = PINNED_RUN_CSV[kind]
+    result = harness.run_experiment(tiny_config(**overrides, n_batches=9, batch_size=8))
     harness.write_run_csv(result, tmp_path / "run.csv")
     assert hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest() == digest
 
@@ -647,21 +659,14 @@ def test_repeated_seeds_are_rejected():
 
 def test_malformed_source_settings_are_rejected():
     """A negative epoch count would skip training and the accuracy gate alike,
-    and a zero-width block fails every seed inside build_mlp."""
+    and a zero-width block or none at all fails every seed inside build_mlp."""
     with pytest.raises(harness.HarnessError, match="train_epochs"):
         harness.ExperimentConfig(train_epochs=-3)
-    for architecture in [(0,), (64, 0), (-1, 8)]:
+    for architecture in [(), (0,), (64, 0), (-1, 8)]:
         with pytest.raises(harness.HarnessError, match="architecture"):
             harness.ExperimentConfig(architecture=architecture)
-    # an untrained source model is a supported case, and so is a model with no
-    # hidden block that is neither adapted nor estimated by dropout
-    headless = harness.ExperimentConfig(
-        train_epochs=0,
-        architecture=(),
-        adaptation=AdaptConfig(method="none"),
-        estimators_enabled=("srcvalid", "softmax", "gde", "advperturb"),
-    )
-    assert headless.train_epochs == 0
+    # an untrained source model is a supported case
+    assert harness.ExperimentConfig(train_epochs=0).train_epochs == 0
 
 
 @pytest.mark.parametrize(
@@ -670,14 +675,18 @@ def test_malformed_source_settings_are_rejected():
         {},
         {"adaptation": AdaptConfig(method="bn_stats"), "estimators_enabled": ("softmax",)},
         {"adaptation": AdaptConfig(method="none"), "estimators_enabled": ("softmax", "aetta")},
+        {
+            "adaptation": AdaptConfig(method="none"),
+            "estimators_enabled": ("srcvalid", "softmax", "gde", "advperturb"),
+        },
     ],
-    ids=["tent", "bn-stats", "aetta"],
+    ids=["tent", "bn-stats", "aetta", "baselines"],
 )
 def test_a_model_with_no_hidden_block_is_rejected_where_it_cannot_work(changes):
-    """With no hidden block, TENT and BN statistics have no batchnorm layer and
-    would fail every seed, and no dropout member can flip, so AETTA's PDD is 0
-    on every batch and reads accuracy 1."""
-    with pytest.raises(harness.HarnessError, match="no hidden block"):
+    """Every model needs a hidden block, whatever the adaptation and estimators:
+    without one, TENT and BN statistics have no batchnorm layer, and no dropout
+    member can flip, so AETTA's PDD is 0 on every batch and reads accuracy 1."""
+    with pytest.raises(harness.HarnessError, match="at least one hidden block"):
         harness.ExperimentConfig(architecture=(), **changes)
 
 

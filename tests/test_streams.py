@@ -102,7 +102,7 @@ class TestTraining:
             class_count=2, input_dim=4, samples_per_class=100, cluster_separation=50.0, seed=1
         )
         train, _ = streams.make_source_dataset(spec)
-        model = streams.train_source_model(train, architecture=(), epochs=30, seed=0)
+        model = streams.train_source_model(train, architecture=(4,), epochs=30, seed=0)
         preds = np.argmax(nn.forward(model, train.features), axis=1)
         assert float(np.mean(preds == train.labels)) >= 0.99
 

@@ -1,4 +1,4 @@
-"""Command-line front end: experiment runs, identity checks, and small sweeps."""
+"""Command-line front end: experiment runs, the collapse-recovery demo, and small sweeps."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness, nn, oracle
+from . import harness
 from .streams import CorruptionSpec
 from .tta import RecoveryPolicy
 
@@ -74,54 +74,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 1 if result.failed else 0
 
 
-def _cmd_verify_theorems(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    worst_calibrated = 0.0
-    for _ in range(200):
-        space = oracle.random_calibrated_space(
-            int(rng.integers(1, 21)), int(rng.integers(2, 11)), rng
-        )
-        worst_calibrated = max(worst_calibrated, oracle.verify_theorem1(space))
-    control = oracle.verify_theorem1(oracle.mis_calibrated_fixture())
-    print("calibrated spaces (200): max |E[Err] - E[PDD]| =", repr(worst_calibrated))
-    print("mis-calibrated control:  residual =", repr(control))
-
-    rows = oracle.theorem2_sweep(args.seed)
-    worst_robust = max(residual for _, _, residual in rows)
-    print(f"robust constructions ({len(rows)}): max residual = {worst_robust!r}")
-    print("    q0      b       residual")
-    for q0, b, residual in rows[:10]:
-        print(f"  {q0:6.3f} {b:6.3f}  {residual:.3e}")
-    print(f"  ... {len(rows) - 10} more rows")
-
-    ok = worst_calibrated <= 1e-12 and worst_robust <= 1e-10 and control >= 1e-3
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
-
-
-def _cmd_gradcheck(args: argparse.Namespace) -> int:
-    worst = 0.0
-    checked = 0
-    rng = np.random.default_rng(args.seed)
-    while checked < 20:
-        input_dim = int(rng.integers(2, 6))
-        model = nn.build_mlp(input_dim, int(rng.integers(2, 5)),
-                             hidden=(int(rng.integers(3, 8)),),
-                             seed=int(rng.integers(0, 10_000)))
-        x = rng.normal(size=(4, input_dim))
-        if nn.relu_kink_margin(model, x, nn.Deterministic()) < 1e-3:
-            continue
-        analytic = nn.backward(model, x, mode=nn.Deterministic())
-        numeric = nn.finite_difference_gradients(model, x, mode=nn.Deterministic())
-        err = nn.gradcheck_max_error(analytic, numeric)
-        worst = max(worst, err)
-        checked += 1
-    print(f"20 random models: max scaled gradient error = {worst!r}")
-    ok = worst <= 1e-4
-    print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
-
-
 def _cmd_recover_demo(args: argparse.Namespace) -> int:
     base = harness.collapse_preset(_config_from_args(args))
     print("collapse preset, with and without estimator-triggered rollback:")
@@ -178,14 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment and write CSV/SVG outputs")
     _add_experiment_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
-
-    p_verify = sub.add_parser("verify-theorems", help="print disagreement-identity residuals")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed of the random spaces")
-    p_verify.set_defaults(func=_cmd_verify_theorems)
-
-    p_grad = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p_grad.add_argument("--seed", type=int, default=0, help="seed of the random models")
-    p_grad.set_defaults(func=_cmd_gradcheck)
 
     p_rec = sub.add_parser("recover-demo", help="collapse run with and without rollback")
     _add_experiment_flags(p_rec, scenario_flags=False)

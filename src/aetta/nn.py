@@ -31,7 +31,6 @@ from typing import Iterator
 
 import numpy as np
 
-_CE_PROB_FLOOR = 1e-12
 _LOG_GUARD = 1e-300
 _ACCURACY_BLOCK_ROWS = 256
 
@@ -40,7 +39,6 @@ BN_EPS = 1e-5  # added to the variance before its square root
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-FINITE_DIFFERENCE_STEP = 1e-5  # the probe step of ``finite_difference_gradients``
 MASK_LEVELS = 65536  # a dropout mask compares 16-bit raw words against rate * MASK_LEVELS
 
 
@@ -379,6 +377,8 @@ def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
     x, y = np.asarray(x), np.asarray(labels)
     if x.shape[0] == 0:
         raise EngineError("empty batch")
+    if y.shape != (x.shape[0],):
+        raise EngineError(f"labels must be one per row: {y.shape} for {x.shape[0]} rows")
     correct = 0
     for start in range(0, x.shape[0], _ACCURACY_BLOCK_ROWS):
         rows = slice(start, start + _ACCURACY_BLOCK_ROWS)
@@ -436,20 +436,6 @@ def entropy_loss(probs: np.ndarray) -> float:
         raise EngineError("entropy_loss expects a non-empty (batch, K) array")
     rows = -np.sum(p * np.log(np.maximum(p, _LOG_GUARD)), axis=1)
     return float(rows.mean())
-
-
-def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-likelihood; probabilities floored at 1e-12 before log."""
-    p = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(labels)
-    if p.ndim != 2 or p.shape[0] == 0:
-        raise EngineError("cross_entropy_loss expects a non-empty (batch, K) array")
-    if y.shape != (p.shape[0],):
-        raise EngineError("labels must be one integer per row")
-    if np.any(y < 0) or np.any(y >= p.shape[1]):
-        raise EngineError("label out of range")
-    picked = p[np.arange(p.shape[0]), y]
-    return float(-np.mean(np.log(np.maximum(picked, _CE_PROB_FLOOR))))
 
 
 def _entropy_logit_grad(probs: np.ndarray) -> np.ndarray:
@@ -583,79 +569,6 @@ def input_gradient(model: MlpModel, x: np.ndarray) -> np.ndarray:
     labels = np.argmax(cache.probs, axis=1)
     dlogits = _cross_entropy_logit_grad(cache.probs, labels)
     return _backprop(model, cache, dlogits, set(), False, True)[1]
-
-
-# ---------------------------------------------------------------------------
-# finite differences
-# ---------------------------------------------------------------------------
-
-
-def finite_difference_gradients(
-    model: MlpModel,
-    x: np.ndarray,
-    labels: np.ndarray | None = None,
-    mode: ForwardMode = Deterministic(),
-    trainable: str = "all",
-) -> dict[str, np.ndarray]:
-    """Central-difference gradients of ``backward``'s loss, with ``backward``'s
-    parameters: the mean cross-entropy against ``labels``, or the mean row
-    entropy when there are none.
-
-    Deliberately ignorant of ``backward``, touching only ``forward`` and the loss
-    values, so it can serve as its oracle. Each evaluation runs on a throwaway
-    clone so TrainBN's running-stat side effect cannot leak between probes.
-    """
-    work = clone(model)
-    params = dict(named_parameters(work))
-
-    def eval_loss() -> float:
-        probs = forward(clone(work), x, mode)
-        return entropy_loss(probs) if labels is None else cross_entropy_loss(probs, labels)
-
-    grads: dict[str, np.ndarray] = {}
-    for name in resolve_trainable(work, trainable):
-        arr = params[name]
-        g = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = arr[idx]
-            arr[idx] = orig + FINITE_DIFFERENCE_STEP
-            hi = eval_loss()
-            arr[idx] = orig - FINITE_DIFFERENCE_STEP
-            lo = eval_loss()
-            arr[idx] = orig
-            g[idx] = (hi - lo) / (2.0 * FINITE_DIFFERENCE_STEP)
-        grads[name] = g
-    return grads
-
-
-def relu_kink_margin(model: MlpModel, x: np.ndarray, mode: ForwardMode = Deterministic()) -> float:
-    """Smallest |pre-relu| across the batch.
-
-    Central differences are only trustworthy when every relu argument stays on
-    one side of zero under the probe step, so callers should demand a margin
-    comfortably larger than the step.
-    """
-    cache = _forward_cached(clone(model), x, mode)
-    return min(
-        float(np.min(np.abs(blk.norm.gamma * bc.xhat + blk.norm.beta)))
-        for blk, bc in zip(model.blocks, cache.blocks)
-    )
-
-
-def gradcheck_max_error(
-    analytic: dict[str, np.ndarray], numeric: dict[str, np.ndarray]
-) -> float:
-    """Worst scaled discrepancy: |a - n| / max(1e-3, |a| + |n|)."""
-    if set(analytic) != set(numeric):
-        raise EngineError("gradient dictionaries cover different parameters")
-    worst = 0.0
-    for name, a in analytic.items():
-        n = numeric[name]
-        scale = np.maximum(1e-3, np.abs(a) + np.abs(n))
-        worst = max(worst, float(np.max(np.abs(a - n) / scale)))
-    return worst
 
 
 # ---------------------------------------------------------------------------

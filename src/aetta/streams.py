@@ -126,10 +126,15 @@ def train_source_model(train: Split, architecture: tuple[int, ...], epochs: int,
     """Cross-entropy training of the source classifier, with Adam on
     ``SOURCE_BATCH_SIZE``-row batches at ``SOURCE_LEARNING_RATE``.
 
-    A training accuracy below ``ACCURACY_GATE`` is logged, never fatal.
+    A training accuracy below ``ACCURACY_GATE`` is logged, never fatal; a split
+    too small for one batch is an error whenever ``epochs > 0``.
     """
     if len(train) == 0:
         raise StreamError("empty training split")
+    if epochs > 0 and len(train) < SOURCE_BATCH_SIZE:
+        raise StreamError(
+            f"{len(train)} training rows are fewer than one {SOURCE_BATCH_SIZE}-row batch: training would take no step"
+        )
     class_count = int(train.labels.max()) + 1
     model = nn.build_mlp(train.features.shape[1], max(class_count, 2), hidden=architecture, seed=seed)
     optimizer = nn.OptimizerState(kind="adam", learning_rate=SOURCE_LEARNING_RATE)

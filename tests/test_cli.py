@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -147,32 +149,6 @@ def test_non_finite_float_settings_are_rejected(tmp_path, caplog, update, flags,
     assert not (tmp_path / "out").exists()
 
 
-def test_verify_theorems_passes():
-    assert cli.main(["verify-theorems"]) == 0
-
-
-def test_verify_theorems_seed_also_seeds_the_robust_sweep(capsys):
-    robust_rows = []
-    for seed in ("0", "1"):
-        assert cli.main(["verify-theorems", "--seed", seed]) == 0
-        out = capsys.readouterr().out
-        robust_rows.append(out[out.index("robust constructions"):])
-    assert robust_rows[0] != robust_rows[1]
-
-
-def test_gradcheck_passes():
-    assert cli.main(["gradcheck"]) == 0
-
-
-@pytest.mark.parametrize("command", ["gradcheck", "verify-theorems"])
-def test_identity_checks_take_only_a_seed(command):
-    assert cli.build_parser().parse_args([command, "--seed", "3"]).seed == 3
-    for flag in (["--alpha", "1"], ["--config", "c.json"], ["--out", "o"], ["--n-dropout", "2"],
-                 ["--scenario", "fully"], ["--collapse"]):
-        with pytest.raises(SystemExit):
-            cli.build_parser().parse_args([command, *flag])
-
-
 def test_sweep_writes_grid_csv(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(tiny_config_dict()))
@@ -207,3 +183,12 @@ def test_recover_demo_prints_both_policies(tmp_path, capsys):
 def test_unknown_subcommand_is_rejected():
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["frobnicate"])
+
+
+def test_readme_command_block_lists_exactly_the_parser_subcommands():
+    """A command deleted from the parser must leave the README too, and a new one must enter it."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text[text.index("## Command line"):].split("```")[1]
+    documented = re.findall(r"^aetta ([\w-]+)", block, flags=re.MULTILINE)
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(documented) == sorted(subparsers.choices)

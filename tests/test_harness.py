@@ -167,7 +167,16 @@ class NoScipy(importlib.abc.MetaPathFinder):
 
 
 sys.meta_path.insert(0, NoScipy())
-from aetta import cli, estimators, harness, nn, oracle, plots, streams, tta
+import importlib
+import pkgutil
+
+import aetta
+
+modules = [info.name for info in pkgutil.iter_modules(aetta.__path__)]
+assert {"cli", "harness", "nn"} <= set(modules), modules
+for name in modules:
+    importlib.import_module("aetta." + name)
+from aetta import estimators, harness, streams
 
 config = harness.ExperimentConfig(
     dataset=streams.DatasetSpec(class_count=3, input_dim=4, samples_per_class=120, seed=0),

@@ -19,7 +19,6 @@ PACKAGE = Path(aetta.__file__).parent
 # modules below the harness and what they may import from the package
 LAYERS = {
     "nn": set(),
-    "oracle": set(),
     "plots": set(),
     "estimators": {"nn"},
     "tta": {"nn"},

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import finite_differences
 from aetta import nn
 
 
@@ -38,7 +39,7 @@ def kink_safe_batch(model, start_seed=0, rows=6, margin=1e-3):
     """
     for seed in range(start_seed, start_seed + 500):
         x = batch(seed=seed, rows=rows, cols=model.input_dim)
-        if all(nn.relu_kink_margin(model, x, m) > margin for m in ALL_MODES):
+        if all(finite_differences.relu_kink_margin(model, x, m) > margin for m in ALL_MODES):
             return x
     raise AssertionError("no kink-safe batch found")
 
@@ -101,7 +102,7 @@ class TestForward:
         not a forward with running statistics that a caller may take for another mode."""
         model, x = tiny_model(), batch()
         before = state_bytes(model)
-        for call in (nn.forward, nn.forward_logits, nn.relu_kink_margin):
+        for call in (nn.forward, nn.forward_logits, finite_differences.relu_kink_margin):
             with pytest.raises(nn.EngineError, match="unknown forward mode"):
                 call(model, x, mode)
         with pytest.raises(nn.EngineError, match="unknown forward mode"):
@@ -199,6 +200,14 @@ class TestForward:
         # about a third of the rows relabelled, so the count of correct rows varies
         labels = np.where(rng.random(rows) < 0.3, rng.integers(0, 10, size=rows), preds)
         assert nn.accuracy(model, x, labels) == float(np.mean(preds == labels))
+
+    @pytest.mark.parametrize("shape", [(1,), (99,), (100, 1)], ids=["one-label", "one-short", "column"])
+    def test_accuracy_needs_one_label_per_row(self, shape):
+        """A single label or a column of labels would broadcast against the
+        predictions and score a number that means nothing."""
+        model, x = tiny_model(), batch(rows=100)
+        with pytest.raises(nn.EngineError, match="one per row"):
+            nn.accuracy(model, x, np.ones(shape, dtype=int))
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 16), st.integers(2, 7))
     @settings(max_examples=25, deadline=None)
@@ -322,16 +331,16 @@ class TestLosses:
 
     def test_cross_entropy_frozen_value(self):
         p = np.array([[0.25, 0.75]])
-        assert_allclose(nn.cross_entropy_loss(p, np.array([1])), -math.log(0.75), rtol=1e-15)
+        assert_allclose(finite_differences.cross_entropy_loss(p, np.array([1])), -math.log(0.75), rtol=1e-15)
 
     def test_cross_entropy_floors_tiny_probabilities(self):
         p = np.array([[1.0, 0.0]])
-        assert_allclose(nn.cross_entropy_loss(p, np.array([1])), -math.log(1e-12), rtol=1e-12)
+        assert_allclose(finite_differences.cross_entropy_loss(p, np.array([1])), -math.log(1e-12), rtol=1e-12)
 
     def test_label_range_checked(self):
         p = np.full((2, 3), 1 / 3)
         with pytest.raises(nn.EngineError):
-            nn.cross_entropy_loss(p, np.array([0, 3]))
+            finite_differences.cross_entropy_loss(p, np.array([0, 3]))
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(2, 9))
     @settings(max_examples=25, deadline=None)
@@ -348,8 +357,8 @@ class TestBackward:
         model = tiny_model(seed=2)
         x = kink_safe_batch(model, start_seed=3)
         analytic = nn.backward(nn.clone(model), x, mode=mode)
-        numeric = nn.finite_difference_gradients(model, x, mode=mode)
-        assert nn.gradcheck_max_error(analytic, numeric) <= 1e-4
+        numeric = finite_differences.finite_difference_gradients(model, x, mode=mode)
+        assert finite_differences.gradcheck_max_error(analytic, numeric) <= 1e-4
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_cross_entropy_gradients_match_finite_differences(self, mode):
@@ -357,8 +366,8 @@ class TestBackward:
         x = kink_safe_batch(model, start_seed=5)
         y = np.random.default_rng(6).integers(0, 3, size=x.shape[0])
         analytic = nn.backward(nn.clone(model), x, labels=y, mode=mode)
-        numeric = nn.finite_difference_gradients(model, x, labels=y, mode=mode)
-        assert nn.gradcheck_max_error(analytic, numeric) <= 1e-4
+        numeric = finite_differences.finite_difference_gradients(model, x, labels=y, mode=mode)
+        assert finite_differences.gradcheck_max_error(analytic, numeric) <= 1e-4
 
     def test_bn_only_mask_limits_parameters(self):
         model = tiny_model()
@@ -369,8 +378,8 @@ class TestBackward:
         model = tiny_model(seed=9)
         x = kink_safe_batch(model, start_seed=10)
         analytic = nn.backward(nn.clone(model), x, mode=nn.TrainBN(), trainable="bn")
-        numeric = nn.finite_difference_gradients(model, x, mode=nn.TrainBN(), trainable="bn")
-        assert nn.gradcheck_max_error(analytic, numeric) <= 1e-4
+        numeric = finite_differences.finite_difference_gradients(model, x, mode=nn.TrainBN(), trainable="bn")
+        assert finite_differences.gradcheck_max_error(analytic, numeric) <= 1e-4
 
     def test_matched_soft_targets_give_zero_logit_gradient(self):
         """No learning signal when each row puts all its mass on its own label."""
@@ -410,7 +419,7 @@ class TestBackward:
         def parameters(fn):
             return [(p.name, p.default) for p in inspect.signature(fn).parameters.values()]
 
-        assert parameters(nn.finite_difference_gradients) == parameters(nn.backward)
+        assert parameters(finite_differences.finite_difference_gradients) == parameters(nn.backward)
 
     def test_saturated_softmax_has_vanishing_entropy_gradient(self):
         model = tiny_model(seed=1)
@@ -433,8 +442,8 @@ class TestBackward:
                 up[i, j] += step
                 dn[i, j] -= step
                 fd[i, j] = (
-                    nn.cross_entropy_loss(nn.forward(model, up), y)
-                    - nn.cross_entropy_loss(nn.forward(model, dn), y)
+                    finite_differences.cross_entropy_loss(nn.forward(model, up), y)
+                    - finite_differences.cross_entropy_loss(nn.forward(model, dn), y)
                 ) / (2 * step)
         assert_allclose(dx, fd, rtol=1e-4, atol=1e-7)
 
@@ -447,7 +456,7 @@ class TestBackward:
         z = x @ blk.dense.weights + blk.dense.bias
         xhat = (z - blk.norm.running_mean) / np.sqrt(blk.norm.running_var + nn.BN_EPS)
         pre = blk.norm.gamma * xhat + blk.norm.beta
-        assert_allclose(nn.relu_kink_margin(model, x), np.abs(pre).min(), rtol=1e-12)
+        assert_allclose(finite_differences.relu_kink_margin(model, x), np.abs(pre).min(), rtol=1e-12)
 
     def test_tent_backward_caches_no_pre_relu_array(self, traced_peak):
         """The cached forward keeps ``xhat`` and a bool relu gate, computed in the

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from aetta import oracle
+import oracle
 
 
 def mc_band(estimate, n):

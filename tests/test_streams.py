@@ -82,6 +82,16 @@ class TestTraining:
         fresh = nn.build_mlp(train.features.shape[1], 4, hidden=(8,), seed=5)
         assert state_bytes(model) == state_bytes(fresh)
 
+    def test_split_smaller_than_one_batch_is_rejected(self):
+        """Fewer rows than ``SOURCE_BATCH_SIZE`` make no batch, so the epochs
+        would take no optimizer step and return the initial weights."""
+        train, _ = streams.make_source_dataset(small_spec(class_count=2, samples_per_class=20))
+        assert len(train) < streams.SOURCE_BATCH_SIZE
+        with pytest.raises(streams.StreamError, match=f"{len(train)} training rows .* one {streams.SOURCE_BATCH_SIZE}-row batch"):
+            streams.train_source_model(train, architecture=(8,), epochs=30, seed=0)
+        model = streams.train_source_model(train, architecture=(8,), epochs=0, seed=0)
+        assert state_bytes(model) == state_bytes(nn.build_mlp(train.features.shape[1], 2, hidden=(8,), seed=0))
+
     @pytest.mark.parametrize("seed", sorted(PINNED_WEIGHTS))
     def test_default_architecture_weights_are_pinned(self, seed):
         """Two stacked TrainBN blocks trained with Adam keep their exact bits."""

@@ -83,7 +83,8 @@ def robust_weight(e_avg: float, class_count: int, alpha: float) -> float:
     """(e_avg / ln K) ** -alpha, with e_avg floored away from zero.
 
     Exactly 1.0 when alpha == 0 or when e_avg equals the maximum entropy, so
-    the unweighted path stays bit-identical.
+    the unweighted path stays bit-identical. A weight too large for a float is
+    inf, which ``aetta_estimate`` reads as error 1.
     """
     if class_count < 2:
         raise EstimatorError("need at least two classes")
@@ -93,7 +94,10 @@ def robust_weight(e_avg: float, class_count: int, alpha: float) -> float:
         raise EstimatorError("alpha must be non-negative")
     e_max = math.log(class_count)
     ratio = max(e_avg, ENTROPY_FLOOR) / e_max
-    return ratio**-alpha
+    try:
+        return ratio**-alpha
+    except OverflowError:
+        return math.inf
 
 
 def aetta_estimate(
@@ -172,10 +176,7 @@ def gde_agreement(labels: np.ndarray, previous_model: nn.MlpModel, x: np.ndarray
 
 def src_valid(model: nn.MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
     """Top-1 accuracy on a labeled holdout split, scored in blocks by ``nn.accuracy``."""
-    y = np.asarray(labels)
-    if y.ndim != 1 or y.shape[0] != np.asarray(features).shape[0]:
-        raise EstimatorError("labels must be one integer per holdout row")
-    return nn.accuracy(model, features, y)
+    return nn.accuracy(model, features, labels)
 
 
 def adv_perturb_agreement(

@@ -117,6 +117,12 @@ class TestAggregateAndWeight:
         e_avg = frac * math.log(k)
         assert est.robust_weight(e_avg, k, alpha) >= 1.0
 
+    @given(st.floats(0.0, 1.0), st.integers(2, 50), st.floats(0.0, 1e4))
+    @example(0.0, 10, 40.0)  # the floored entropy, where alpha 40 already overflows
+    @settings(max_examples=60, deadline=None)
+    def test_weight_never_raises_nor_is_nan(self, frac, k, alpha):
+        assert not math.isnan(est.robust_weight(frac * math.log(k), k, alpha))
+
 
 # sha256 of nn.dropout_forwards(model, x, 10, (0, 0, 0)), the masks of batch 0 of run
 # seed 0 under the default base_seed, for the default (64, 64) model after 2 epochs,
@@ -195,6 +201,16 @@ class TestAettaEstimate:
         assume(np.all(np.argmax(members, axis=-1) == seed % k) and report.e_avg < 1e-3)
         assert report.pdd == 0.0
         assert report.smoothed_accuracy <= 1.0 / k
+
+    def test_a_one_class_model_at_a_large_alpha_reads_as_wholly_wrong(self):
+        """At alpha 1000 the weight of a collapsed aggregate is too large for a
+        float, and the estimate reads as wholly wrong instead of raising."""
+        model, x = model_and_batch(seed=0, class_count=4)
+        model.head.bias[0] += 100.0
+        report = estimate(model, x, est.AettaConfig(alpha=1000.0))
+        assert report.e_avg < 1e-3
+        assert report.b_weight == math.inf
+        assert report.smoothed_accuracy == 0.0
 
     def test_alpha_zero_is_bitwise_pdd(self):
         cfg = est.AettaConfig(alpha=0.0)
@@ -289,7 +305,7 @@ class TestComparisonEstimators:
 
     def test_src_valid_label_shape_checked(self):
         model, x = model_and_batch()
-        with pytest.raises(est.EstimatorError):
+        with pytest.raises(nn.EngineError):
             est.src_valid(model, x, np.zeros((2, 2)))
 
     def test_adv_perturb_zero_epsilon_is_clean_agreement(self):

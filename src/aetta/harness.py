@@ -344,12 +344,13 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run every seed independently; a failed seed is recorded, not fatal."""
     outcomes: list[SeedOutcome] = []
-    for seed in config.seeds:
-        try:
-            outcomes.append(SeedOutcome(seed=seed, records=_run_seed(config, seed)))
-        except Exception as exc:  # noqa: BLE001 - seed isolation is the contract
-            log.exception("seed %d failed: %s", seed, exc)
-            outcomes.append(SeedOutcome(seed=seed, records=[], error=str(exc)))
+    with nn.small_ufunc_buffer():
+        for seed in config.seeds:
+            try:
+                outcomes.append(SeedOutcome(seed=seed, records=_run_seed(config, seed)))
+            except Exception as exc:  # noqa: BLE001 - seed isolation is the contract
+                log.exception("seed %d failed: %s", seed, exc)
+                outcomes.append(SeedOutcome(seed=seed, records=[], error=str(exc)))
     if all(o.error is not None for o in outcomes):
         raise HarnessError(f"all seeds failed; first error: {outcomes[0].error}")
     return ExperimentResult(config=config, outcomes=outcomes)

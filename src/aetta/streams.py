@@ -130,16 +130,17 @@ def train_source_model(train: Split, architecture: tuple[int, ...], epochs: int,
     model = nn.build_mlp(train.features.shape[1], max(class_count, 2), hidden=architecture, seed=seed)
     optimizer = nn.OptimizerState(kind="adam", learning_rate=SOURCE_LEARNING_RATE)
     rng = np.random.default_rng(seed + 1000)
-    for _ in range(epochs):
-        order = rng.permutation(len(train))
-        for start in range(0, len(train) - SOURCE_BATCH_SIZE + 1, SOURCE_BATCH_SIZE):
-            idx = order[start : start + SOURCE_BATCH_SIZE]
-            grads = nn.backward(model, train.features[idx], labels=train.labels[idx], mode=nn.TrainBN())
-            nn.optimizer_step(model, grads, optimizer)
-    if epochs > 0:
-        accuracy = nn.accuracy(model, train.features, train.labels)
-        if accuracy < ACCURACY_GATE:
-            log.warning("source training accuracy %.3f below gate %.3f", accuracy, ACCURACY_GATE)
+    with nn.small_ufunc_buffer():
+        for _ in range(epochs):
+            order = rng.permutation(len(train))
+            for start in range(0, len(train) - SOURCE_BATCH_SIZE + 1, SOURCE_BATCH_SIZE):
+                idx = order[start : start + SOURCE_BATCH_SIZE]
+                grads = nn.backward(model, train.features[idx], labels=train.labels[idx], mode=nn.TrainBN())
+                nn.optimizer_step(model, grads, optimizer)
+        if epochs > 0:
+            accuracy = nn.accuracy(model, train.features, train.labels)
+            if accuracy < ACCURACY_GATE:
+                log.warning("source training accuracy %.3f below gate %.3f", accuracy, ACCURACY_GATE)
     return model
 
 

@@ -28,6 +28,17 @@ def traced_peak():
     return measure
 
 
+@pytest.fixture
+def caller_ufunc_buffer():
+    """numpy's ufunc buffer set to 4096 elements, neither numpy's default nor
+    ``nn.UFUNC_BUFFER_ELEMENTS``, for the test's length; the size is yielded."""
+    old = np.setbufsize(4096)
+    try:
+        yield 4096
+    finally:
+        np.setbufsize(old)
+
+
 def _reference_members(model, x, n, seed):
     """``n`` dropout members of ``x`` as plain expressions, stacked (n, rows, K).
 

@@ -303,6 +303,18 @@ class TestComparisonEstimators:
         labels = rng.integers(0, 10, size=4096)
         assert traced_peak(lambda: est.src_valid(model, x, labels)) < 3 * 256 * 64 * 8
 
+    def test_src_valid_holds_one_small_row_block(self, traced_peak):
+        """With numpy's ufunc buffer at ``nn.UFUNC_BUFFER_ELEMENTS``, scoring
+        SrcValid's 1000 holdout rows peaks at about two (128, 64) arrays: one
+        row block's input and output, with no per-block input check, inverse
+        stds or separate softmax array."""
+        model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(1000, 16))
+        labels = rng.integers(0, 10, size=1000)
+        with nn.small_ufunc_buffer():
+            assert traced_peak(lambda: est.src_valid(model, x, labels)) < 2.5 * 128 * 64 * 8
+
     def test_src_valid_label_shape_checked(self):
         model, x = model_and_batch()
         with pytest.raises(nn.EngineError):

@@ -612,6 +612,30 @@ def test_failing_seed_is_isolated_and_flagged(monkeypatch):
     assert len(result.records_by_seed) == 2
 
 
+def test_seeds_run_with_the_small_ufunc_buffer_and_restore_the_callers(monkeypatch, caller_ufunc_buffer):
+    """Every seed runs with numpy's ufunc buffer at ``nn.UFUNC_BUFFER_ELEMENTS``;
+    the caller's size is back after the run, also when a seed or every seed raises."""
+    seen = []
+
+    def recording(logits):
+        seen.append(np.getbufsize())
+        if len(seen) == 1:
+            raise RuntimeError("synthetic failure")
+        return softmax_score(logits)
+
+    monkeypatch.setattr(harness, "softmax_score", recording)
+    result = harness.run_experiment(tiny_config(seeds=(0, 1)))
+    assert [o.error is None for o in result.outcomes] == [False, True]
+    # seed 0 stops at its first batch; seed 1 scores all four
+    assert len(seen) == 1 + 4 and set(seen) == {nn.UFUNC_BUFFER_ELEMENTS}
+    assert np.getbufsize() == caller_ufunc_buffer
+
+    monkeypatch.setattr(harness, "softmax_score", lambda logits: 1 / 0)
+    with pytest.raises(harness.HarnessError, match="all seeds failed"):
+        harness.run_experiment(tiny_config(seeds=(0, 1)))
+    assert np.getbufsize() == caller_ufunc_buffer
+
+
 def test_all_seeds_failing_raises(monkeypatch):
     monkeypatch.setattr(
         harness, "_run_seed", lambda config, seed: (_ for _ in ()).throw(RuntimeError("boom"))

@@ -183,6 +183,9 @@ class TestForward:
         assert traced_peak(lambda: nn.forward(model, x)) < 2.5 * 1000 * 64 * 8
 
     @given(rows=st.integers(1, 1100), seed=st.integers(0, 2**31 - 1))
+    @example(rows=127, seed=8)
+    @example(rows=128, seed=9)
+    @example(rows=129, seed=10)
     @example(rows=255, seed=5)
     @example(rows=256, seed=6)
     @example(rows=257, seed=7)
@@ -208,6 +211,18 @@ class TestForward:
         model, x = tiny_model(), batch(rows=100)
         with pytest.raises(nn.EngineError, match="one per row"):
             nn.accuracy(model, x, np.ones(shape, dtype=int))
+
+    def test_accuracy_checks_every_row_up_front(self):
+        """``accuracy`` checks its input once, not per row block, so that one
+        check must reject a NaN in the last block and an input of the wrong width."""
+        model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
+        x = np.random.default_rng(0).normal(size=(3 * nn._ACCURACY_BLOCK_ROWS + 5, 16))
+        labels = np.zeros(x.shape[0], dtype=int)
+        with pytest.raises(nn.EngineError, match="input width 15"):
+            nn.accuracy(model, x[:, :15], labels)
+        x[-1, 3] = np.nan
+        with pytest.raises(nn.EngineError, match="non-finite"):
+            nn.accuracy(model, x, labels)
 
     @given(st.integers(0, 2**31 - 1), st.integers(1, 16), st.integers(2, 7))
     @settings(max_examples=25, deadline=None)

@@ -123,6 +123,34 @@ class TestTraining:
             preds = np.argmax(nn.forward(task.checkpoint, task.holdout.features), axis=1)
             assert float(np.mean(preds == task.holdout.labels)) >= 0.90
 
+    def test_training_runs_with_the_small_ufunc_buffer_and_restores_the_callers(
+        self, monkeypatch, caller_ufunc_buffer
+    ):
+        """Every training step and the accuracy gate run with numpy's ufunc buffer
+        at ``nn.UFUNC_BUFFER_ELEMENTS``; the caller's size is back afterwards, also
+        when the gate raises."""
+        train, _ = streams.make_source_dataset(small_spec())
+        seen = []
+        step = nn.optimizer_step
+
+        def recording_step(model, grads, state):
+            seen.append(np.getbufsize())
+            step(model, grads, state)
+
+        def raising_gate(model, x, labels):
+            seen.append(np.getbufsize())
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(nn, "optimizer_step", recording_step)
+        streams.train_source_model(train, architecture=(8,), epochs=1, seed=0)
+        assert len(seen) == len(train) // streams.SOURCE_BATCH_SIZE
+        assert np.getbufsize() == caller_ufunc_buffer
+        monkeypatch.setattr(nn, "accuracy", raising_gate)
+        with pytest.raises(RuntimeError, match="synthetic failure"):
+            streams.train_source_model(train, architecture=(8,), epochs=1, seed=0)
+        assert set(seen) == {nn.UFUNC_BUFFER_ELEMENTS}
+        assert np.getbufsize() == caller_ufunc_buffer
+
     def test_missed_gate_warns_but_returns(self, caplog, monkeypatch):
         monkeypatch.setattr(streams, "ACCURACY_GATE", 1.0)
         train, _ = streams.make_source_dataset(small_spec())

@@ -14,9 +14,13 @@ once the first member has read it, or into an array while backward's cache holds
 it. An inference forward allocates one (rows, width) array per block, its
 activation. ``_forward_cached``, which ``backward`` replays, keeps per block
 ``xhat``, ``inv_std`` and a bool relu gate; it keeps each block's input and the
-head input only when a dense or head weight gradient needs them. ``_backprop``
-consumes the cache, dropping each block's entry once it is used, and stops
-after block 0's BN gradients when nothing below them is wanted.
+head input only when a dense or head weight gradient needs them. Otherwise
+block 0 keeps its input, the caller's batch, which is alive anyway and narrower
+than a block, and the mean it subtracted in place of ``xhat``, which backward
+rebuilds bitwise only if it reads it. ``_backprop`` consumes the cache,
+dropping the probabilities at once, each block's entry once it is used and each
+block's gradient once the next exists, and stops after block 0's BN gradients
+when nothing below them is wanted.
 
 Layer and optimizer hyperparameters that no caller varies are module
 constants, not fields: ``BN_MOMENTUM`` and ``BN_EPS`` for every batchnorm
@@ -256,21 +260,34 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 class _BlockCache:
     """What backward reads of one hidden block. ``gate`` is the relu gate ``out > 0``,
     so neither the float output nor the pre-relu value ``gamma * xhat + beta`` is
-    kept; ``x_in`` is None unless the dense weight gradient is wanted. ``_backprop``
-    pops the entry once it has used it."""
+    kept. ``x_in`` is the block's input, kept for the dense weight gradient or, in
+    block 0, to rebuild ``xhat``; otherwise it is None. ``xhat`` is None where it
+    is rebuilt, and ``mean`` is the mean the forward subtracted, kept only then.
+    ``_backprop`` pops the entry once it has used it."""
 
     x_in: np.ndarray | None
-    xhat: np.ndarray
+    xhat: np.ndarray | None
+    mean: np.ndarray | None  # batch or running depending on mode
     inv_std: np.ndarray  # 1/sqrt(var + eps), batch or running depending on mode
     gate: np.ndarray  # bool
+
+    def normalised(self, dense: DenseLayer) -> np.ndarray:
+        """``xhat``, rebuilt on first read, if it was not kept, by the forward's
+        own four operations in their order, so its bits are the forward's."""
+        if self.xhat is None:
+            self.xhat = self.x_in @ dense.weights
+            self.xhat += dense.bias
+            self.xhat -= self.mean
+            self.xhat *= self.inv_std
+        return self.xhat
 
 
 @dataclass
 class _ForwardCache:
     blocks: list[_BlockCache]
     head_in: np.ndarray | None
-    logits: np.ndarray
-    probs: np.ndarray
+    logits: np.ndarray | None  # None once ``_backprop`` has started
+    probs: np.ndarray | None
 
 
 def _check_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -292,24 +309,29 @@ def _running_inv_std(norm: BatchNormLayer) -> np.ndarray:
 
 def _block(
     blk: HiddenBlock, x_in: np.ndarray, train_bn: bool, keep_xhat: bool = False, inv_std: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Dense -> BN -> relu of one hidden block: (activation, xhat, inv_std).
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    """Dense -> BN -> relu of one hidden block: (activation, xhat, mean, inv_std),
+    where ``mean`` is what was subtracted, the batch's or ``running_mean``.
 
     Without ``keep_xhat`` the affine and the relu overwrite the normalised dense
     output, so the activation is the one (rows, width) array the block
     allocates and ``xhat`` comes back as None. With it, ``xhat`` stays intact
-    and the activation is a second array. Outside TrainBN, a caller may pass
-    in the block's ``_running_inv_std`` to reuse it.
+    and the activation is a second array, which TrainBN's variance first uses
+    for its squares; an axis-0 sum's bits do not depend on where its input
+    lives. Outside TrainBN, a caller may pass in the block's
+    ``_running_inv_std`` to reuse it.
     """
     z = x_in @ blk.dense.weights
     z += blk.dense.bias
+    # with keep_xhat the activation needs an array of its own; TrainBN's squares borrow it first
+    out = np.empty_like(z) if keep_xhat else z
     if train_bn:
         # np.mean and np.var both divide an axis-0 sum by n; z is centred once
         n = z.shape[0]
         mean = z.sum(axis=0)
         mean /= n
         z -= mean
-        var = (z * z).sum(axis=0)
+        var = np.multiply(z, z, out=out if keep_xhat else None).sum(axis=0)
         var /= n
         inv_std = var + BN_EPS
         np.sqrt(inv_std, out=inv_std)
@@ -323,12 +345,13 @@ def _block(
     else:
         if inv_std is None:
             inv_std = _running_inv_std(blk.norm)
-        z -= blk.norm.running_mean
+        mean = blk.norm.running_mean
+        z -= mean
     z *= inv_std
-    out = np.multiply(z, blk.norm.gamma, out=None if keep_xhat else z)
+    np.multiply(z, blk.norm.gamma, out=out)
     out += blk.norm.beta
     np.maximum(out, 0.0, out=out)
-    return out, z if keep_xhat else None, inv_std
+    return out, z if keep_xhat else None, mean, inv_std
 
 
 def _keep_threshold(rate: float) -> tuple[int, float]:
@@ -366,12 +389,21 @@ def _forward_cached(
     model: MlpModel, x: np.ndarray, mode: ForwardMode, keep_inputs: bool = False
 ) -> _ForwardCache:
     """The forward with every per-block array backward reads; each block's input
-    and the head input only with ``keep_inputs``, for the weight gradients."""
+    and the head input only with ``keep_inputs``, for the weight gradients.
+
+    Without ``keep_inputs``, block 0 keeps its input, the caller's batch, which
+    is alive anyway and narrower than a block, and the mean it subtracted, in
+    place of ``xhat``: backward rebuilds ``xhat`` only if it reads it. Source
+    training's weight gradients read every block's input, so there every block
+    keeps ``xhat`` rather than recompute it.
+    """
     h, train_bn = _check_input(model, x), _train_bn(mode)
     caches: list[_BlockCache] = []
-    for blk in model.blocks:
-        act, xhat, inv_std = _block(blk, h, train_bn, keep_xhat=True)
-        caches.append(_BlockCache(h if keep_inputs else None, xhat, inv_std, act > 0.0))
+    for i, blk in enumerate(model.blocks):
+        rebuild = not keep_inputs and i == 0
+        act, xhat, mean, inv_std = _block(blk, h, train_bn, keep_xhat=not rebuild)
+        x_in = h if keep_inputs or rebuild else None
+        caches.append(_BlockCache(x_in, xhat, mean if rebuild else None, inv_std, act > 0.0))
         h = act
     logits = _head(model, h)
     return _ForwardCache(caches, h if keep_inputs else None, logits, softmax(logits))
@@ -538,9 +570,11 @@ def _backprop(
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """Gradients of the ``wanted`` parameters from d loss/d logits, and d loss/d input if wanted.
 
-    Consumes ``cache``: the head input and each block's entry are dropped once
-    used, so their arrays are freed as the gradient moves down the stack.
+    Consumes ``cache``: the logits and probabilities are dropped at once, and
+    the head input and each block's entry once used, so their arrays are freed
+    as the gradient moves down the stack.
     """
+    cache.logits = cache.probs = None  # ``dlogits`` is all that is read of them
     grads: dict[str, np.ndarray] = {}
     # every array written below was allocated here; the cache's arrays are only read
     if "head.weights" in wanted:
@@ -556,7 +590,7 @@ def _backprop(
         dh *= bc.gate
         scratch = None  # the one (rows, width) temporary for ``dz * xhat``
         if f"blocks.{i}.norm.gamma" in wanted:
-            scratch = np.multiply(dh, bc.xhat)
+            scratch = np.multiply(dh, bc.normalised(blk.dense))
             grads[f"blocks.{i}.norm.gamma"] = scratch.sum(axis=0)
         if f"blocks.{i}.norm.beta" in wanted:
             grads[f"blocks.{i}.norm.beta"] = dh.sum(axis=0)
@@ -572,12 +606,12 @@ def _backprop(
         else:
             # dz = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv_std
             n = dz.shape[0]
-            scratch = np.multiply(dz, bc.xhat, out=scratch)
+            scratch = np.multiply(dz, bc.normalised(blk.dense), out=scratch)
             dot = scratch.sum(axis=0)
             dot /= n
             mean = dz.sum(axis=0)
             mean /= n
-            np.multiply(bc.xhat, dot, out=scratch)
+            np.multiply(bc.normalised(blk.dense), dot, out=scratch)
             dz -= mean
             dz -= scratch
             dz *= bc.inv_std
@@ -588,6 +622,7 @@ def _backprop(
         if i > 0 or want_input_grad:
             scratch = bc = None  # freed before the next gradient is allocated
             dh = dz @ blk.dense.weights.T
+            dz = None  # and this block's gradient once the next one exists
     return grads, dh if want_input_grad else None
 
 

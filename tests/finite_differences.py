@@ -70,9 +70,10 @@ def relu_kink_margin(model: nn.MlpModel, x: np.ndarray, mode: nn.ForwardMode = n
 
     Central differences are only trustworthy when every relu argument stays on
     one side of zero under the probe step, so callers should demand a margin
-    comfortably larger than the step.
+    comfortably larger than the step. ``keep_inputs`` makes every block keep
+    its ``xhat``, block 0's included.
     """
-    cache = nn._forward_cached(nn.clone(model), x, mode)
+    cache = nn._forward_cached(nn.clone(model), x, mode, keep_inputs=True)
     return min(
         float(np.min(np.abs(blk.norm.gamma * bc.xhat + blk.norm.beta)))
         for blk, bc in zip(model.blocks, cache.blocks)

@@ -1,5 +1,6 @@
+import csv
 import dataclasses
-import hashlib
+import io
 import itertools
 import logging
 import math
@@ -334,54 +335,68 @@ def test_a_source_model_that_predicts_one_class_is_rolled_back_on_the_first_batc
     assert first.trigger == "hard_threshold"
 
 
-# run.csv digests of tiny_config over 9 batches of 8 rows: one per recovery
-# kind under TENT, each set so that it fires, and one per other adaptation
-# method with no recovery. The recovery pins were recorded when run.csv gained
-# its seed column and AETTA's masks became per-batch draws of 16-bit raw words,
-# the method pins before the model with no hidden block was removed. A change
-# to output bytes has to record them again and say why in CHANGES.md.
+# tiny_config over 9 batches of 8 rows: one config per recovery kind under
+# TENT, each set so that it fires, and one per other adaptation method with no
+# recovery. Each config's expected run.csv is tests/pins/<kind>.csv, compared
+# byte for byte. The recovery pins were recorded when run.csv gained its seed
+# column and AETTA's masks became per-batch draws of 16-bit raw words, the
+# method pins before the model with no hidden block was removed. A change to
+# output bytes writes the files again, so its diff shows every value that
+# moved, and says why in CHANGES.md.
+PINS = Path(__file__).parent / "pins"
 PINNED_RUN_CSV = {
-    "none": (
-        dict(recovery=RecoveryPolicy()),
-        "d021f37508a3d504a0e10de22cccbf0f8a6365995d24457df690bcdce49f1d31",
-    ),
-    "aetta_reset": (
-        dict(recovery=RecoveryPolicy(kind="aetta_reset", window=2, hard_threshold=0.65)),
-        "652ee734b8954983f551dbc85ac0bf4dadeaabab683d8810615e08ff907933a4",
-    ),
-    "episodic": (
-        dict(recovery=RecoveryPolicy(kind="episodic")),
-        "731a750d906450e687750fbe19f8dbf4c086eac8e2136ccf5efb02d9731ca4e1",
-    ),
-    "mrs": (
-        dict(recovery=RecoveryPolicy(kind="mrs", mrs_threshold=1.0)),
-        "e11ae10424decae254552144fc7929b5b29f9a150b78b2f300f370b98bc2b9af",
-    ),
-    "stochastic_restore": (
-        dict(recovery=RecoveryPolicy(kind="stochastic_restore", restore_prob=0.5)),
-        "fae750bebf4b02a91de591e548becd904aeac0472fb137da0f80c297122c96ff",
-    ),
-    "dist_shift": (
-        dict(recovery=RecoveryPolicy(kind="dist_shift")),
-        "9338d3753a98689196895e28ec056a09bccd49df4f47931b7c6cdbe78ed8315a",
-    ),
-    "method_none": (
-        dict(adaptation=AdaptConfig(method="none")),
-        "98514c60cbcf858c10446c7e146416b68dee1b4c8d7feb8290d77aef8f98fdd1",
-    ),
-    "method_bn_stats": (
-        dict(adaptation=AdaptConfig(method="bn_stats")),
-        "f694bf3da13e7aa992d4ad5bd2e628a11cc94b3360f4da1adeab478494c9c7cf",
-    ),
+    "none": dict(recovery=RecoveryPolicy()),
+    "aetta_reset": dict(recovery=RecoveryPolicy(kind="aetta_reset", window=2, hard_threshold=0.65)),
+    "episodic": dict(recovery=RecoveryPolicy(kind="episodic")),
+    "mrs": dict(recovery=RecoveryPolicy(kind="mrs", mrs_threshold=1.0)),
+    "stochastic_restore": dict(recovery=RecoveryPolicy(kind="stochastic_restore", restore_prob=0.5)),
+    "dist_shift": dict(recovery=RecoveryPolicy(kind="dist_shift")),
+    "method_none": dict(adaptation=AdaptConfig(method="none")),
+    "method_bn_stats": dict(adaptation=AdaptConfig(method="bn_stats")),
 }
+
+
+def csv_changes(expected: str, actual: str) -> str:
+    """What moved between two CSV texts: the first line that differs, and per
+    column the largest absolute change, or for a non-numeric column the count
+    of rows that differ."""
+    old, new = list(csv.reader(io.StringIO(expected))), list(csv.reader(io.StringIO(actual)))
+    if old[:1] != new[:1]:
+        return f"header {old[:1]} is now {new[:1]}"
+    lines = [] if len(old) == len(new) else [f"{len(old) - 1} rows are now {len(new) - 1}"]
+    first = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), None)
+    if first is not None:
+        lines += [f"first differing line {first + 1}:", f"  expected {old[first]}", f"  actual   {new[first]}"]
+    for j, name in enumerate(old[0]):
+        pairs = [(a[j], b[j]) for a, b in zip(old[1:], new[1:]) if a[j] != b[j]]
+        if pairs:
+            try:
+                lines.append(f"{name}: largest change {max(abs(float(b) - float(a)) for a, b in pairs)!r}")
+            except ValueError:
+                lines.append(f"{name}: {len(pairs)} rows differ")
+    return "\n".join(lines)
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_RUN_CSV))
 def test_run_csv_bytes_are_pinned(tmp_path, kind):
-    overrides, digest = PINNED_RUN_CSV[kind]
-    result = harness.run_experiment(tiny_config(**overrides, n_batches=9, batch_size=8))
+    result = harness.run_experiment(tiny_config(**PINNED_RUN_CSV[kind], n_batches=9, batch_size=8))
     harness.write_run_csv(result, tmp_path / "run.csv")
-    assert hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest() == digest
+    expected, actual = (PINS / f"{kind}.csv").read_bytes(), (tmp_path / "run.csv").read_bytes()
+    assert actual == expected, csv_changes(expected.decode(), actual.decode())
+
+
+def test_pin_report_names_the_first_moved_line_and_each_columns_largest_change():
+    expected = "t,est,trigger\r\n0,0.5,\r\n1,0.25,\r\n2,1.0,\r\n"
+    actual = "t,est,trigger\r\n0,0.5,\r\n1,0.3,external\r\n2,0.875,\r\n"
+    assert csv_changes(expected, actual).splitlines() == [
+        "first differing line 3:",
+        "  expected ['1', '0.25', '']",
+        "  actual   ['1', '0.3', 'external']",
+        "est: largest change 0.125",
+        "trigger: 1 rows differ",
+    ]
+    assert csv_changes(expected, expected + "3,0.5,\r\n").splitlines() == ["3 rows are now 4"]
+    assert csv_changes(expected, "t,est\r\n") == "header [['t', 'est', 'trigger']] is now [['t', 'est']]"
 
 
 def test_window_above_five_can_fire(monkeypatch):

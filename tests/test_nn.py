@@ -474,21 +474,65 @@ class TestBackward:
         assert_allclose(finite_differences.relu_kink_margin(model, x), np.abs(pre).min(), rtol=1e-12)
 
     def test_tent_backward_caches_no_pre_relu_array(self, traced_peak):
-        """The cached forward keeps ``xhat`` and a bool relu gate, computed in the
-        forward from the block output, so the pre-relu value is never kept."""
+        """The cached forward keeps ``xhat``, or in block 0 what rebuilds it, and
+        a bool relu gate computed in the forward from the block output, so the
+        pre-relu value is never kept."""
         model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
         x = np.random.default_rng(1).normal(size=(256, 16))
         step = lambda: nn.backward(model, x, mode=nn.TrainBN(), trainable="bn")
         assert traced_peak(step) < 10 * 256 * 64 * 8
 
     def test_bn_backward_keeps_no_block_outputs(self, traced_peak):
-        """With no weight gradient wanted, the cache keeps neither the block
-        inputs nor the head input, and backward frees each block's entry once
-        used: a BN-only step at 256 rows peaks below six (256, 64) arrays."""
+        """With no weight gradient wanted, the cache keeps no block input but
+        block 0's, which is the caller's batch, and not the head input, and
+        backward frees each block's entry once used: a BN-only step at 256 rows
+        peaks below six (256, 64) arrays."""
         model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
         x = np.random.default_rng(1).normal(size=(256, 16))
         step = lambda: nn.backward(model, x, mode=nn.TrainBN(), trainable="bn")
         assert traced_peak(step) < 6 * 256 * 64 * 8
+
+    def test_bn_only_backward_peaks_below_four_block_arrays(self, traced_peak):
+        """Block 0 rebuilds ``xhat`` from the caller's batch instead of keeping
+        it, block 1's TrainBN squares become its activation, and backward drops
+        the probabilities at once and each block's gradient once the next
+        exists. With the small ufunc buffer, a BN-only step at 256 rows peaks
+        below four (256, 64) arrays, not near five."""
+        model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
+        x = np.random.default_rng(1).normal(size=(256, 16))
+        step = lambda: nn.backward(model, x, mode=nn.TrainBN(), trainable="bn")
+        with nn.small_ufunc_buffer():
+            assert traced_peak(step) < 4 * 256 * 64 * 8
+
+    def test_input_gradient_peaks_below_four_block_arrays(self, traced_peak):
+        """No gradient of ``input_gradient`` reads block 0's ``xhat``, so it is
+        never rebuilt: at 256 rows, with the small ufunc buffer, the call peaks
+        below four (256, 64) arrays."""
+        model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
+        x = np.random.default_rng(1).normal(size=(256, 16))
+        with nn.small_ufunc_buffer():
+            assert traced_peak(lambda: nn.input_gradient(model, x)) < 4 * 256 * 64 * 8
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        rows=st.integers(1, 12),
+        hidden=st.sampled_from([(8,), (8, 8)]),
+        mode=st.sampled_from((nn.Deterministic(), nn.TrainBN())),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_block_0_rebuilds_xhat_bitwise_from_the_callers_batch(self, seed, rows, hidden, mode):
+        """Without ``keep_inputs``, block 0 keeps the caller's batch and the mean
+        it subtracted in place of ``xhat``, and no later block keeps its input;
+        the rebuilt ``xhat`` is bitwise the one that source training's cache,
+        with ``keep_inputs``, keeps in every block."""
+        model = tiny_model(seed=seed % 1000, hidden=hidden)
+        x = np.random.default_rng(seed).normal(size=(rows, 5))
+        lean = nn._forward_cached(nn.clone(model), x, mode)
+        kept = nn._forward_cached(nn.clone(model), x, mode, keep_inputs=True)
+        assert lean.blocks[0].xhat is None and lean.blocks[0].x_in is x
+        assert all(bc.x_in is None and bc.mean is None for bc in lean.blocks[1:])
+        assert all(bc.xhat is not None and bc.mean is None for bc in kept.blocks)
+        assert_array_equal(lean.blocks[0].normalised(model.blocks[0].dense), kept.blocks[0].xhat)
 
     @given(
         seed=st.integers(0, 2**31 - 1),

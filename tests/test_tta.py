@@ -1,5 +1,7 @@
 """Adaptation step isolation, recovery-policy triggers, reset semantics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,7 +21,25 @@ def make_batch(seed=0, rows=32, cols=6):
     return np.random.default_rng(seed).normal(size=(rows, cols))
 
 
+# sha256 of every named_state array, joined in order, then of a fourth step's
+# BN gradients by name, after three TENT steps (Adam, lr 1e-3) at 256 rows on
+# the benchmark's two-block (64, 64) model. The run.csv pins run a one-block
+# model, and a last-bit change to a gradient need not reach the parameters.
+PINNED_TENT_STATE = "06dacb09c5c7286be2d37d3cdeda7d67cee3ce3a3e2c696c62802503eecf82f5"
+
+
 class TestTentStep:
+    def test_two_block_steps_at_256_rows_are_pinned(self):
+        model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
+        opt = tta.make_optimizer(tta.AdaptConfig())
+        batches = np.random.default_rng(1).normal(size=(4, 256, 16))
+        for x in batches[:3]:
+            tta.tent_step(model, x, opt)
+        grads = nn.backward(model, batches[3], mode=nn.TrainBN(), trainable="bn")
+        state = b"".join(arr.tobytes() for _, arr in nn.named_state(model))
+        digest = hashlib.sha256(state + b"".join(grads[name].tobytes() for name in sorted(grads))).hexdigest()
+        assert digest == PINNED_TENT_STATE
+
     def test_non_bn_parameters_bitwise_frozen(self):
         model = make_model()
         cfg = tta.AdaptConfig(method="tent", learning_rate=0.01)

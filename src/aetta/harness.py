@@ -234,7 +234,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
         train_seed=seed,
     )
     source = task.checkpoint
-    model = nn.clone(source)
+    model = nn.adaptable_copy(source)
     optimizer = make_optimizer(config.adaptation)
 
     holdout_x = task.holdout.features[:SRCVALID_ROWS]
@@ -253,9 +253,10 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
     # window-degradation trigger compares the last two windows of them
     ema_error: float | None = None
     history: deque[float] = deque(maxlen=2 * config.recovery.window)
-    # GDE compares against the model before the last adaptation step; nothing else reads it
+    # GDE compares against the model before the last adaptation step; nothing else
+    # reads it. A snapshot copies only the BN arrays, all that the step writes
     gde = "gde" in enabled
-    prev_model = nn.clone(model) if gde else None
+    prev_model = nn.adaptable_copy(model) if gde else None
     # only MRS recovery reads the entropy EMA; it stays None under every other kind
     mrs = config.recovery.kind == "mrs"
     entropy_ema: float | None = None
@@ -309,7 +310,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
                 entropy_ema = None
 
         if gde:
-            nn.copy_into(prev_model, model)
+            prev_model = nn.adaptable_copy(model)
         _adaptation_step(config, model, x, optimizer)
         if config.recovery.kind == "stochastic_restore":
             stochastic_restore_step(

@@ -227,13 +227,33 @@ def clone(model: MlpModel) -> MlpModel:
     return copy.deepcopy(model)
 
 
+def adaptable_copy(model: MlpModel) -> MlpModel:
+    """A copy to adapt: new layers, each BN array (gamma, beta, running
+    statistics) a writable copy, and each dense and head array shared where it is
+    read-only, as a ``streams.prepared_task`` checkpoint's are, and copied where
+    it is writable. TENT and every rollback write only BN arrays, so a shared
+    array is never written; a write into one raises numpy's read-only error."""
+
+    def dense(layer: DenseLayer) -> DenseLayer:
+        return DenseLayer(*(a.copy() if a.flags.writeable else a for a in (layer.weights, layer.bias)))
+
+    def norm(layer: BatchNormLayer) -> BatchNormLayer:
+        return BatchNormLayer(*(a.copy() for a in (layer.gamma, layer.beta, layer.running_mean, layer.running_var)))
+
+    blocks = [HiddenBlock(dense(blk.dense), norm(blk.norm)) for blk in model.blocks]
+    return MlpModel(blocks, dense(model.head), model.dropout_rate)
+
+
 def copy_into(target: MlpModel, source: MlpModel) -> None:
-    """Overwrite every array of target with source's, in place."""
+    """Overwrite every array of target with source's, in place. An array the two
+    models share already holds the source's values, and may be read-only, so it
+    is skipped."""
     targets, sources = named_state(target), named_state(source)
     if [t.shape for _, t in targets] != [s.shape for _, s in sources]:
         raise EngineError("models are not the same shape")
     for (_, t), (_, s) in zip(targets, sources):
-        t[...] = s
+        if t is not s:
+            t[...] = s
 
 
 def resolve_trainable(model: MlpModel, trainable: str) -> tuple[str, ...]:

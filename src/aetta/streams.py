@@ -320,10 +320,12 @@ def prepared_task(
 
     Training is deterministic, so serving from cache is indistinguishable from
     recomputing. The trained model is the task's checkpoint, handed out with its
-    arrays made read-only, so a write into it raises; callers that adapt a model
-    adapt a clone of it. The dataset depends on ``spec`` alone, so every cached
-    task of one spec shares the same ``train`` and ``holdout`` splits, whatever
-    its architecture, epochs or seed; their arrays are read-only too.
+    arrays made read-only, so a write into it raises; callers that adapt it adapt
+    an ``nn.adaptable_copy``, which has BN arrays of its own and shares the
+    checkpoint's dense and head arrays. The dataset depends on ``spec`` alone, so
+    every cached task of one spec shares the same ``train`` and ``holdout``
+    splits, whatever its architecture, epochs or seed; their arrays are read-only
+    too.
     """
     key = (spec, tuple(architecture), epochs, train_seed)
     if key not in _TASK_CACHE:

@@ -55,7 +55,8 @@ def tent_step(model: nn.MlpModel, x: np.ndarray, optimizer: nn.OptimizerState) -
     """One entropy-minimisation step on BN gamma/beta only, by ``optimizer``.
 
     Uses batch statistics for the forward (running stats refreshed in place);
-    every non-BN parameter is bitwise untouched.
+    every non-BN parameter is bitwise untouched, so the model may share the
+    checkpoint's read-only dense and head arrays (``nn.adaptable_copy``).
     """
     grads = nn.backward(model, x, mode=nn.TrainBN(), trainable="bn")
     nn.optimizer_step(model, grads, optimizer)
@@ -137,7 +138,9 @@ def apply_reset(
     model: nn.MlpModel, optimizer: nn.OptimizerState, source_checkpoint: nn.MlpModel
 ) -> nn.OptimizerState:
     """Restore ``model``'s parameters and running stats bitwise, in place, from the
-    checkpoint; return a fresh optimizer of the same kind and learning rate.
+    checkpoint; return a fresh optimizer of the same kind and learning rate. An
+    array the model shares with the checkpoint is the checkpoint's already and is
+    not written.
 
     The caller's accuracy history is deliberately kept: it survives resets so
     repeated rollbacks stay visible in the logs.
@@ -149,11 +152,17 @@ def apply_reset(
 def stochastic_restore_step(
     model: nn.MlpModel, source_checkpoint: nn.MlpModel, restore_prob: float, seed: int
 ) -> None:
-    """Independently revert each scalar parameter to source with given probability."""
+    """Independently revert each scalar parameter to source with given probability.
+
+    Every parameter draws its mask, in ``named_parameters`` order, so the draws
+    do not depend on which arrays the model shares with the source; a shared
+    array holds the source's values already and is not written.
+    """
     if not 0.0 <= restore_prob <= 1.0:
         raise AdaptationError("restore_prob must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     source = dict(nn.named_parameters(source_checkpoint))
     for name, param in nn.named_parameters(model):
         mask = rng.random(param.shape) < restore_prob
-        param[mask] = source[name][mask]
+        if param is not source[name]:
+            param[mask] = source[name][mask]

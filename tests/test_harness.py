@@ -71,13 +71,25 @@ def test_first_batch_estimates_come_from_unadapted_source():
     assert first.estimates["gde"] == 1.0
 
 
+def writable_state(model, name):
+    """Replace ``model``'s array ``name`` with a writable copy and return the copy.
+    The harness's model shares the checkpoint's read-only dense and head arrays,
+    so a fault is injected into a copy that replaces the array, never in place."""
+    *path, attr = name.split(".")
+    owner = model
+    for part in path:
+        owner = owner[int(part)] if part.isdigit() else getattr(owner, part)
+    arr = getattr(owner, attr).copy()
+    setattr(owner, attr, arr)
+    return arr
+
+
 def test_estimates_precede_adaptation(monkeypatch):
     seen = []
-    original = harness._adaptation_step
 
     def probe(config, model, x, optimizer):
         seen.append(model.head.bias.copy())
-        model.head.bias[0] += 50.0
+        writable_state(model, "head.bias")[0] += 50.0
 
     monkeypatch.setattr(harness, "_adaptation_step", probe)
     result = harness.run_experiment(tiny_config(adaptation=dataclasses.replace(
@@ -87,7 +99,55 @@ def test_estimates_precede_adaptation(monkeypatch):
     # batch t was computed before bump t happened
     for t, bias in enumerate(seen):
         assert bias[0] == pytest.approx(seen[0][0] + 50.0 * t)
-    del original
+
+
+def test_adapted_and_gde_models_share_the_checkpoints_frozen_arrays(monkeypatch):
+    """Every dense and head array of the model the harness adapts, and of GDE's
+    snapshot of it, is the checkpoint's own read-only array; every BN array is
+    writable and neither the checkpoint's nor in its memory."""
+    frozen = dict(named_state(prepared_task(TINY, architecture=(8,), epochs=3, train_seed=0).checkpoint))
+    checked = []
+
+    def check(model):
+        for name, arr in named_state(model):
+            if ".norm." in name:
+                assert arr.flags.writeable and not np.shares_memory(arr, frozen[name]), name
+            else:
+                assert arr is frozen[name] and not arr.flags.writeable, name
+        checked.append(model)
+
+    real_step, real_gde = harness._adaptation_step, harness.gde_agreement
+
+    def probe(config, model, x, optimizer):
+        check(model)
+        real_step(config, model, x, optimizer)
+
+    def gde(labels, prev_model, x):
+        check(prev_model)
+        return real_gde(labels, prev_model, x)
+
+    monkeypatch.setattr(harness, "_adaptation_step", probe)
+    monkeypatch.setattr(harness, "gde_agreement", gde)
+    assert not harness.run_experiment(tiny_config()).failed
+    # four batches, each scoring GDE's snapshot and then stepping the one adapted model
+    assert len(checked) == 8 and len({id(m) for m in checked[1::2]}) == 1
+
+
+def test_a_step_that_writes_a_frozen_array_fails_its_seed_and_spares_the_checkpoint(monkeypatch):
+    checkpoint = prepared_task(TINY, architecture=(8,), epochs=3, train_seed=0).checkpoint
+    before = [(name, arr.tobytes()) for name, arr in named_state(checkpoint)]
+    steps = itertools.count()
+    real = harness._adaptation_step
+
+    def writes_a_weight(config, model, x, optimizer):
+        if next(steps) == 0:  # seed 0's first step
+            model.blocks[0].dense.weights[0, 0] += 1.0
+        real(config, model, x, optimizer)
+
+    monkeypatch.setattr(harness, "_adaptation_step", writes_a_weight)
+    result = harness.run_experiment(tiny_config(seeds=(0, 1)))
+    assert "read-only" in result.outcomes[0].error and result.outcomes[1].error is None
+    assert [(name, arr.tobytes()) for name, arr in named_state(checkpoint)] == before
 
 
 def test_hidden_labels_only_affect_true_accuracy(monkeypatch):
@@ -486,7 +546,8 @@ def test_non_finite_model_is_rolled_back_on_that_batch(kind, at, name, index, va
         # the step after batch at-1 leaves the model that batch at sees
         real(cfg, model, x, optimizer)
         if next(steps) == at:
-            arr = dict(named_state(model))[name]
+            # a rollback writes the checkpoint's values into the poisoned copy
+            arr = writable_state(model, name)
             arr.flat[index % arr.size] = value
 
     with pytest.MonkeyPatch.context() as patch:

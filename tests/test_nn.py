@@ -24,6 +24,13 @@ def state_bytes(model):
     return [(name, arr.tobytes()) for name, arr in nn.named_state(model)]
 
 
+def read_only(model):
+    """``model`` with every array read-only, as ``streams.prepared_task`` hands out its checkpoint."""
+    for _, arr in nn.named_state(model):
+        arr.flags.writeable = False
+    return model
+
+
 def batch(seed=0, rows=6, cols=5):
     return np.random.default_rng(seed).normal(size=(rows, cols))
 
@@ -687,6 +694,55 @@ class TestCheckpoint:
         model.head.weights += 0.5
         nn.copy_into(model, source)
         assert state_bytes(model) == state_bytes(source)
+
+    def test_adaptable_copy_shares_only_read_only_dense_and_head_arrays(self):
+        """Every BN array is the copy's own and writable; a dense or head array is
+        the source's own object where it is read-only and a copy where it is writable."""
+
+        def layers(m):
+            return [layer for blk in m.blocks for layer in (blk, blk.dense, blk.norm)] + [m.head]
+
+        mixed = read_only(tiny_model(seed=2))
+        mixed.head.bias = mixed.head.bias.copy()
+        for source in (read_only(tiny_model()), tiny_model(), mixed):
+            twin = nn.adaptable_copy(source)
+            assert state_bytes(twin) == state_bytes(source)
+            assert twin.dropout_rate == source.dropout_rate
+            assert not any(a is b for a, b in zip(layers(twin), layers(source)))
+            for (name, a), (_, s) in zip(nn.named_state(twin), nn.named_state(source)):
+                shared = ".norm." not in name and not s.flags.writeable
+                assert (a is s) == shared, name
+                assert shared or (a.flags.writeable and not np.shares_memory(a, s)), name
+
+    def test_copy_into_a_sharing_model_restores_bitwise_and_skips_the_shared_arrays(self):
+        """A rollback writes the BN arrays and any array that replaced a shared one,
+        in place, and leaves the shared read-only arrays as they are."""
+        checkpoint = read_only(tiny_model(seed=1))
+        model = nn.adaptable_copy(checkpoint)
+        grads = nn.backward(model, batch(), mode=nn.TrainBN(), trainable="bn")
+        nn.optimizer_step(model, grads, nn.OptimizerState(learning_rate=0.5))
+        replaced = model.head.bias = model.head.bias + 1.0
+        before = dict(nn.named_state(model))
+        assert state_bytes(model) != state_bytes(checkpoint)
+        nn.copy_into(model, checkpoint)
+        assert state_bytes(model) == state_bytes(checkpoint)
+        assert all(a is before[name] for name, a in nn.named_state(model))
+        assert model.head.bias is replaced and replaced.flags.writeable
+        shared = [n for (n, a), (_, s) in zip(nn.named_state(model), nn.named_state(checkpoint)) if a is s]
+        assert shared == [n for n, _ in nn.named_state(model) if ".norm." not in n and n != "head.bias"]
+
+    def test_adaptable_copy_allocates_the_bn_arrays_and_a_fixed_overhead(self, traced_peak):
+        """On the benchmark's (64, 64) model of a 16-wide, 10-class task, an
+        adaptable copy of a read-only checkpoint allocates its 4 KB of BN arrays
+        and at most 4 KB of objects, not the 47 KB of dense and head arrays that
+        a deep copy also allocates."""
+        checkpoint = read_only(nn.build_mlp(16, 10, (64, 64)))
+        bn_bytes = sum(a.nbytes for name, a in nn.named_state(checkpoint) if ".norm." in name)
+        assert bn_bytes == 4096
+        assert traced_peak(lambda: nn.adaptable_copy(checkpoint)) <= bn_bytes + 4096
+        # the measure sees numpy's array buffers: a deep copy's peak holds every array
+        every_array = sum(a.nbytes for _, a in nn.named_state(checkpoint))
+        assert traced_peak(lambda: nn.clone(checkpoint)) >= every_array
 
 
 class TestValidation:

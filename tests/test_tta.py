@@ -225,3 +225,18 @@ class TestStochasticRestore:
     def test_probability_validated(self):
         with pytest.raises(tta.AdaptationError):
             tta.stochastic_restore_step(make_model(), make_model(), 1.5, seed=0)
+
+    def test_a_model_sharing_the_sources_arrays_restores_as_its_clone_does(self):
+        """A parameter shared with the source is not written but still draws its
+        mask, so every later mask, and every restored scalar, is a clone's."""
+        source = make_model(seed=6)
+        for _, arr in nn.named_state(source):
+            arr.flags.writeable = False
+        sharing = nn.adaptable_copy(source)
+        tta.tent_step(sharing, make_batch(), nn.OptimizerState(learning_rate=0.1))
+        twin = nn.clone(sharing)
+        assert any(a is s for (_, a), (_, s) in zip(nn.named_state(sharing), nn.named_state(source)))
+        for model in (sharing, twin):
+            tta.stochastic_restore_step(model, source, 0.5, seed=3)
+        assert state_bytes(sharing) == state_bytes(twin)
+        assert state_bytes(sharing) != state_bytes(source)

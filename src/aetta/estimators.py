@@ -141,6 +141,7 @@ def aetta_estimate(
         flips += int(np.count_nonzero(predicted_labels(member) != base))
         total[1:] = member
         total[0] = np.add.reduce(total, axis=0)
+        del member  # before the next member allocates
     disagreement = flips / (n * rows)
     e_avg = nn.entropy_loss((total[0] / (n * rows))[None])
     b = robust_weight(e_avg, model.class_count, config.alpha)

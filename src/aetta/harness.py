@@ -275,6 +275,8 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
         # checked as well as the predictions
         state_finite = all(np.isfinite(a).all() for _, a in nn.named_state(model))
         non_finite = not (state_finite and np.isfinite(probs).all())
+        # one row is constant by definition, so a one-row batch cannot show it
+        constant_output = x.shape[0] > 1 and bool((logits == logits[0]).all())
         true_accuracy = float(np.mean(labels == batch.hidden_labels))
         if mrs:
             batch_entropy = nn.entropy_loss(probs)
@@ -302,7 +304,12 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
             estimates["aetta"] = report.smoothed_accuracy
 
         trigger = should_reset(
-            config.recovery, history, entropy_ema=entropy_ema, at_boundary=batch.at_boundary, non_finite=non_finite
+            config.recovery,
+            history,
+            entropy_ema=entropy_ema,
+            at_boundary=batch.at_boundary,
+            non_finite=non_finite,
+            constant_output=constant_output,
         )
         if trigger:
             optimizer = apply_reset(model, optimizer, source)
@@ -335,7 +342,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
                 aetta_report=report,
             )
         )
-        # dropped here, so that the stream does not corrupt the next segment while this one is alive
+        # dropped here, so that the stream does not corrupt the next batch while this one is alive
         del batch, x
     if not records:
         raise HarnessError("scenario produced no batches")

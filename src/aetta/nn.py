@@ -488,6 +488,10 @@ def dropout_forwards(
     call, so the generator advances by the same words at every rate. At rate 0
     every mask keeps every unit and ``keep`` is 1.0, so each member is bitwise
     the deterministic forward.
+
+    A member lets go of each mask once it is applied, and of its activation and
+    probabilities before the next member draws; a caller that also drops each
+    member before pulling the next never holds two members at once.
     """
     x = _check_input(model, x)
     rng = np.random.default_rng(seed)
@@ -499,13 +503,15 @@ def dropout_forwards(
     shapes = [(x.shape[0], blk.dense.weights.shape[1]) for blk in blocks]
     for _ in range(n):
         masks = _keep_masks(rng, shapes, threshold)
-        h = shared * masks[0]
+        h = shared * masks.pop(0)
         for i in range(1, len(blocks)):
             h = _block(blocks[i], h, False, inv_std=inv_stds[i])[0]
-            h *= masks[i]
+            h *= masks.pop(0)
             h /= keep
         logits = _head(model, h)
+        del h
         yield softmax(logits, out=logits)
+        del logits
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ are label-preserving input transforms with a shared severity scale of 1..5
 (severity 0 is the identity by convention), and streams are batched segments
 of corrupted test data with the labels kept aside for ground-truth scoring
 only. As in online test-time adaptation, a stream is consumed as it arrives: a
-segment is sampled and corrupted only when its first batch is pulled, so one
-segment is held at a time rather than the whole stream.
+batch is corrupted only when it is pulled, so one batch is held at a time rather
+than its segment or the whole stream.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -196,28 +196,49 @@ def corrupt(features: np.ndarray, spec: CorruptionSpec, feature_scale: float | N
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise StreamError("features must be a non-empty (rows, dims) matrix")
-    if spec.severity == 0:
-        return x.copy()
     scale = float(x.std()) if feature_scale is None else float(feature_scale)
-    rng = np.random.default_rng(spec.seed)
+    return corrupter(spec, x.shape[1], scale)(x)
+
+
+def corrupter(spec: CorruptionSpec, dim: int, scale: float) -> Callable[[np.ndarray], np.ndarray]:
+    """``corrupt`` of ``dim``-wide rows at ``scale``, one block of rows at a time.
+
+    The noise generator, rotation matrix, scaling factors and shift are made
+    once, so blocks passed in turn, joined together, are ``corrupt`` of the
+    joined rows: bitwise, except that BLAS may round a rotated row differently
+    at another row count.
+    """
+    if spec.severity == 0:
+        return np.copy
     if spec.kind == "gaussian_noise":
+        rng = np.random.default_rng(spec.seed)
         sigma = _NOISE_STD_PER_SEVERITY * spec.severity * scale
-        return x + sigma * rng.normal(size=x.shape)
+        return lambda x: x + sigma * rng.normal(size=x.shape)
     if spec.kind == "rotation":
-        return x @ rotation_matrix(x.shape[1], spec.severity, spec.seed).T
+        rotation = rotation_matrix(dim, spec.severity, spec.seed)
+        return lambda x: x @ rotation.T
+    rng = np.random.default_rng(spec.seed)
     if spec.kind == "scaling":
         spread = _SCALING_SPREAD_PER_SEVERITY * spec.severity
-        factors = rng.uniform(1.0 - spread, 1.0 + spread, size=x.shape[1])
-        return x * factors
+        factors = rng.uniform(1.0 - spread, 1.0 + spread, size=dim)
+        return lambda x: x * factors
     if spec.kind == "mean_shift":
-        direction = rng.normal(size=x.shape[1])
+        direction = rng.normal(size=dim)
         direction /= np.linalg.norm(direction)
-        return x + _SHIFT_PER_SEVERITY * spec.severity * scale * direction
+        shift = _SHIFT_PER_SEVERITY * spec.severity * scale * direction
+        return lambda x: x + shift
     # mixup-of-kinds: chain the four base distortions at the same severity
-    out = x
-    for i, kind in enumerate(("rotation", "scaling", "mean_shift", "gaussian_noise")):
-        out = corrupt(out, CorruptionSpec(kind=kind, severity=spec.severity, seed=spec.seed + 1 + i), scale)
-    return out
+    chain = [
+        corrupter(CorruptionSpec(kind=kind, severity=spec.severity, seed=spec.seed + 1 + i), dim, scale)
+        for i, kind in enumerate(("rotation", "scaling", "mean_shift", "gaussian_noise"))
+    ]
+
+    def mixup(x: np.ndarray) -> np.ndarray:
+        for step in chain:
+            x = step(x)
+        return x
+
+    return mixup
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +272,11 @@ def make_stream(
     return the batched test stream.
 
     Every check runs before this returns. The stream is a generator, and a
-    segment is its unit of laziness: a segment's rows are sampled without
-    replacement and corrupted when its first batch is pulled, and the generator
-    lets go of them before it builds the next segment.
+    batch is its unit of laziness: a segment's rows are sampled without
+    replacement when its first batch is pulled, and each batch's rows are
+    corrupted when that batch is pulled, by the segment's one ``corrupter``, so
+    the batches joined together are ``corrupt`` of the segment's rows. The
+    generator keeps no batch once it has handed it out.
     """
     if batch_size < 1:
         raise StreamError("batch_size must be at least 1")
@@ -278,21 +301,19 @@ def _batches(
         # each segment draws from its own generator, so building them one at a time changes no byte
         rng = np.random.default_rng((seed, seg_idx))
         idx = rng.choice(len(pool), size=n_batches * batch_size, replace=False)
-        features = corrupt(pool.features[idx], corruption, feature_scale=scale)
-        labels = pool.labels[idx]
+        apply = corrupter(corruption, pool.features.shape[1], scale)
         for j in range(n_batches):
-            sl = slice(j * batch_size, (j + 1) * batch_size)
+            rows = idx[j * batch_size : (j + 1) * batch_size]
+            # passed straight on, so the generator holds no batch while the next one is corrupted
             yield StreamBatch(
-                features=features[sl],
-                hidden_labels=labels[sl],
+                features=apply(pool.features[rows]),
+                hidden_labels=pool.labels[rows],
                 corruption_id=corruption.kind,
                 severity=corruption.severity,
                 batch_index=t,
                 at_boundary=j == 0,
             )
             t += 1
-        # dropped here, so that building the next segment does not keep this one alive too
-        del idx, features, labels
 
 
 # ---------------------------------------------------------------------------

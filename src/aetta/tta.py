@@ -26,6 +26,7 @@ TRIGGER_WINDOW = "window_degradation"
 TRIGGER_HARD = "hard_threshold"
 TRIGGER_EXTERNAL = "external"
 TRIGGER_NON_FINITE = "non_finite"
+TRIGGER_CONSTANT_OUTPUT = "constant_output"
 
 
 class AdaptationError(ValueError):
@@ -109,17 +110,24 @@ def should_reset(
     entropy_ema: float | None = None,
     at_boundary: bool = False,
     non_finite: bool = False,
+    constant_output: bool = False,
 ) -> str | None:
     """Why to roll back to the source checkpoint before this batch's adaptation
-    step, or None. ``history`` holds recent smoothed accuracies, oldest first, and
-    ``non_finite`` says the model or its predictions hold a NaN or an infinity.
-    Episodic and stochastic restore act after the step, so they get None here."""
+    step, or None. ``history`` holds recent smoothed accuracies, oldest first,
+    ``non_finite`` says the model or its predictions hold a NaN or an infinity,
+    and ``constant_output`` that the model gave every row of a batch of two or
+    more the same logits. Episodic and stochastic restore act after the step, so
+    they get None here."""
     if policy.kind in ("none", "episodic", "stochastic_restore"):
         return None
     # a NaN can hide from every other signal: it makes the entropy EMA NaN and
     # can arrive inside a segment, so each rolling-back kind checks it first
     if non_finite:
         return TRIGGER_NON_FINITE
+    # a model whose output no longer depends on its input has no dropout
+    # disagreement, so AETTA reads it as right; every rolling-back kind checks it
+    if constant_output:
+        return TRIGGER_CONSTANT_OUTPUT
     if policy.kind == "mrs":
         low = entropy_ema is not None and entropy_ema < policy.mrs_threshold
         return TRIGGER_EXTERNAL if low else None

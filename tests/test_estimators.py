@@ -160,6 +160,20 @@ class TestAettaEstimate:
 
         assert peak(20) - peak(2) < 256 * model.class_count * 8
 
+    def test_ensemble_holds_one_member_at_a_time(self, traced_peak):
+        """At 256 rows, N = 10, on the default model, a member's masks, activation
+        and probabilities go before the next member allocates, so the estimate
+        peaks below 3.5 (256, 64) arrays: block 0's shared activation, a member's
+        activation and the next block's, and one mask. Keeping the previous
+        member's activation alive as well reads 3.67."""
+        model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
+        x = np.random.default_rng(1).normal(size=(256, 16))
+        base = labels_of(model, x)
+        cfg = est.AettaConfig(n_dropout=10)
+        with nn.small_ufunc_buffer():
+            peak = traced_peak(lambda: est.aetta_estimate(model, x, base, cfg, None, (0, 0)))
+        assert peak < 3.5 * 256 * 64 * 8
+
     def test_full_trace_recomputed_independently(self, reference_members):
         """Re-derive every report field from plain-expression dropout members that
         draw their masks in turn from the batch's one generator."""

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -179,40 +180,53 @@ def test_a_failed_seed_logs_its_traceback_and_spares_the_others(monkeypatch, cap
         scenario="continual", fully_corruption=None, n_batches=None, batches_per_segment=1, seeds=(0, 1, 2)
     )
     clean = harness.run_experiment(config)
-    real = streams.corrupt
+    real = streams.corrupter
+    corrupted = []
 
-    def corrupt(features, spec, feature_scale=None):
-        if spec.seed == 103:  # seed 1's fourth segment, pulled mid-seed
-            raise streams.StreamError("injected")
-        return real(features, spec, feature_scale)
+    def corrupter(spec, dim, scale):
+        apply = real(spec, dim, scale)
 
-    monkeypatch.setattr(streams, "corrupt", corrupt)
+        def failing(rows):
+            corrupted.append(spec.seed)
+            if spec.seed == 103:  # seed 1's fourth segment, its batch pulled mid-seed
+                raise streams.StreamError("injected")
+            return apply(rows)
+
+        return failing
+
+    monkeypatch.setattr(streams, "corrupter", corrupter)
     with caplog.at_level(logging.ERROR, logger="aetta.harness"):
         result = harness.run_experiment(config)
     assert [o.error for o in result.outcomes] == [None, "injected", None]
+    assert [seed for seed in corrupted if seed // 100 == 1] == [100, 101, 102, 103]
     assert result.outcomes[0].records == clean.outcomes[0].records
     assert result.outcomes[2].records == clean.outcomes[2].records
     [record] = [r for r in caplog.records if r.name == "aetta.harness"]
     assert record.exc_info is not None and record.exc_info[0] is streams.StreamError
 
 
-def test_finished_segment_is_freed_before_the_next_is_corrupted(monkeypatch):
-    """The loop lets go of a segment's last batch before it pulls the next one,
-    so the stream never holds two corrupted segments at once."""
-    real = streams.corrupt
-    segments, alive = [], []
+def test_each_batch_is_freed_before_the_next_is_corrupted(monkeypatch):
+    """The loop lets go of each batch before it pulls the next one, so the stream
+    never holds two corrupted batches at once, within a segment or across one."""
+    real = streams.corrupter
+    batches, alive = [], []
 
-    def corrupt(features, spec, feature_scale=None):
-        alive.append(sum(ref() is not None for ref in segments))
-        out = real(features, spec, feature_scale)
-        segments.append(weakref.ref(out))
-        return out
+    def corrupter(spec, dim, scale):
+        apply = real(spec, dim, scale)
 
-    monkeypatch.setattr(streams, "corrupt", corrupt)
+        def tracked(rows):
+            alive.append(sum(ref() is not None for ref in batches))
+            out = apply(rows)
+            batches.append(weakref.ref(out))
+            return out
+
+        return tracked
+
+    monkeypatch.setattr(streams, "corrupter", corrupter)
     config = tiny_config(scenario="continual", fully_corruption=None, n_batches=None, batches_per_segment=2)
     result = harness.run_experiment(config)
     assert not result.failed
-    assert alive == [0] * 15
+    assert alive == [0] * 30
 
 
 NO_SCIPY_RUN = """
@@ -556,6 +570,44 @@ def test_non_finite_model_is_rolled_back_on_that_batch(kind, at, name, index, va
     expected = ["non_finite" if t == at else trigger for t, trigger in enumerate(triggers)]
     assert [r.trigger for r in records] == expected
     assert all(math.isfinite(r.estimates["aetta"]) for r in records)
+
+
+@settings(max_examples=15, deadline=None)
+@example(kind="aetta_reset", at=1, seed=0)
+@example(kind="mrs", at=8, seed=1)
+@example(kind="dist_shift", at=4, seed=2)
+@given(kind=st.sampled_from(sorted(QUIET_ROLLBACKS)), at=st.integers(1, 8), seed=st.integers(0, 3))
+def test_dead_model_is_rolled_back_on_the_next_batch(kind, at, seed):
+    """Zeroing the last block's gamma and beta closes every relu, so every row's
+    logits are the head bias: the batch after the kill rolls back with
+    ``constant_output``, and ``load_run_csv`` reads that trigger back."""
+    policy, triggers = QUIET_ROLLBACKS[kind]
+    config = tiny_config(recovery=policy, n_batches=9, batch_size=8, seeds=(seed,))
+    last = f"blocks.{len(config.architecture) - 1}.norm"
+    real = harness._adaptation_step
+    steps = itertools.count(1)
+
+    def kill(cfg, model, x, optimizer):
+        real(cfg, model, x, optimizer)
+        if next(steps) == at:
+            writable_state(model, f"{last}.gamma")[:] = 0.0
+            writable_state(model, f"{last}.beta")[:] = 0.0
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_adaptation_step", kill)
+        result = harness.run_experiment(config)
+    expected = ["constant_output" if t == at else trigger for t, trigger in enumerate(triggers)]
+    assert [r.trigger for r in result.records_by_seed[0]] == expected
+    with tempfile.TemporaryDirectory() as out:
+        harness.write_run_csv(result, Path(out) / "run.csv")
+        [loaded] = harness.load_run_csv(Path(out) / "run.csv")
+    assert [r.trigger for r in loaded] == expected and [r.reset for r in loaded] == [bool(t) for t in expected]
+
+
+def test_a_one_row_batch_is_not_constant_output():
+    """One row is constant by definition, so a one-row stream never rolls back for it."""
+    config = tiny_config(recovery=RecoveryPolicy(kind="mrs", mrs_threshold=0.0), n_batches=6, batch_size=1)
+    assert [r.trigger for r in harness.run_experiment(config).records_by_seed[0]] == [""] * 6
 
 
 def test_load_run_csv_rejects_foreign_header(tmp_path):

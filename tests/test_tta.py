@@ -125,6 +125,15 @@ class TestShouldReset:
             policy = tta.RecoveryPolicy(kind=kind)
             assert tta.should_reset(policy, [], non_finite=True) is None
 
+    def test_constant_output_rolls_back_every_rolling_back_kind_after_non_finite(self):
+        for kind in ("aetta_reset", "mrs", "dist_shift"):
+            policy = tta.RecoveryPolicy(kind=kind)
+            assert tta.should_reset(policy, [0.9], constant_output=True) == tta.TRIGGER_CONSTANT_OUTPUT
+            both = tta.should_reset(policy, [0.9], non_finite=True, constant_output=True)
+            assert both == tta.TRIGGER_NON_FINITE
+        for kind in ("episodic", "stochastic_restore", "none"):
+            assert tta.should_reset(tta.RecoveryPolicy(kind=kind), [], constant_output=True) is None
+
     def test_mrs_threshold_on_entropy_ema(self):
         policy = tta.RecoveryPolicy(kind="mrs")
         assert tta.should_reset(policy, [0.9], entropy_ema=0.15) == tta.TRIGGER_EXTERNAL

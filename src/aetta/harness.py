@@ -7,8 +7,11 @@ import csv
 import dataclasses
 import json
 import logging
+import sys
 import typing
+from array import array
 from collections import deque
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -142,6 +145,12 @@ def collapse_preset(base: ExperimentConfig | None = None) -> ExperimentConfig:
 
 @dataclass(frozen=True, slots=True)
 class RunRecord:
+    """One batch of one seed's run: what the harness scored and whether it rolled
+    the model back. ``estimates`` maps each enabled estimator to its estimate, and
+    ``aetta_report`` holds AETTA's internals when it is enabled (never from
+    ``load_run_csv``). A run keeps its records in a ``SeedRecords``, which builds
+    each one when it is read."""
+
     seed: int
     batch_index: int
     corruption_id: str
@@ -159,10 +168,100 @@ class RunRecord:
         return abs(self.true_accuracy - self.estimates[estimator])
 
 
+_REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(EstimateReport))
+
+
+class SeedRecords(Sequence[RunRecord]):
+    """One seed's ``RunRecord``s, kept as columns.
+
+    A run keeps every batch's record until it ends, so a record is stored as
+    its numbers: C doubles for the true accuracy, each enabled estimate (in
+    ``ESTIMATOR_NAMES`` order) and AETTA's report fields, C integers for the
+    batch index and severity, and references to the corruption and trigger
+    strings, which the batches share. On the default config that is about 150
+    bytes a batch, where a record with its dict, report and boxed floats is
+    about 650. A double holds a Python float exactly, so every record reads
+    back bitwise as appended.
+
+    Indexing builds a ``RunRecord`` (a slice, a list of them). Two stores are
+    equal when their seed, estimators and every column are; a store equals a
+    sequence of the same records.
+    """
+
+    __slots__ = ("seed", "estimators", "_batch_index", "_corruption", "_severity",
+                 "_true_accuracy", "_estimates", "_trigger", "_reports")
+
+    def __init__(self, seed: int, estimators: Iterable[str], reports: bool) -> None:
+        """``reports``: every record appended carries an ``aetta_report``, else none does."""
+        enabled = set(estimators)
+        self.seed = seed
+        self.estimators = tuple(name for name in ESTIMATOR_NAMES if name in enabled)
+        self._batch_index = array("q")
+        self._corruption: list[str] = []
+        self._severity = array("b")
+        self._true_accuracy = array("d")
+        self._estimates = tuple(array("d") for _ in self.estimators)
+        self._trigger: list[str] = []
+        self._reports = tuple(array("d") for _ in _REPORT_FIELDS) if reports else None
+
+    def append(self, record: RunRecord) -> None:
+        if record.estimates.keys() != set(self.estimators):
+            raise HarnessError(
+                f"seed {record.seed} t={record.batch_index}: estimates {sorted(record.estimates)}"
+                f" differ from the run's {sorted(self.estimators)}"
+            )
+        if record.seed != self.seed or (record.aetta_report is None) != (self._reports is None):
+            reports = "with" if self._reports is not None else "without"
+            raise HarnessError(
+                f"seed {record.seed} t={record.batch_index} does not fit seed {self.seed}'s records,"
+                f" kept {reports} AETTA reports"
+            )
+        self._batch_index.append(record.batch_index)
+        self._corruption.append(record.corruption_id)
+        self._severity.append(record.severity)
+        self._true_accuracy.append(record.true_accuracy)
+        for name, column in zip(self.estimators, self._estimates):
+            column.append(record.estimates[name])
+        self._trigger.append(record.trigger)
+        if self._reports is not None:
+            for name, column in zip(_REPORT_FIELDS, self._reports):
+                column.append(getattr(record.aetta_report, name))
+
+    def __len__(self) -> int:
+        return len(self._true_accuracy)
+
+    def __getitem__(self, index: int | slice) -> RunRecord | list[RunRecord]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return RunRecord(
+            seed=self.seed,
+            batch_index=self._batch_index[index],
+            corruption_id=self._corruption[index],
+            severity=self._severity[index],
+            true_accuracy=self._true_accuracy[index],
+            estimates={name: column[index] for name, column in zip(self.estimators, self._estimates)},
+            trigger=self._trigger[index],
+            aetta_report=None if self._reports is None else EstimateReport(*(c[index] for c in self._reports)),
+        )
+
+    def _columns(self) -> tuple:
+        return (self.seed, self.estimators, self._batch_index, self._corruption, self._severity,
+                self._true_accuracy, self._estimates, self._trigger, self._reports)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, SeedRecords):
+            return self._columns() == other._columns()
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+
 @dataclass
 class SeedOutcome:
+    """One seed's run: its records, or the error that stopped it (then ``records`` is empty)."""
+
     seed: int
-    records: list[RunRecord]
+    records: Sequence[RunRecord]
     error: str | None = None
 
 
@@ -184,11 +283,11 @@ class ExperimentResult:
         return any(o.error is not None for o in self.outcomes)
 
     @property
-    def records_by_seed(self) -> list[list[RunRecord]]:
+    def records_by_seed(self) -> list[Sequence[RunRecord]]:
         return [o.records for o in self.outcomes if o.error is None]
 
 
-def mae(records: list[RunRecord], estimator: str) -> float:
+def mae(records: Sequence[RunRecord], estimator: str) -> float:
     """Mean absolute error of one estimator against true accuracy, in [0, 1]."""
     if not records:
         raise HarnessError("no records to score")
@@ -197,7 +296,7 @@ def mae(records: list[RunRecord], estimator: str) -> float:
     return float(np.mean([r.abs_error(estimator) for r in records]))
 
 
-def seed_mean_mae(records_by_seed: list[list[RunRecord]], estimator: str) -> float:
+def seed_mean_mae(records_by_seed: Sequence[Sequence[RunRecord]], estimator: str) -> float:
     """Per-seed MAEs averaged with equal seed weight."""
     if not records_by_seed:
         raise HarnessError("no successful seeds to score")
@@ -226,7 +325,7 @@ def _segments(config: ExperimentConfig, seed: int, pool_rows: int) -> list[tuple
     return [(c, config.batches_per_segment) for c in continual_schedule(seed, severities)]
 
 
-def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
+def _run_seed(config: ExperimentConfig, seed: int) -> SeedRecords:
     task = prepared_task(
         config.dataset,
         architecture=config.architecture,
@@ -261,7 +360,7 @@ def _run_seed(config: ExperimentConfig, seed: int) -> list[RunRecord]:
     mrs = config.recovery.kind == "mrs"
     entropy_ema: float | None = None
     episodic = config.recovery.kind == "episodic"
-    records: list[RunRecord] = []
+    records = SeedRecords(seed, enabled, reports="aetta" in enabled)
 
     for batch in stream:
         x = batch.features
@@ -366,7 +465,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 def summarize(result: ExperimentResult) -> list[SummaryRow]:
     """Per-estimator MAE mean/std over seeds, overall and per corruption."""
-    by_seed = result.records_by_seed
+    # each record built once from its seed's columns, not once per scope and estimator
+    by_seed = [list(records) for records in result.records_by_seed]
     if not by_seed:
         raise HarnessError("no successful seeds to summarize")
     enabled = result.config.estimators_enabled
@@ -417,15 +517,17 @@ def write_run_csv(result: ExperimentResult, path: str | Path) -> None:
             writer.writerows(_csv_row(record) for record in records)
 
 
-def load_run_csv(path: str | Path) -> list[list[RunRecord]]:
-    """Inverse of write_run_csv: one record list per seed, in file order, each
-    record keeping the seed its row names. A rollback is recorded by its
-    trigger: a ``reset`` that disagrees is rejected."""
+def load_run_csv(path: str | Path) -> list[SeedRecords]:
+    """Inverse of write_run_csv: one store per seed, in file order, each record
+    keeping the seed its row names and no ``aetta_report``. A rollback is
+    recorded by its trigger: a ``reset`` that disagrees is rejected. One run
+    enables one set of estimators, so a row whose filled ``est_`` columns differ
+    from the first row's is rejected too."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
             raise HarnessError(f"unexpected CSV header {reader.fieldnames}")
-        by_seed: dict[int, list[RunRecord]] = {}
+        by_seed: dict[int, SeedRecords] = {}
         for row in reader:
             if row["reset"] != ("1" if row["trigger"] else "0"):
                 raise HarnessError(
@@ -433,17 +535,20 @@ def load_run_csv(path: str | Path) -> list[list[RunRecord]]:
                     f" disagrees with trigger {row['trigger']!r}"
                 )
             seed = int(row["seed"])
-            by_seed.setdefault(seed, []).append(
+            estimates = {name: float(row[f"est_{name}"]) for name in ESTIMATOR_NAMES if row[f"est_{name}"]}
+            if seed not in by_seed:
+                first = next(iter(by_seed.values()), None)
+                by_seed[seed] = SeedRecords(seed, estimates if first is None else first.estimators, reports=False)
+            by_seed[seed].append(
                 RunRecord(
                     seed=seed,
                     batch_index=int(row["t"]),
-                    corruption_id=row["corruption"],
+                    # interned, so that rows share their strings as a run's records do
+                    corruption_id=sys.intern(row["corruption"]),
                     severity=int(row["severity"]),
                     true_accuracy=float(row["true_acc"]),
-                    estimates={
-                        name: float(row[f"est_{name}"]) for name in ESTIMATOR_NAMES if row[f"est_{name}"]
-                    },
-                    trigger=row["trigger"],
+                    estimates=estimates,
+                    trigger=sys.intern(row["trigger"]),
                 )
             )
     return list(by_seed.values())
@@ -474,7 +579,7 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     write_summary_csv(summarize(result), summary_path)
     written.append(summary_path)
 
-    trace = result.records_by_seed[0]
+    trace = list(result.records_by_seed[0])
     true_acc = [r.true_accuracy for r in trace]
     resets = [r.batch_index for r in trace if r.reset]
     for name in ESTIMATOR_NAMES:

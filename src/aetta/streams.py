@@ -16,6 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -69,6 +70,12 @@ class Split:
 
     def __len__(self) -> int:
         return self.features.shape[0]
+
+    @cached_property
+    def feature_std(self) -> float:
+        """The std of every feature value, taken once: ``features`` must not
+        change after the first read, as a ``prepared_task`` split's cannot."""
+        return float(self.features.std())
 
 
 def class_means(spec: DatasetSpec) -> np.ndarray:
@@ -276,7 +283,9 @@ def make_stream(
     replacement when its first batch is pulled, and each batch's rows are
     corrupted when that batch is pulled, by the segment's one ``corrupter``, so
     the batches joined together are ``corrupt`` of the segment's rows. The
-    generator keeps no batch once it has handed it out.
+    generator keeps no batch once it has handed it out. Noise and shifts are
+    sized by the pool's ``feature_std``, which a split computes once, so a call
+    on a ``prepared_task`` pool allocates nothing of the pool's size.
     """
     if batch_size < 1:
         raise StreamError("batch_size must be at least 1")
@@ -290,7 +299,7 @@ def make_stream(
             raise StreamError(
                 f"segment {seg_idx} needs {needed} samples but the pool holds {len(pool)}"
             )
-    return _batches(segments, pool, batch_size, seed, float(pool.features.std()))
+    return _batches(segments, pool, batch_size, seed, pool.feature_std)
 
 
 def _batches(
@@ -346,7 +355,8 @@ def prepared_task(
     checkpoint's dense and head arrays. The dataset depends on ``spec`` alone, so
     every cached task of one spec shares the same ``train`` and ``holdout``
     splits, whatever its architecture, epochs or seed; their arrays are read-only
-    too.
+    too, and the holdout's ``feature_std``, which sizes every stream's noise, is
+    taken once when the dataset is made.
     """
     key = (spec, tuple(architecture), epochs, train_seed)
     if key not in _TASK_CACHE:
@@ -355,6 +365,7 @@ def prepared_task(
             train, holdout = make_source_dataset(spec)
             for arr in (train.features, train.labels, holdout.features, holdout.labels):
                 arr.flags.writeable = False
+            holdout.feature_std  # cached now, so no seed's make_stream allocates a pool-sized temporary
         else:
             train, holdout = same_data.train, same_data.holdout
         checkpoint = train_source_model(train, architecture=architecture, epochs=epochs, seed=train_seed)

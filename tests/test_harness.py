@@ -336,6 +336,11 @@ def test_run_csv_round_trips(tmp_path):
     loaded = harness.load_run_csv(path)
     assert len(loaded) == 2
     for original, parsed in zip(result.records_by_seed, loaded):
+        assert isinstance(parsed, harness.SeedRecords)
+        assert parsed == [dataclasses.replace(r, aetta_report=None) for r in original]
+        # rows share one string object per corruption and trigger, as the run's records do
+        strings = [s for r in parsed for s in (r.corruption_id, r.trigger)]
+        assert len({id(s) for s in strings}) == len(set(strings))
         assert len(original) == len(parsed)
         for a, b in zip(original, parsed):
             assert b.batch_index == a.batch_index
@@ -367,11 +372,129 @@ def test_seeds_keep_their_numbers_through_run_csv(tmp_path, monkeypatch):
 
 
 def test_records_hold_no_instance_dict():
-    """A run keeps one record per batch, so records are slotted."""
+    """Records, their reports and the store that keeps a seed's records are slotted."""
     report = EstimateReport(pdd=0.1, e_avg=1.0, b_weight=1.0, raw_error=0.1, smoothed_error=0.1)
     record = harness.RunRecord(0, 0, "gaussian_noise", 2, 0.9, {"aetta": 0.9}, "", report)
     assert not hasattr(record, "__dict__")
     assert not hasattr(report, "__dict__")
+    assert not hasattr(harness.SeedRecords(0, ("aetta",), reports=True), "__dict__")
+
+
+def stored(records, seed=0):
+    """``records`` appended in order to a new store of their estimators."""
+    store = harness.SeedRecords(seed, records[0].estimates, reports=records[0].aetta_report is not None)
+    for record in records:
+        store.append(record)
+    return store
+
+
+def test_equal_runs_compare_equal_as_stores_and_as_record_lists():
+    first, second = (harness.run_experiment(tiny_config()).records_by_seed[0] for _ in range(2))
+    assert isinstance(first, harness.SeedRecords) and first is not second
+    assert first == second and not first != second
+    assert first == list(second) and list(first) == second and first == tuple(second)
+    assert stored(list(first)) == first
+    assert first != stored([dataclasses.replace(r, seed=1) for r in first], seed=1)
+    assert first != list(second)[:-1] and first != "not records"
+    assert harness.SeedOutcome(seed=0, records=[]).records == []
+
+
+def _bumped(value):
+    return math.nextafter(value, math.inf)
+
+
+FIELD_CHANGES = {
+    "batch_index": lambda r: dataclasses.replace(r, batch_index=r.batch_index + 1),
+    "corruption_id": lambda r: dataclasses.replace(r, corruption_id="rotation"),
+    "severity": lambda r: dataclasses.replace(r, severity=r.severity + 1),
+    "true_accuracy": lambda r: dataclasses.replace(r, true_accuracy=_bumped(r.true_accuracy)),
+    "trigger": lambda r: dataclasses.replace(r, trigger="external"),
+    **{
+        f"estimates.{name}": lambda r, name=name: dataclasses.replace(
+            r, estimates={**r.estimates, name: _bumped(r.estimates[name])})
+        for name in harness.ESTIMATOR_NAMES
+    },
+    **{
+        f"aetta_report.{field.name}": lambda r, name=field.name: dataclasses.replace(
+            r, aetta_report=dataclasses.replace(r.aetta_report, **{name: _bumped(getattr(r.aetta_report, name))}))
+        for field in dataclasses.fields(EstimateReport)
+    },
+}
+
+
+@pytest.mark.parametrize("field", FIELD_CHANGES)
+def test_one_changed_field_of_one_batch_makes_the_records_unequal(field):
+    """Each field of the store's one batch, moved by one unit in the last place
+    where it is a float, makes it unequal to the run's records, compared as stores
+    and as lists."""
+    records = list(harness.run_experiment(tiny_config()).records_by_seed[0])
+    changed = records[:2] + [FIELD_CHANGES[field](records[2])] + records[3:]
+    assert changed[2] != records[2]
+    assert stored(records) != stored(changed) and stored(changed) != stored(records)
+    assert stored(records) != changed and records != stored(changed)
+
+
+def test_a_store_indexes_and_slices_as_a_list_of_its_records():
+    store = harness.run_experiment(tiny_config(n_batches=5, batch_size=12)).records_by_seed[0]
+    records = list(store)
+    assert len(store) == len(records) == 5 and [r.batch_index for r in records] == list(range(5))
+    for i in range(-5, 5):
+        assert store[i] == records[i]
+    for index in (slice(1, 3), slice(-2, None), slice(None, None, -2), slice(4, 1), slice(2, 99)):
+        assert store[index] == records[index]
+    for index in (5, -6):
+        with pytest.raises(IndexError):
+            store[index]
+    assert store.count(records[3]) == 1 and store.index(records[3]) == 3
+
+
+def test_a_run_keeps_aettas_report_only_when_aetta_is_enabled():
+    [without] = harness.run_experiment(tiny_config(estimators_enabled=("softmax", "gde"))).records_by_seed
+    assert without.estimators == ("softmax", "gde")
+    assert all(r.aetta_report is None and set(r.estimates) == {"softmax", "gde"} for r in without)
+    [with_aetta] = harness.run_experiment(tiny_config(estimators_enabled=("aetta",))).records_by_seed
+    assert all(r.aetta_report.smoothed_accuracy == r.estimates["aetta"] for r in with_aetta)
+
+
+def test_a_store_rejects_a_record_that_does_not_fit_it():
+    record = harness.run_experiment(tiny_config()).records_by_seed[0][0]
+    for store, misfit in (
+        (harness.SeedRecords(0, ("softmax",), reports=True), record),
+        (harness.SeedRecords(1, harness.ESTIMATOR_NAMES, reports=True), record),
+        (harness.SeedRecords(0, harness.ESTIMATOR_NAMES, reports=False), record),
+        (harness.SeedRecords(0, harness.ESTIMATOR_NAMES, reports=True), dataclasses.replace(record, aetta_report=None)),
+    ):
+        with pytest.raises(harness.HarnessError):
+            store.append(misfit)
+        assert len(store) == 0
+
+
+def deep_size(obj, seen=None):
+    """Bytes ``obj`` holds: ``sys.getsizeof`` summed over it and what its slots,
+    dicts, lists and tuples reach, each object once (an array's size includes
+    its buffer). Strings are left out, since a run's corruption and trigger
+    strings are shared constants."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, str) or id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        children = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    else:
+        slots = [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
+        children = [getattr(obj, name) for name in slots if hasattr(obj, name)]
+    return sys.getsizeof(obj) + sum(deep_size(child, seen) for child in children)
+
+
+def test_a_finished_seed_holds_at_most_200_bytes_per_batch():
+    """A run keeps one seed's records for the whole stream, so a finished batch
+    is a few numbers and two shared strings; one slotted record per batch, with
+    its estimates dict, report and boxed floats, held 653 bytes."""
+    [records] = harness.run_experiment(harness.ExperimentConfig(seeds=(0,))).records_by_seed
+    assert len(records) == 60
+    assert deep_size(records) / len(records) <= 200
 
 
 def test_every_batch_draws_its_own_dropout_masks(monkeypatch):
@@ -624,6 +747,28 @@ def test_load_run_csv_rejects_reset_that_disagrees_with_trigger(tmp_path, reset,
     row.update(t="0", corruption="gaussian_noise", severity="2", true_acc="0.5", reset=reset, trigger=trigger)
     path.write_text(",".join(harness.CSV_COLUMNS) + "\n" + ",".join(row.values()) + "\n")
     with pytest.raises(harness.HarnessError, match="disagrees"):
+        harness.load_run_csv(path)
+
+
+@pytest.mark.parametrize("row, cleared", [(2, "est_gde"), (4, "est_aetta"), (5, "")])
+def test_load_run_csv_rejects_rows_that_enable_different_estimators(tmp_path, row, cleared):
+    """One run enables one set of estimators: a row of either seed that drops one
+    (rows 2 and 4, seed 1 from row 4 on), or fills one the run left out (row 5),
+    is rejected."""
+    result = harness.run_experiment(tiny_config(seeds=(0, 1), estimators_enabled=("softmax", "gde", "aetta")))
+    path = tmp_path / "run.csv"
+    harness.write_run_csv(result, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if cleared:
+        rows[row][cleared] = rows[row]["err" + cleared[3:]] = ""
+    else:
+        rows[row]["est_srcvalid"], rows[row]["err_srcvalid"] = "0.5", "0.25"
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=harness.CSV_COLUMNS)
+        writer.writeheader()
+        writer.writerows(rows)
+    with pytest.raises(harness.HarnessError, match=f"seed {rows[row]['seed']} t={rows[row]['t']}: estimates"):
         harness.load_run_csv(path)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -467,8 +468,8 @@ class TestMakeStream:
         """Pulled one batch at a time, each dropped before the next pull, a
         15-segment stream peaks while it corrupts one batch: its source rows, a
         noise draw and its scaled copy, with the segment's row indices, where
-        one segment is eight batches. The streams are made untraced, since
-        ``make_stream`` takes the std of the whole pool."""
+        one segment is eight batches. The streams are made untraced, since the
+        first ``make_stream`` on a new pool takes the std of the whole pool."""
         _, pool = streams.make_source_dataset(streams.DatasetSpec())
         batch_bytes = 64 * pool.features.shape[1] * 8
         made = iter([streams.make_stream(continual(8), pool, batch_size=64, seed=0) for _ in range(2)])
@@ -479,6 +480,21 @@ class TestMakeStream:
                 next(stream)
 
         assert traced_peak(pull) < 5 * batch_bytes
+
+    def test_making_a_stream_on_a_warm_task_allocates_no_pool_sized_array(self, monkeypatch):
+        """The pool's std is taken once per dataset, when ``prepared_task`` makes
+        it, so even the first ``make_stream`` call on a task checks its segments
+        and returns; a std of the 1200 x 16 pool allocated 154 KB on every call."""
+        monkeypatch.setattr(streams, "_TASK_CACHE", {})
+        task = streams.prepared_task(streams.DatasetSpec(), architecture=(8,), epochs=0, train_seed=0)
+        tracemalloc.start()
+        try:
+            streams.make_stream(continual(4), task.holdout, batch_size=64, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+        assert task.holdout.feature_std == float(task.holdout.features.std())
 
     def test_pool_exhaustion_is_an_error(self):
         pool = self.pool()

@@ -119,11 +119,13 @@ def aetta_estimate(
 
     The dropout members are reduced one at a time, so the working memory does
     not grow with ``n_dropout``. Each member adds its count of flipped labels,
-    which is exact, so the PDD is bitwise ``pdd`` of the stacked labels. It also
-    copies its probabilities into rows 1.. of a (batch + 1, K) buffer whose row
-    0 carries the running sum. numpy reduces a C-contiguous array over its
-    leading axes row by row, so ``e_avg`` is bitwise that of the mean over an
-    (n, batch, K) stack of the members.
+    which is exact, so the PDD is bitwise ``pdd`` of the stacked labels. Between
+    members only the K-float running sum of probabilities is kept: once a member
+    arrives, it is stacked under that sum in a (batch + 1, K) buffer, which is
+    reduced to the next sum and dropped with the member before the next member
+    is pulled. numpy reduces a C-contiguous array over its leading axes row by
+    row, so ``e_avg`` is bitwise that of the mean over an (n, batch, K) stack of
+    the members.
 
     No flip in ``n * batch`` draws does not show a flip rate of 0, so when the
     weight is on (``alpha > 0``) the weighted error floors the disagreement at
@@ -135,15 +137,13 @@ def aetta_estimate(
     n, rows = config.n_dropout, np.shape(x)[0]
     if base.shape != (rows,):
         raise EstimatorError("base_labels must be one label per row of x")
-    flips = 0
-    total = np.zeros((rows + 1, model.class_count))
+    flips, total = 0, np.zeros(model.class_count)
     for member in nn.dropout_forwards(model, x, n, (config.base_seed, *position)):
         flips += int(np.count_nonzero(predicted_labels(member) != base))
-        total[1:] = member
-        total[0] = np.add.reduce(total, axis=0)
+        total = np.add.reduce(np.concatenate((total[None], member)), axis=0)
         del member  # before the next member allocates
     disagreement = flips / (n * rows)
-    e_avg = nn.entropy_loss((total[0] / (n * rows))[None])
+    e_avg = nn.entropy_loss((total / (n * rows))[None])
     b = robust_weight(e_avg, model.class_count, config.alpha)
     floor = 1.0 / (n * rows) if config.alpha > 0 else 0.0
     raw_error = b * max(disagreement, floor)

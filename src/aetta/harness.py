@@ -338,7 +338,6 @@ def _run_seed(config: ExperimentConfig, seed: int) -> SeedRecords:
 
     holdout_x = task.holdout.features[:SRCVALID_ROWS]
     holdout_y = task.holdout.labels[:SRCVALID_ROWS]
-    feature_scale = task.train.features.max(axis=0) - task.train.features.min(axis=0)
 
     stream = make_stream(
         _segments(config, seed, len(task.holdout)),
@@ -348,6 +347,9 @@ def _run_seed(config: ExperimentConfig, seed: int) -> SeedRecords:
     )
 
     enabled = config.estimators_enabled
+    # only AdvPerturb reads the training split's per-feature range
+    if "advperturb" in enabled:
+        feature_scale = task.train.features.max(axis=0) - task.train.features.min(axis=0)
     # AETTA's EMA of the error, and its recent smoothed accuracies: the
     # window-degradation trigger compares the last two windows of them
     ema_error: float | None = None
@@ -570,6 +572,9 @@ def emit_outputs(result: ExperimentResult, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
+    # each seed's records built once from its columns, for every output below
+    outcomes = [dataclasses.replace(o, records=list(o.records)) for o in result.outcomes]
+    result = dataclasses.replace(result, outcomes=outcomes)
 
     run_path = out / "run.csv"
     write_run_csv(result, run_path)

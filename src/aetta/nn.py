@@ -11,16 +11,22 @@ multiplication commutes, so ``z *= gamma`` is ``gamma * z``): every result is
 bitwise that of the plain code. They never write into the caller's input, into
 the block-0 activation that ``dropout_forwards`` shares between its members
 once the first member has read it, or into an array while backward's cache holds
-it. An inference forward allocates one (rows, width) array per block, its
-activation. ``_forward_cached``, which ``backward`` replays, keeps per block
-``xhat``, ``inv_std`` and a bool relu gate; it keeps each block's input and the
-head input only when a dense or head weight gradient needs them. Otherwise
-block 0 keeps its input, the caller's batch, which is alive anyway and narrower
-than a block, and the mean it subtracted in place of ``xhat``, which backward
-rebuilds bitwise only if it reads it. ``_backprop`` consumes the cache,
-dropping the probabilities at once, each block's entry once it is used and each
-block's gradient once the next exists, and stops after block 0's BN gradients
-when nothing below them is wanted.
+it, except an ``xhat`` that backward has read for the last time. An inference
+forward allocates one (rows, width) array per block, its activation.
+``_forward_cached``, which ``backward`` replays, keeps per block ``xhat``,
+``inv_std`` and a bool relu gate; it keeps each block's input and the head
+input only when a dense or head weight gradient needs them, and lets any other
+block input go once the block's dense product exists. Block 0 then keeps its
+input, the caller's batch, which is alive anyway and narrower than a block, and
+the mean it subtracted in place of ``xhat``, which backward rebuilds bitwise
+only if it reads it. ``_backprop`` consumes the cache, dropping the
+probabilities once d loss/d logits exists and that once the head's input
+gradient does, each block's entry once it is used and each block's gradient
+once the next exists. It takes the column sums of a (rows, width) product 64
+rows at a time (``_product_sums``) and stops after block 0's BN gradients when
+nothing below them is wanted. So a BN-only TENT step holds at most two (rows,
+width) arrays at once, besides the bool gates and the row-block buffer, and a
+dropout member three.
 
 Layer and optimizer hyperparameters that no caller varies are module
 constants, not fields: ``BN_MOMENTUM`` and ``BN_EPS`` for every batchnorm
@@ -48,6 +54,7 @@ import numpy as np
 
 _LOG_GUARD = 1e-300
 _ACCURACY_BLOCK_ROWS = 128
+_SUM_BLOCK_ROWS = 64  # rows of products ``_product_sums`` holds; a 64-row batch is one block
 UFUNC_BUFFER_ELEMENTS = 1024  # numpy's ufunc buffer inside ``small_ufunc_buffer``: 8 KB of float64
 
 BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-statistics update
@@ -281,9 +288,12 @@ class _BlockCache:
     """What backward reads of one hidden block. ``gate`` is the relu gate ``out > 0``,
     so neither the float output nor the pre-relu value ``gamma * xhat + beta`` is
     kept. ``x_in`` is the block's input, kept for the dense weight gradient or, in
-    block 0, to rebuild ``xhat``; otherwise it is None. ``xhat`` is None where it
+    block 0, to rebuild ``xhat``; otherwise it is None, and the forward let the
+    input go once the block's dense product existed. ``xhat`` is None where it
     is rebuilt, and ``mean`` is the mean the forward subtracted, kept only then.
-    ``_backprop`` pops the entry once it has used it."""
+    ``_backprop`` reads ``xhat`` for the gamma gradient and, under TrainBN, the
+    input gradient, then overwrites it with ``xhat * dot``, its last use, and
+    pops the entry once it has used it."""
 
     x_in: np.ndarray | None
     xhat: np.ndarray | None
@@ -295,8 +305,7 @@ class _BlockCache:
         """``xhat``, rebuilt on first read, if it was not kept, by the forward's
         own four operations in their order, so its bits are the forward's."""
         if self.xhat is None:
-            self.xhat = self.x_in @ dense.weights
-            self.xhat += dense.bias
+            self.xhat = _dense(dense, self.x_in)
             self.xhat -= self.mean
             self.xhat *= self.inv_std
         return self.xhat
@@ -327,21 +336,28 @@ def _running_inv_std(norm: BatchNormLayer) -> np.ndarray:
     return 1.0 / np.sqrt(norm.running_var + BN_EPS)
 
 
-def _block(
-    blk: HiddenBlock, x_in: np.ndarray, train_bn: bool, keep_xhat: bool = False, inv_std: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-    """Dense -> BN -> relu of one hidden block: (activation, xhat, mean, inv_std),
-    where ``mean`` is what was subtracted, the batch's or ``running_mean``.
+def _dense(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
+    """``x @ weights + bias``, the bias added in place."""
+    out = x @ layer.weights
+    out += layer.bias
+    return out
 
-    Without ``keep_xhat`` the affine and the relu overwrite the normalised dense
-    output, so the activation is the one (rows, width) array the block
-    allocates and ``xhat`` comes back as None. With it, ``xhat`` stays intact
-    and the activation is a second array, which TrainBN's variance first uses
-    for its squares; an axis-0 sum's bits do not depend on where its input
-    lives. Outside TrainBN, a caller may pass in the block's
-    ``_running_inv_std`` to reuse it.
+
+def _finish_block(
+    blk: HiddenBlock, z: np.ndarray, train_bn: bool, keep_xhat: bool = False, inv_std: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    """One hidden block from the product ``z = x_in @ weights`` on: the bias,
+    BN and relu, as (activation, xhat, mean, inv_std), where ``mean`` is what was
+    subtracted, the batch's or ``running_mean``. A caller that rebinds its input
+    to ``z`` lets the input go before anything else is allocated.
+
+    Without ``keep_xhat`` the bias, the normalisation, the affine and the relu
+    overwrite ``z``, so the activation is ``z`` and ``xhat`` comes back as None.
+    With it, ``z`` becomes ``xhat`` and the activation is a second array, which
+    TrainBN's variance first uses for its squares; an axis-0 sum's bits do not
+    depend on where its input lives. Outside TrainBN, a caller may pass in the
+    block's ``_running_inv_std`` to reuse it.
     """
-    z = x_in @ blk.dense.weights
     z += blk.dense.bias
     # with keep_xhat the activation needs an array of its own; TrainBN's squares borrow it first
     out = np.empty_like(z) if keep_xhat else z
@@ -374,6 +390,12 @@ def _block(
     return out, z if keep_xhat else None, mean, inv_std
 
 
+def _block(blk: HiddenBlock, h: np.ndarray, train_bn: bool, inv_std: np.ndarray | None = None) -> np.ndarray:
+    """The activation of one hidden block on its input ``h``, the one (rows,
+    width) array the block allocates."""
+    return _finish_block(blk, h @ blk.dense.weights, train_bn, inv_std=inv_std)[0]
+
+
 def _keep_threshold(rate: float) -> tuple[int, float]:
     """The mask's threshold on a 16-bit word, and the keep probability it draws,
     by which a dropout member divides its kept units. At rate 0.4 a unit drops
@@ -382,27 +404,13 @@ def _keep_threshold(rate: float) -> tuple[int, float]:
     return threshold, 1.0 - threshold / MASK_LEVELS
 
 
-def _keep_masks(rng: np.random.Generator, shapes: list[tuple[int, int]], threshold: int) -> list[np.ndarray]:
-    """Bool keep masks of the given shapes from one ``random_raw`` call.
-
-    A unit is kept when its 16-bit word of ``rng``'s raw 64-bit output, four
-    units to a raw word, is at least ``threshold``. Each shape takes its own
-    ``ceil(size / 4)`` raw words in turn, as one call per shape would.
-    """
-    counts = [-(-rows * width // 4) for rows, width in shapes]
-    raw = rng.bit_generator.random_raw(sum(counts))
-    masks, start = [], 0
-    for (rows, width), count in zip(shapes, counts):
-        words = raw[start : start + count].view(np.uint16)[: rows * width]
-        masks.append((words >= threshold).reshape(rows, width))
-        start += count
-    return masks
-
-
-def _head(model: MlpModel, h: np.ndarray) -> np.ndarray:
-    logits = h @ model.head.weights
-    logits += model.head.bias
-    return logits
+def _keep_mask(rng: np.random.Generator, shape: tuple[int, int], threshold: int) -> np.ndarray:
+    """A bool keep mask of ``shape`` from ``rng``'s next ``ceil(size / 4)`` raw
+    64-bit words: a unit is kept when its 16-bit word, four units to a raw word,
+    is at least ``threshold``."""
+    size = shape[0] * shape[1]
+    words = rng.bit_generator.random_raw(-(-size // 4)).view(np.uint16)[:size]
+    return (words >= threshold).reshape(shape)
 
 
 def _forward_cached(
@@ -421,11 +429,11 @@ def _forward_cached(
     caches: list[_BlockCache] = []
     for i, blk in enumerate(model.blocks):
         rebuild = not keep_inputs and i == 0
-        act, xhat, mean, inv_std = _block(blk, h, train_bn, keep_xhat=not rebuild)
         x_in = h if keep_inputs or rebuild else None
-        caches.append(_BlockCache(x_in, xhat, mean if rebuild else None, inv_std, act > 0.0))
-        h = act
-    logits = _head(model, h)
+        h = h @ blk.dense.weights  # an input the cache does not keep goes once the product exists
+        h, xhat, mean, inv_std = _finish_block(blk, h, train_bn, keep_xhat=not rebuild)
+        caches.append(_BlockCache(x_in, xhat, mean if rebuild else None, inv_std, h > 0.0))
+    logits = _dense(model.head, h)
     return _ForwardCache(caches, h if keep_inputs else None, logits, softmax(logits))
 
 
@@ -433,8 +441,8 @@ def _logits(model: MlpModel, x: np.ndarray, mode: ForwardMode) -> np.ndarray:
     """Logits keeping only the current activation."""
     h, train_bn = _check_input(model, x), _train_bn(mode)
     for blk in model.blocks:
-        h = _block(blk, h, train_bn)[0]
-    return _head(model, h)
+        h = _block(blk, h, train_bn)
+    return _dense(model.head, h)
 
 
 def forward(model: MlpModel, x: np.ndarray, mode: ForwardMode = Deterministic()) -> np.ndarray:
@@ -451,7 +459,7 @@ def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
 
     Row blocks bound the activations whatever the number of rows. The input is
     checked and each hidden block's running inverse std computed once per call;
-    a row block goes through ``_block`` and ``_head``, its softmax taken in place
+    a row block goes through ``_block`` and the head, its softmax taken in place
     on its logits. A count of correct rows is exact, so this is bitwise
     ``np.mean(argmax(forward(model, x), 1) == labels)``.
     """
@@ -464,8 +472,8 @@ def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
         rows = slice(start, start + _ACCURACY_BLOCK_ROWS)
         h = x[rows]
         for blk, inv_std in zip(model.blocks, inv_stds):
-            h = _block(blk, h, False, inv_std=inv_std)[0]
-        logits = _head(model, h)
+            h = _block(blk, h, False, inv_std)
+        logits = _dense(model.head, h)
         correct += int(np.count_nonzero(np.argmax(softmax(logits, out=logits), axis=1) == y[rows]))
     return correct / x.shape[0]
 
@@ -484,31 +492,34 @@ def dropout_forwards(
     multiplies it by its mask.
     ``(h * m) / keep`` is ``(h / keep) * m`` for ``m`` in {0, 1}, NaN, inf and
     -0 included; only an ``h / keep`` that overflows would read NaN where a
-    dropped unit reads 0. A member draws all its masks in one ``_keep_masks``
-    call, so the generator advances by the same words at every rate. At rate 0
-    every mask keeps every unit and ``keep`` is 1.0, so each member is bitwise
-    the deterministic forward.
+    dropped unit reads 0. Each block's mask takes the next ``ceil(size / 4)``
+    raw words, block by block, so the generator advances by the same words at
+    every rate. At rate 0 every mask keeps every unit and ``keep`` is 1.0, so
+    each member is bitwise the deterministic forward.
 
-    A member lets go of each mask once it is applied, and of its activation and
-    probabilities before the next member draws; a caller that also drops each
-    member before pulling the next never holds two members at once.
+    What is alive when: a member draws each block's mask just before applying
+    it and lets go of it once applied, lets go of a block's input once that
+    block's dense product exists, and of its activation and probabilities
+    before the next member draws. So a member peaks at three (rows, width)
+    arrays, block 0's shared activation and a block's input and dense product,
+    and a caller that also drops each member before pulling the next never holds
+    two members at once.
     """
     x = _check_input(model, x)
     rng = np.random.default_rng(seed)
     threshold, keep = _keep_threshold(model.dropout_rate)
     blocks = model.blocks
     inv_stds = [_running_inv_std(blk.norm) for blk in blocks]
-    shared = _block(blocks[0], x, False, inv_std=inv_stds[0])[0]
+    shared = _block(blocks[0], x, False, inv_stds[0])
     shared /= keep
-    shapes = [(x.shape[0], blk.dense.weights.shape[1]) for blk in blocks]
     for _ in range(n):
-        masks = _keep_masks(rng, shapes, threshold)
-        h = shared * masks.pop(0)
-        for i in range(1, len(blocks)):
-            h = _block(blocks[i], h, False, inv_std=inv_stds[i])[0]
-            h *= masks.pop(0)
+        h = shared * _keep_mask(rng, shared.shape, threshold)
+        for blk, inv_std in zip(blocks[1:], inv_stds[1:]):
+            h = h @ blk.dense.weights  # the member's previous activation goes once the product exists
+            h = _finish_block(blk, h, False, inv_std=inv_std)[0]
+            h *= _keep_mask(rng, h.shape, threshold)
             h /= keep
-        logits = _head(model, h)
+        logits = _dense(model.head, h)
         del h
         yield softmax(logits, out=logits)
         del logits
@@ -579,45 +590,76 @@ def backward(
             raise EngineError("label out of range")
     keep_inputs = any(name.endswith(".weights") for name in wanted)
     cache = _forward_cached(model, x, mode, keep_inputs)
-    if labels is None:
-        dlogits = _entropy_logit_grad(cache.probs)
-    else:
-        dlogits = _cross_entropy_logit_grad(cache.probs, labels)
-    return _backprop(model, cache, dlogits, wanted, _train_bn(mode), False)[0]
+    return _backprop(model, cache, labels, wanted, _train_bn(mode), False)[0]
+
+
+def _product_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bitwise ``np.multiply(a, b).sum(axis=0)`` of two (rows, width) arrays,
+    holding at most ``_SUM_BLOCK_ROWS`` rows of products.
+
+    The products go into rows 1.. of a (``_SUM_BLOCK_ROWS`` + 1, width) buffer
+    one row block at a time, and row 0 carries the running sum. numpy reduces a
+    C-contiguous array over axis 0 row by row, so the sum is the one of all the
+    rows at once. The first block's sum is a plain one, so it starts as the
+    whole sum does, with or without a -0.0 column's sign; a 0.0 added in front
+    of it could turn -0.0 into +0.0. A (rows, 1) array sums pairwise, not row by
+    row, so one column, like a batch of one block, is summed whole.
+    """
+    rows, width = a.shape
+    if rows <= _SUM_BLOCK_ROWS or width == 1:
+        return np.multiply(a, b).sum(axis=0)
+    buf = np.empty((_SUM_BLOCK_ROWS + 1, width))
+    for start in range(0, rows, _SUM_BLOCK_ROWS):
+        k = min(rows - start, _SUM_BLOCK_ROWS)
+        np.multiply(a[start : start + k], b[start : start + k], out=buf[1 : k + 1])
+        total = buf[1 if start == 0 else 0 : k + 1].sum(axis=0)
+        buf[0] = total
+    return total
 
 
 def _backprop(
     model: MlpModel,
     cache: _ForwardCache,
-    dlogits: np.ndarray,
+    labels: np.ndarray | None,
     wanted: set[str],
     train_bn: bool,
     want_input_grad: bool,
 ) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
-    """Gradients of the ``wanted`` parameters from d loss/d logits, and d loss/d input if wanted.
+    """Gradients of the ``wanted`` parameters of the mean cross-entropy against
+    ``labels``, or of the mean row entropy when there are none, and d loss/d
+    input if wanted.
 
-    Consumes ``cache``: the logits and probabilities are dropped at once, and
-    the head input and each block's entry once used, so their arrays are freed
-    as the gradient moves down the stack.
+    Consumes ``cache``: the logits and probabilities are dropped once d loss/d
+    logits exists, that once the head's input gradient ``dh`` does, and the head
+    input and each block's entry once used, so their arrays are freed as the
+    gradient moves down the stack. A (rows, width) product whose column sums are
+    all that is read, as the gamma gradient's and TrainBN's ``dz * xhat``, is
+    summed by ``_product_sums`` in row blocks, and TrainBN's ``xhat * dot`` is
+    written into ``xhat``, which nothing reads after it. A BN-only step's
+    largest moment is then two (rows, width) arrays, the gradient and ``xhat``,
+    besides the relu gates and the row-block buffer.
     """
+    if labels is None:
+        dlogits = _entropy_logit_grad(cache.probs)
+    else:
+        dlogits = _cross_entropy_logit_grad(cache.probs, labels)
     cache.logits = cache.probs = None  # ``dlogits`` is all that is read of them
     grads: dict[str, np.ndarray] = {}
-    # every array written below was allocated here; the cache's arrays are only read
+    # every array written below was allocated here; of the cache's, only a spent xhat is written
     if "head.weights" in wanted:
         grads["head.weights"] = cache.head_in.T @ dlogits
         cache.head_in = None
     if "head.bias" in wanted:
         grads["head.bias"] = dlogits.sum(axis=0)
     dh = dlogits @ model.head.weights.T
+    del dlogits
 
     for i in reversed(range(len(model.blocks))):
         blk = model.blocks[i]
         bc = cache.blocks.pop()
         dh *= bc.gate
-        scratch = None  # the one (rows, width) temporary for ``dz * xhat``
         if f"blocks.{i}.norm.gamma" in wanted:
-            scratch = np.multiply(dh, bc.normalised(blk.dense))
-            grads[f"blocks.{i}.norm.gamma"] = scratch.sum(axis=0)
+            grads[f"blocks.{i}.norm.gamma"] = _product_sums(dh, bc.normalised(blk.dense))
         if f"blocks.{i}.norm.beta" in wanted:
             grads[f"blocks.{i}.norm.beta"] = dh.sum(axis=0)
         if i == 0 and not want_input_grad and not wanted & {"blocks.0.dense.weights", "blocks.0.dense.bias"}:
@@ -632,21 +674,19 @@ def _backprop(
         else:
             # dz = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv_std
             n = dz.shape[0]
-            scratch = np.multiply(dz, bc.normalised(blk.dense), out=scratch)
-            dot = scratch.sum(axis=0)
+            dot = _product_sums(dz, bc.normalised(blk.dense))
             dot /= n
             mean = dz.sum(axis=0)
             mean /= n
-            np.multiply(bc.normalised(blk.dense), dot, out=scratch)
             dz -= mean
-            dz -= scratch
+            dz -= np.multiply(bc.xhat, dot, out=bc.xhat)  # the last read of xhat
             dz *= bc.inv_std
         if f"blocks.{i}.dense.weights" in wanted:
             grads[f"blocks.{i}.dense.weights"] = bc.x_in.T @ dz
         if f"blocks.{i}.dense.bias" in wanted:
             grads[f"blocks.{i}.dense.bias"] = dz.sum(axis=0)
         if i > 0 or want_input_grad:
-            scratch = bc = None  # freed before the next gradient is allocated
+            bc = None  # freed before the next gradient is allocated
             dh = dz @ blk.dense.weights.T
             dz = None  # and this block's gradient once the next one exists
     return grads, dh if want_input_grad else None
@@ -659,9 +699,7 @@ def input_gradient(model: MlpModel, x: np.ndarray) -> np.ndarray:
     forward the gradient replays, and no parameter gradient is computed.
     """
     cache = _forward_cached(model, x, Deterministic())
-    labels = np.argmax(cache.probs, axis=1)
-    dlogits = _cross_entropy_logit_grad(cache.probs, labels)
-    return _backprop(model, cache, dlogits, set(), False, True)[1]
+    return _backprop(model, cache, np.argmax(cache.probs, axis=1), set(), False, True)[1]
 
 
 # ---------------------------------------------------------------------------

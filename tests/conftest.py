@@ -44,7 +44,7 @@ def _reference_members(model, x, n, seed):
 
     Each hidden block is ``((h @ W + b) - rm) * inv_std * gamma + beta``, then
     relu, then ``h * mask / keep``; every mask is drawn in turn from the one
-    generator ``np.random.default_rng(seed)``, one ``nn._keep_masks`` call per
+    generator ``np.random.default_rng(seed)``, one ``nn._keep_mask`` call per
     block. At rate 0 every mask keeps every unit and ``keep`` is 1.0.
     """
     rng = np.random.default_rng(seed)
@@ -56,7 +56,7 @@ def _reference_members(model, x, n, seed):
             inv_std = 1.0 / np.sqrt(blk.norm.running_var + nn.BN_EPS)
             h = ((h @ blk.dense.weights + blk.dense.bias) - blk.norm.running_mean) * inv_std * blk.norm.gamma
             h = np.maximum(h + blk.norm.beta, 0.0)
-            h = h * nn._keep_masks(rng, [h.shape], threshold)[0] / keep
+            h = h * nn._keep_mask(rng, h.shape, threshold) / keep
         logits = h @ model.head.weights + model.head.bias
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         members.append(e / e.sum(axis=1, keepdims=True))

@@ -532,6 +532,17 @@ def test_a_source_model_that_predicts_one_class_is_rolled_back_on_the_first_batc
     assert first.trigger == "hard_threshold"
 
 
+def test_only_advperturb_reads_the_training_split(monkeypatch):
+    """AdvPerturb's per-feature range is the one read of the training split, so
+    a run without AdvPerturb never touches it and one with it does."""
+    real = harness.prepared_task
+    monkeypatch.setattr(harness, "prepared_task", lambda *a, **k: dataclasses.replace(real(*a, **k), train=None))
+    without = tiny_config(estimators_enabled=tuple(n for n in harness.ESTIMATOR_NAMES if n != "advperturb"))
+    assert not harness.run_experiment(without).failed
+    with pytest.raises(harness.HarnessError, match="all seeds failed"):
+        harness.run_experiment(tiny_config())
+
+
 # tiny_config over 9 batches of 8 rows: one config per recovery kind under
 # TENT, each set so that it fires, and one per other adaptation method with no
 # recovery. Each config's expected run.csv is tests/pins/<kind>.csv, compared
@@ -783,6 +794,22 @@ def test_identical_configs_produce_bitwise_identical_outputs(tmp_path):
     assert (tmp_path / "one" / "summary.csv").read_bytes() == (
         tmp_path / "two" / "summary.csv"
     ).read_bytes()
+
+
+def test_emit_outputs_builds_each_record_once(monkeypatch, tmp_path):
+    """run.csv, summary.csv and seed 0's traces read one list of each seed's
+    records, so a store builds each of its records once per emit."""
+    result = harness.run_experiment(tiny_config(seeds=(0, 1)))
+    built = []
+    real = harness.RunRecord
+
+    def counted(*args, **kwargs):
+        built.append(kwargs["batch_index"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "RunRecord", counted)
+    harness.emit_outputs(result, tmp_path)
+    assert len(built) == sum(len(records) for records in result.records_by_seed) == 8
 
 
 def test_emitted_svgs_are_well_formed_xml(tmp_path):

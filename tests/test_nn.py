@@ -164,8 +164,8 @@ class TestForward:
         """The forwards that keep nothing give exactly the bits of the forward
         that keeps backward's cache, and the ensemble that shares block 0 gives
         exactly those of the plain-expression members, whose masks come from one
-        generator in turn, one draw per block, also when blocks of different
-        widths split one member's draw."""
+        generator in turn, one draw per block, also when a member's blocks
+        differ in width."""
         model = tiny_model(seed=seed % 1000, hidden=hidden, rate=rate)
         x = np.random.default_rng(seed).normal(size=(rows, 5))
         cache = nn._forward_cached(model, x, nn.Deterministic())
@@ -281,13 +281,13 @@ class TestDropout:
         threshold, keep = nn._keep_threshold(0.4)
         assert (threshold, keep) == (26214, 1.0 - 26214 / 65536)
         h = np.random.default_rng(0).uniform(0.5, 1.5, size=(500, 400))
-        (mask,) = nn._keep_masks(np.random.default_rng(1), [h.shape], threshold)
+        mask = nn._keep_mask(np.random.default_rng(1), h.shape, threshold)
         assert mask.shape == h.shape and mask.dtype == bool
         assert abs(mask.mean() - keep) <= 4.0 * math.sqrt(keep * (1.0 - keep) / h.size)
         sigma = math.sqrt((h**2).sum() * (1.0 - keep) / keep) / h.size
         assert abs((h * mask / keep).mean() - h.mean()) <= 4.0 * sigma
         assert nn._keep_threshold(0.0) == (0, 1.0)
-        assert nn._keep_masks(np.random.default_rng(2), [h.shape], 0)[0].all()
+        assert nn._keep_mask(np.random.default_rng(2), h.shape, 0).all()
 
     def test_zero_rate_members_are_the_deterministic_forward(self):
         """At rate 0 the mask threshold is 0 and the keep probability 1, so every
@@ -499,26 +499,63 @@ class TestBackward:
         step = lambda: nn.backward(model, x, mode=nn.TrainBN(), trainable="bn")
         assert traced_peak(step) < 6 * 256 * 64 * 8
 
-    def test_bn_only_backward_peaks_below_four_block_arrays(self, traced_peak):
+    def test_bn_only_backward_peaks_below_three_block_arrays(self, traced_peak):
         """Block 0 rebuilds ``xhat`` from the caller's batch instead of keeping
-        it, block 1's TrainBN squares become its activation, and backward drops
-        the probabilities at once and each block's gradient once the next
-        exists. With the small ufunc buffer, a BN-only step at 256 rows peaks
-        below four (256, 64) arrays, not near five."""
+        it, and its activation goes once block 1's dense product exists. Backward
+        drops the probabilities once d loss/d logits exists, that once the head's
+        input gradient does, and each block's gradient once the next exists; it
+        sums ``dz * xhat`` in 64-row blocks and writes ``xhat * dot`` into
+        ``xhat``. So with the small ufunc buffer, a BN-only step at 256 rows
+        holds at most two (256, 64) arrays, the gradient and an ``xhat``, besides
+        the relu gates and the row-block buffer: it reads 2.68 arrays, under a
+        bound of 2.8. Keeping a (256, 64) product temporary, and block 0's
+        activation alive during block 1, reads 3.53."""
         model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
         x = np.random.default_rng(1).normal(size=(256, 16))
         step = lambda: nn.backward(model, x, mode=nn.TrainBN(), trainable="bn")
         with nn.small_ufunc_buffer():
-            assert traced_peak(step) < 4 * 256 * 64 * 8
+            assert traced_peak(step) < 2.8 * 256 * 64 * 8
 
-    def test_input_gradient_peaks_below_four_block_arrays(self, traced_peak):
+    def test_input_gradient_peaks_below_three_block_arrays(self, traced_peak):
         """No gradient of ``input_gradient`` reads block 0's ``xhat``, so it is
-        never rebuilt: at 256 rows, with the small ufunc buffer, the call peaks
-        below four (256, 64) arrays."""
+        never rebuilt, and block 0's activation goes once block 1's dense product
+        exists: at 256 rows, with the small ufunc buffer, the call reads 2.67
+        (256, 64) arrays, under a bound of 2.8. Keeping block 0's activation alive
+        during block 1 reads 3.27."""
         model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
         x = np.random.default_rng(1).normal(size=(256, 16))
         with nn.small_ufunc_buffer():
-            assert traced_peak(lambda: nn.input_gradient(model, x)) < 4 * 256 * 64 * 8
+            assert traced_peak(lambda: nn.input_gradient(model, x)) < 2.8 * 256 * 64 * 8
+
+    @given(
+        rows=st.integers(1, 300),
+        width=st.integers(1, 70),
+        negative_zero_columns=st.integers(0, 3),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(rows=63, width=64, negative_zero_columns=2, seed=0)
+    @example(rows=64, width=64, negative_zero_columns=2, seed=1)
+    @example(rows=65, width=64, negative_zero_columns=2, seed=2)
+    @example(rows=128, width=64, negative_zero_columns=2, seed=3)
+    @example(rows=129, width=64, negative_zero_columns=2, seed=4)
+    @example(rows=256, width=64, negative_zero_columns=2, seed=5)
+    @example(rows=257, width=64, negative_zero_columns=2, seed=6)
+    @example(rows=257, width=1, negative_zero_columns=0, seed=7)
+    @settings(max_examples=100, deadline=None)
+    def test_row_block_product_sums_are_bitwise_the_whole_ones(self, rows, width, negative_zero_columns, seed):
+        """``_product_sums`` is bitwise ``np.multiply(a, b).sum(axis=0)`` at any
+        row count, on values spread over 2**-30 to 2**30, also over columns whose
+        products are all -0.0, where the first row block's sum must start as
+        numpy's own sum does."""
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(rows, width)) * np.exp2(rng.integers(-30, 31, size=(rows, width)))
+        b = rng.normal(size=(rows, width))
+        cols = rng.choice(width, size=min(negative_zero_columns, width), replace=False)
+        a[:, cols] = 0.0
+        b[:, cols] = -1.0 - np.abs(b[:, cols])
+        whole = np.multiply(a, b)
+        assert np.all(whole[:, cols] == 0.0) and np.all(np.signbit(whole[:, cols]))
+        assert nn._product_sums(a, b).tobytes() == whole.sum(axis=0).tobytes()
 
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -573,9 +610,8 @@ class TestBackward:
         x = np.random.default_rng(seed).normal(size=(rows, 5))
         cache = nn._forward_cached(model, x, nn.Deterministic(), keep_inputs=True)
         labels = np.argmax(nn.forward(model, x), axis=1)
-        dlogits = nn._cross_entropy_logit_grad(cache.probs, labels)
         wanted = set(nn.resolve_trainable(model, "all"))
-        _, full = nn._backprop(model, cache, dlogits, wanted, False, True)
+        _, full = nn._backprop(model, cache, labels, wanted, False, True)
         assert_array_equal(nn.input_gradient(model, x), full)
 
 

@@ -29,6 +29,7 @@ from .estimators import (
     src_valid,
 )
 from .streams import (
+    MAX_SEVERITY,
     CorruptionSpec,
     DatasetSpec,
     continual_schedule,
@@ -172,37 +173,35 @@ _REPORT_FIELDS = tuple(f.name for f in dataclasses.fields(EstimateReport))
 
 
 class SeedRecords(Sequence[RunRecord]):
-    """One seed's ``RunRecord``s, kept as columns.
+    """One seed's ``RunRecord``s, kept as one row of doubles per batch.
 
     A run keeps every batch's record until it ends, so a record is stored as
-    its numbers: C doubles for the true accuracy, each enabled estimate (in
-    ``ESTIMATOR_NAMES`` order) and AETTA's report fields, C integers for the
-    batch index and severity, and references to the corruption and trigger
-    strings, which the batches share. On the default config that is about 150
-    bytes a batch, where a record with its dict, report and boxed floats is
-    about 650. A double holds a Python float exactly, so every record reads
-    back bitwise as appended.
+    its numbers, one row of a single ``array('d')``: the batch index, the
+    severity, the true accuracy, each enabled estimate (in ``ESTIMATOR_NAMES``
+    order) and then AETTA's report fields, beside two lists of references to
+    the corruption and trigger strings, which the batches share. On the default
+    config that is about 130 bytes a batch, where a record with its dict,
+    report and boxed floats is about 650. A double holds each of these values
+    exactly, so every record reads back bitwise as appended, with the index
+    and severity as ``int``.
 
     Indexing builds a ``RunRecord`` (a slice, a list of them). Two stores are
-    equal when their seed, estimators and every column are; a store equals a
-    sequence of the same records.
+    equal when their seed, estimators, report flag, numbers and strings are; a
+    store equals a sequence of the same records.
     """
 
-    __slots__ = ("seed", "estimators", "_batch_index", "_corruption", "_severity",
-                 "_true_accuracy", "_estimates", "_trigger", "_reports")
+    __slots__ = ("seed", "estimators", "_reports", "_width", "_numbers", "_corruption", "_trigger")
 
     def __init__(self, seed: int, estimators: Iterable[str], reports: bool) -> None:
         """``reports``: every record appended carries an ``aetta_report``, else none does."""
         enabled = set(estimators)
         self.seed = seed
         self.estimators = tuple(name for name in ESTIMATOR_NAMES if name in enabled)
-        self._batch_index = array("q")
+        self._reports = bool(reports)
+        self._width = 3 + len(self.estimators) + (len(_REPORT_FIELDS) if reports else 0)
+        self._numbers = array("d")
         self._corruption: list[str] = []
-        self._severity = array("b")
-        self._true_accuracy = array("d")
-        self._estimates = tuple(array("d") for _ in self.estimators)
         self._trigger: list[str] = []
-        self._reports = tuple(array("d") for _ in _REPORT_FIELDS) if reports else None
 
     def append(self, record: RunRecord) -> None:
         if record.estimates.keys() != set(self.estimators):
@@ -210,47 +209,42 @@ class SeedRecords(Sequence[RunRecord]):
                 f"seed {record.seed} t={record.batch_index}: estimates {sorted(record.estimates)}"
                 f" differ from the run's {sorted(self.estimators)}"
             )
-        if record.seed != self.seed or (record.aetta_report is None) != (self._reports is None):
-            reports = "with" if self._reports is not None else "without"
+        report = record.aetta_report
+        if record.seed != self.seed or (report is not None) != self._reports:
             raise HarnessError(
                 f"seed {record.seed} t={record.batch_index} does not fit seed {self.seed}'s records,"
-                f" kept {reports} AETTA reports"
+                f" kept {'with' if self._reports else 'without'} AETTA reports"
             )
-        self._batch_index.append(record.batch_index)
+        self._numbers.extend((
+            record.batch_index, record.severity, record.true_accuracy,
+            *(record.estimates[name] for name in self.estimators),
+            *(getattr(report, name) for name in _REPORT_FIELDS if report is not None),
+        ))
         self._corruption.append(record.corruption_id)
-        self._severity.append(record.severity)
-        self._true_accuracy.append(record.true_accuracy)
-        for name, column in zip(self.estimators, self._estimates):
-            column.append(record.estimates[name])
         self._trigger.append(record.trigger)
-        if self._reports is not None:
-            for name, column in zip(_REPORT_FIELDS, self._reports):
-                column.append(getattr(record.aetta_report, name))
 
     def __len__(self) -> int:
-        return len(self._true_accuracy)
+        return len(self._corruption)
 
     def __getitem__(self, index: int | slice) -> RunRecord | list[RunRecord]:
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]
+        batch_index, severity, true_accuracy, *values = self._numbers[i * self._width:(i + 1) * self._width]
         return RunRecord(
             seed=self.seed,
-            batch_index=self._batch_index[index],
-            corruption_id=self._corruption[index],
-            severity=self._severity[index],
-            true_accuracy=self._true_accuracy[index],
-            estimates={name: column[index] for name, column in zip(self.estimators, self._estimates)},
-            trigger=self._trigger[index],
-            aetta_report=None if self._reports is None else EstimateReport(*(c[index] for c in self._reports)),
+            batch_index=int(batch_index),
+            corruption_id=self._corruption[i],
+            severity=int(severity),
+            true_accuracy=true_accuracy,
+            estimates=dict(zip(self.estimators, values)),
+            trigger=self._trigger[i],
+            aetta_report=EstimateReport(*values[len(self.estimators):]) if self._reports else None,
         )
-
-    def _columns(self) -> tuple:
-        return (self.seed, self.estimators, self._batch_index, self._corruption, self._severity,
-                self._true_accuracy, self._estimates, self._trigger, self._reports)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SeedRecords):
-            return self._columns() == other._columns()
+            return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
         if isinstance(other, Sequence):
             return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
@@ -524,7 +518,7 @@ def load_run_csv(path: str | Path) -> list[SeedRecords]:
     keeping the seed its row names and no ``aetta_report``. A rollback is
     recorded by its trigger: a ``reset`` that disagrees is rejected. One run
     enables one set of estimators, so a row whose filled ``est_`` columns differ
-    from the first row's is rejected too."""
+    from the first row's is rejected too, and so is a severity outside 0..``MAX_SEVERITY``."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
@@ -536,7 +530,9 @@ def load_run_csv(path: str | Path) -> list[SeedRecords]:
                     f"seed {row['seed']} t={row['t']}: reset {row['reset']!r}"
                     f" disagrees with trigger {row['trigger']!r}"
                 )
-            seed = int(row["seed"])
+            seed, severity = int(row["seed"]), int(row["severity"])
+            if not 0 <= severity <= MAX_SEVERITY:
+                raise HarnessError(f"seed {seed} t={row['t']}: severity {severity} is outside 0..{MAX_SEVERITY}")
             estimates = {name: float(row[f"est_{name}"]) for name in ESTIMATOR_NAMES if row[f"est_{name}"]}
             if seed not in by_seed:
                 first = next(iter(by_seed.values()), None)
@@ -547,7 +543,7 @@ def load_run_csv(path: str | Path) -> list[SeedRecords]:
                     batch_index=int(row["t"]),
                     # interned, so that rows share their strings as a run's records do
                     corruption_id=sys.intern(row["corruption"]),
-                    severity=int(row["severity"]),
+                    severity=severity,
                     true_accuracy=float(row["true_acc"]),
                     estimates=estimates,
                     trigger=sys.intern(row["trigger"]),

@@ -11,8 +11,11 @@ multiplication commutes, so ``z *= gamma`` is ``gamma * z``): every result is
 bitwise that of the plain code. They never write into the caller's input, into
 the block-0 activation that ``dropout_forwards`` shares between its members
 once the first member has read it, or into an array while backward's cache holds
-it, except an ``xhat`` that backward has read for the last time. An inference
-forward allocates one (rows, width) array per block, its activation.
+it, except an ``xhat`` that backward has read for the last time. Every forward
+rebinds its running activation to each block's dense product, so a block input
+that nothing keeps goes before the bias add allocates anything: an inference
+forward (``_logits``) holds at most a block's input and its product, two
+(rows, width) arrays.
 ``_forward_cached``, which ``backward`` replays, keeps per block ``xhat``,
 ``inv_std`` and a bool relu gate; it keeps each block's input and the head
 input only when a dense or head weight gradient needs them, and lets any other
@@ -390,12 +393,6 @@ def _finish_block(
     return out, z if keep_xhat else None, mean, inv_std
 
 
-def _block(blk: HiddenBlock, h: np.ndarray, train_bn: bool, inv_std: np.ndarray | None = None) -> np.ndarray:
-    """The activation of one hidden block on its input ``h``, the one (rows,
-    width) array the block allocates."""
-    return _finish_block(blk, h @ blk.dense.weights, train_bn, inv_std=inv_std)[0]
-
-
 def _keep_threshold(rate: float) -> tuple[int, float]:
     """The mask's threshold on a 16-bit word, and the keep probability it draws,
     by which a dropout member divides its kept units. At rate 0.4 a unit drops
@@ -437,21 +434,26 @@ def _forward_cached(
     return _ForwardCache(caches, h if keep_inputs else None, logits, softmax(logits))
 
 
-def _logits(model: MlpModel, x: np.ndarray, mode: ForwardMode) -> np.ndarray:
-    """Logits keeping only the current activation."""
-    h, train_bn = _check_input(model, x), _train_bn(mode)
-    for blk in model.blocks:
-        h = _block(blk, h, train_bn)
+def _logits(
+    model: MlpModel, h: np.ndarray, train_bn: bool, inv_stds: list[np.ndarray] | None = None
+) -> np.ndarray:
+    """Logits of the checked input ``h``, keeping only the current activation:
+    each block's input goes once its dense product exists, before the bias add
+    allocates numpy's ufunc buffer. Outside TrainBN a caller may pass each
+    block's ``_running_inv_std`` to reuse them."""
+    for blk, inv_std in zip(model.blocks, inv_stds or [None] * len(model.blocks)):
+        h = h @ blk.dense.weights
+        h = _finish_block(blk, h, train_bn, inv_std=inv_std)[0]
     return _dense(model.head, h)
 
 
 def forward(model: MlpModel, x: np.ndarray, mode: ForwardMode = Deterministic()) -> np.ndarray:
     """Class probabilities, shape (batch, class_count). TrainBN mutates running stats."""
-    return softmax(_logits(model, x, mode))
+    return softmax(_logits(model, _check_input(model, x), _train_bn(mode)))
 
 
 def forward_logits(model: MlpModel, x: np.ndarray, mode: ForwardMode = Deterministic()) -> np.ndarray:
-    return _logits(model, x, mode)
+    return _logits(model, _check_input(model, x), _train_bn(mode))
 
 
 def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
@@ -459,8 +461,9 @@ def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
 
     Row blocks bound the activations whatever the number of rows. The input is
     checked and each hidden block's running inverse std computed once per call;
-    a row block goes through ``_block`` and the head, its softmax taken in place
-    on its logits. A count of correct rows is exact, so this is bitwise
+    a row block goes through ``_logits`` with them, so it holds at most two
+    (128, width) arrays, and its softmax is taken in place on its logits. A
+    count of correct rows is exact, so this is bitwise
     ``np.mean(argmax(forward(model, x), 1) == labels)``.
     """
     x, y = _check_input(model, x), np.asarray(labels)
@@ -470,10 +473,7 @@ def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
     correct = 0
     for start in range(0, x.shape[0], _ACCURACY_BLOCK_ROWS):
         rows = slice(start, start + _ACCURACY_BLOCK_ROWS)
-        h = x[rows]
-        for blk, inv_std in zip(model.blocks, inv_stds):
-            h = _block(blk, h, False, inv_std)
-        logits = _dense(model.head, h)
+        logits = _logits(model, x[rows], False, inv_stds)
         correct += int(np.count_nonzero(np.argmax(softmax(logits, out=logits), axis=1) == y[rows]))
     return correct / x.shape[0]
 
@@ -487,9 +487,9 @@ def dropout_forwards(
     Member k is the deterministic forward with inverted dropout, ``h * mask /
     keep``, after each hidden block's relu; its masks are the k-th draw from one
     generator, ``np.random.default_rng(seed)``. What no member changes is done
-    once per batch: each block's running inverse std, and block 0, whose
-    activation is divided by the keep probability in place, so a member only
-    multiplies it by its mask.
+    once per batch: each block's running inverse std, and block 0, finished in
+    place on its dense product of ``x`` and then divided by the keep probability
+    in place, so a member only multiplies it by its mask.
     ``(h * m) / keep`` is ``(h / keep) * m`` for ``m`` in {0, 1}, NaN, inf and
     -0 included; only an ``h / keep`` that overflows would read NaN where a
     dropped unit reads 0. Each block's mask takes the next ``ceil(size / 4)``
@@ -510,7 +510,7 @@ def dropout_forwards(
     threshold, keep = _keep_threshold(model.dropout_rate)
     blocks = model.blocks
     inv_stds = [_running_inv_std(blk.norm) for blk in blocks]
-    shared = _block(blocks[0], x, False, inv_stds[0])
+    shared = _finish_block(blocks[0], x @ blocks[0].dense.weights, False, inv_std=inv_stds[0])[0]
     shared /= keep
     for _ in range(n):
         h = shared * _keep_mask(rng, shared.shape, threshold)

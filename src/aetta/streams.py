@@ -26,6 +26,7 @@ from . import nn
 log = logging.getLogger(__name__)
 
 CORRUPTION_KINDS = ("gaussian_noise", "rotation", "scaling", "mean_shift", "mixup")
+MAX_SEVERITY = 5  # severities run 0..MAX_SEVERITY, 0 the identity
 
 _NOISE_STD_PER_SEVERITY = 0.2
 _SCALING_SPREAD_PER_SEVERITY = 0.15
@@ -165,8 +166,8 @@ class CorruptionSpec:
     def __post_init__(self) -> None:
         if self.kind not in CORRUPTION_KINDS:
             raise StreamError(f"unknown corruption kind {self.kind!r}")
-        if not isinstance(self.severity, int) or not 0 <= self.severity <= 5:
-            raise StreamError("severity must be an integer in 0..5")
+        if not isinstance(self.severity, int) or not 0 <= self.severity <= MAX_SEVERITY:
+            raise StreamError(f"severity must be an integer in 0..{MAX_SEVERITY}")
         if self.seed < 0:
             raise StreamError(f"seed must be non-negative, not {self.seed}")
 

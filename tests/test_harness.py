@@ -497,6 +497,24 @@ def test_a_finished_seed_holds_at_most_200_bytes_per_batch():
     assert deep_size(records) / len(records) <= 200
 
 
+def test_an_empty_store_holds_under_512_bytes():
+    """A seed's store is one array of doubles and two string lists, so it holds
+    little before its first batch; one typed array per field held 1,524 bytes."""
+    assert deep_size(harness.SeedRecords(0, harness.ESTIMATOR_NAMES, reports=True)) < 512
+
+
+def test_records_read_back_int_batch_indices_and_severities(tmp_path):
+    """The store keeps every number as a double, yet a record's batch index and
+    severity read back as ``int``, from a run and from ``run.csv``, so the file
+    prints ``3`` and not ``3.0``."""
+    result = harness.run_experiment(tiny_config())
+    harness.write_run_csv(result, tmp_path / "run.csv")
+    for records in (result.records_by_seed[0], harness.load_run_csv(tmp_path / "run.csv")[0]):
+        assert all(type(r.batch_index) is int and type(r.severity) is int for r in records)
+    with open(tmp_path / "run.csv", newline="") as fh:
+        assert all(row["t"].isdigit() and row["severity"].isdigit() for row in csv.DictReader(fh))
+
+
 def test_every_batch_draws_its_own_dropout_masks(monkeypatch):
     """AETTA seeds each batch's ensemble from its place in the stream, so no two
     batches of a run, across seeds too, draw from the same generator seed."""
@@ -758,6 +776,24 @@ def test_load_run_csv_rejects_reset_that_disagrees_with_trigger(tmp_path, reset,
     row.update(t="0", corruption="gaussian_noise", severity="2", true_acc="0.5", reset=reset, trigger=trigger)
     path.write_text(",".join(harness.CSV_COLUMNS) + "\n" + ",".join(row.values()) + "\n")
     with pytest.raises(harness.HarnessError, match="disagrees"):
+        harness.load_run_csv(path)
+
+
+@pytest.mark.parametrize("severity", ["6", "-1"])
+def test_load_run_csv_rejects_a_severity_outside_zero_to_five(tmp_path, severity):
+    """Corruption severities run 0..5, so a row outside them is rejected, while
+    0 and 5 load."""
+    path = tmp_path / "run.csv"
+    row = {name: "" for name in harness.CSV_COLUMNS}
+    row.update(seed="0", corruption="gaussian_noise", true_acc="0.5", reset="0", est_softmax="0.5")
+    lines = [",".join(harness.CSV_COLUMNS)]
+    for t, value in enumerate(("0", "5", severity)):
+        row.update(t=str(t), severity=value)
+        lines.append(",".join(row.values()))
+    path.write_text("\n".join(lines[:3]) + "\n")
+    assert [r.severity for r in harness.load_run_csv(path)[0]] == [0, 5]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(harness.HarnessError, match=f"seed 0 t=2: severity {severity} is outside 0..5"):
         harness.load_run_csv(path)
 
 

@@ -32,6 +32,8 @@ from .streams import (
     MAX_SEVERITY,
     CorruptionSpec,
     DatasetSpec,
+    PreparedTask,
+    StreamBatch,
     continual_schedule,
     make_stream,
     prepared_task,
@@ -319,126 +321,119 @@ def _segments(config: ExperimentConfig, seed: int, pool_rows: int) -> list[tuple
     return [(c, config.batches_per_segment) for c in continual_schedule(seed, severities)]
 
 
-def _run_seed(config: ExperimentConfig, seed: int) -> SeedRecords:
-    task = prepared_task(
-        config.dataset,
-        architecture=config.architecture,
-        epochs=config.train_epochs,
-        train_seed=seed,
-    )
-    source = task.checkpoint
-    model = nn.adaptable_copy(source)
-    optimizer = make_optimizer(config.adaptation)
+@dataclass(slots=True)
+class AdaptedState:
+    """One adapted model and what its estimators and recovery carry between
+    batches: ``history``, AETTA's smoothed accuracies over the two windows that
+    the window-degradation trigger compares, AETTA's ``ema_error``, GDE's
+    ``prev_model`` (the model before the last step) and MRS's ``entropy_ema``.
+    Each of the last three stays None while nothing enabled reads it."""
 
-    holdout_x = task.holdout.features[:SRCVALID_ROWS]
-    holdout_y = task.holdout.labels[:SRCVALID_ROWS]
-
-    stream = make_stream(
-        _segments(config, seed, len(task.holdout)),
-        task.holdout,
-        batch_size=config.batch_size,
-        seed=seed,
-    )
-
-    enabled = config.estimators_enabled
-    # only AdvPerturb reads the training split's per-feature range
-    if "advperturb" in enabled:
-        feature_scale = task.train.features.max(axis=0) - task.train.features.min(axis=0)
-    # AETTA's EMA of the error, and its recent smoothed accuracies: the
-    # window-degradation trigger compares the last two windows of them
+    model: nn.MlpModel
+    optimizer: nn.OptimizerState
+    history: deque[float]
+    prev_model: nn.MlpModel | None = None
     ema_error: float | None = None
-    history: deque[float] = deque(maxlen=2 * config.recovery.window)
-    # GDE compares against the model before the last adaptation step; nothing else
-    # reads it. A snapshot copies only the BN arrays, all that the step writes
-    gde = "gde" in enabled
-    prev_model = nn.adaptable_copy(model) if gde else None
-    # only MRS recovery reads the entropy EMA; it stays None under every other kind
-    mrs = config.recovery.kind == "mrs"
     entropy_ema: float | None = None
-    episodic = config.recovery.kind == "episodic"
-    records = SeedRecords(seed, enabled, reports="aetta" in enabled)
 
+
+def adapted_state(config: ExperimentConfig, source: nn.MlpModel) -> AdaptedState:
+    """A fresh state that adapts a copy of ``source`` as ``config`` says."""
+    model = nn.adaptable_copy(source)
+    return AdaptedState(
+        model=model,
+        optimizer=make_optimizer(config.adaptation),
+        history=deque(maxlen=2 * config.recovery.window),
+        # a GDE snapshot copies only the BN arrays, all that the step writes
+        prev_model=nn.adaptable_copy(model) if "gde" in config.estimators_enabled else None,
+    )
+
+
+def observe(
+    config: ExperimentConfig, task: PreparedTask, state: AdaptedState, batch: StreamBatch, seed: int
+) -> RunRecord:
+    """Score ``state``'s model on one batch against its hidden labels, and
+    decide from the estimates whether to roll it back before this batch's step.
+    The model is not written; AETTA's EMA and window and MRS's EMA are. Returns
+    the batch's record, whose trigger is that decision."""
+    x, model, enabled = batch.features, state.model, config.estimators_enabled
+    # one deterministic forward of the current model serves every consumer
+    logits = nn.forward_logits(model, x, nn.Deterministic())
+    probs = nn.softmax(logits)
+    labels = predicted_labels(probs)
+    # an infinite bias can vanish behind a relu or the softmax, and an infinite
+    # running variance turns its unit into beta, so every model array is
+    # checked as well as the predictions
+    state_finite = all(np.isfinite(a).all() for _, a in nn.named_state(model))
+    non_finite = not (state_finite and np.isfinite(probs).all())
+    # one row is constant by definition, so a one-row batch cannot show it
+    constant_output = x.shape[0] > 1 and bool((logits == logits[0]).all())
+    true_accuracy = float(np.mean(labels == batch.hidden_labels))
+    if config.recovery.kind == "mrs":
+        entropy, ema = nn.entropy_loss(probs), state.entropy_ema
+        state.entropy_ema = entropy if ema is None else MRS_EMA * ema + (1.0 - MRS_EMA) * entropy
+    estimates: dict[str, float] = {}
+    report: EstimateReport | None = None
+    if "softmax" in enabled:
+        estimates["softmax"] = softmax_score(logits)
+    # dropped before the other estimators allocate, to keep the batch's peak memory down
+    del logits, probs
+
+    if "srcvalid" in enabled:
+        estimates["srcvalid"] = src_valid(model, task.holdout.features[:SRCVALID_ROWS],
+                                          task.holdout.labels[:SRCVALID_ROWS])
+    if "gde" in enabled:
+        estimates["gde"] = gde_agreement(labels, state.prev_model, x)
+    if "advperturb" in enabled:
+        estimates["advperturb"] = adv_perturb_agreement(
+            task.checkpoint, model, x, feature_scale=task.train.feature_range)
+    if "aetta" in enabled:
+        report = aetta_estimate(model, x, labels, config.estimator, state.ema_error, (seed, batch.batch_index))
+        state.ema_error = report.smoothed_error
+        state.history.append(report.smoothed_accuracy)
+        estimates["aetta"] = report.smoothed_accuracy
+
+    trigger = should_reset(config.recovery, state.history, entropy_ema=state.entropy_ema,
+                           at_boundary=batch.at_boundary, non_finite=non_finite, constant_output=constant_output)
+    return RunRecord(seed=seed, batch_index=batch.batch_index, corruption_id=batch.corruption_id,
+                     severity=batch.severity, true_accuracy=true_accuracy, estimates=estimates,
+                     trigger=trigger or "", aetta_report=report)
+
+
+def advance(
+    config: ExperimentConfig, source: nn.MlpModel, state: AdaptedState, x: np.ndarray, record: RunRecord
+) -> RunRecord:
+    """Adapt ``state``'s model on the batch ``x`` that ``record`` scored: roll it
+    back to ``source`` first if the record's trigger says so, then take the step
+    and the recovery kinds that act after it. Returns the record with the
+    batch's final trigger."""
+    if record.trigger:
+        state.optimizer = apply_reset(state.model, state.optimizer, source)
+        state.entropy_ema = None
+    if state.prev_model is not None:
+        state.prev_model = nn.adaptable_copy(state.model)
+    _adaptation_step(config, state.model, x, state.optimizer)
+    if config.recovery.kind == "stochastic_restore":
+        stochastic_restore_step(state.model, source, restore_prob=config.recovery.restore_prob,
+                                seed=record.seed * 1_000_003 + record.batch_index)
+    if config.recovery.kind == "episodic":
+        state.optimizer = apply_reset(state.model, state.optimizer, source)
+        return replace(record, trigger=TRIGGER_EXTERNAL)
+    return record
+
+
+def _run_seed(config: ExperimentConfig, seed: int) -> SeedRecords:
+    task = prepared_task(config.dataset, architecture=config.architecture, epochs=config.train_epochs, train_seed=seed)
+    state = adapted_state(config, task.checkpoint)
+    stream = make_stream(
+        _segments(config, seed, len(task.holdout)), task.holdout, batch_size=config.batch_size, seed=seed
+    )
+    records = SeedRecords(seed, config.estimators_enabled, reports="aetta" in config.estimators_enabled)
     for batch in stream:
-        x = batch.features
-
-        # one deterministic forward of the current model serves every consumer
-        logits = nn.forward_logits(model, x, nn.Deterministic())
-        probs = nn.softmax(logits)
-        labels = predicted_labels(probs)
-        # an infinite bias can vanish behind a relu or the softmax, and an infinite
-        # running variance turns its unit into beta, so every model array is
-        # checked as well as the predictions
-        state_finite = all(np.isfinite(a).all() for _, a in nn.named_state(model))
-        non_finite = not (state_finite and np.isfinite(probs).all())
-        # one row is constant by definition, so a one-row batch cannot show it
-        constant_output = x.shape[0] > 1 and bool((logits == logits[0]).all())
-        true_accuracy = float(np.mean(labels == batch.hidden_labels))
-        if mrs:
-            batch_entropy = nn.entropy_loss(probs)
-            if entropy_ema is None:
-                entropy_ema = batch_entropy
-            else:
-                entropy_ema = MRS_EMA * entropy_ema + (1.0 - MRS_EMA) * batch_entropy
-        estimates: dict[str, float] = {}
-        report: EstimateReport | None = None
-        if "softmax" in enabled:
-            estimates["softmax"] = softmax_score(logits)
-        # dropped before the other estimators allocate, to keep the batch's peak memory down
-        del logits, probs
-
-        if "srcvalid" in enabled:
-            estimates["srcvalid"] = src_valid(model, holdout_x, holdout_y)
-        if gde:
-            estimates["gde"] = gde_agreement(labels, prev_model, x)
-        if "advperturb" in enabled:
-            estimates["advperturb"] = adv_perturb_agreement(source, model, x, feature_scale=feature_scale)
-        if "aetta" in enabled:
-            report = aetta_estimate(model, x, labels, config.estimator, ema_error, (seed, batch.batch_index))
-            ema_error = report.smoothed_error
-            history.append(report.smoothed_accuracy)
-            estimates["aetta"] = report.smoothed_accuracy
-
-        trigger = should_reset(
-            config.recovery,
-            history,
-            entropy_ema=entropy_ema,
-            at_boundary=batch.at_boundary,
-            non_finite=non_finite,
-            constant_output=constant_output,
-        )
-        if trigger:
-            optimizer = apply_reset(model, optimizer, source)
-            if mrs:
-                entropy_ema = None
-
-        if gde:
-            prev_model = nn.adaptable_copy(model)
-        _adaptation_step(config, model, x, optimizer)
-        if config.recovery.kind == "stochastic_restore":
-            stochastic_restore_step(
-                model,
-                source,
-                restore_prob=config.recovery.restore_prob,
-                seed=seed * 1_000_003 + batch.batch_index,
-            )
-        if episodic:
-            optimizer = apply_reset(model, optimizer, source)
-            trigger = TRIGGER_EXTERNAL
-
-        records.append(
-            RunRecord(
-                seed=seed,
-                batch_index=batch.batch_index,
-                corruption_id=batch.corruption_id,
-                severity=batch.severity,
-                true_accuracy=true_accuracy,
-                estimates=estimates,
-                trigger=trigger or "",
-                aetta_report=report,
-            )
-        )
+        records.append(advance(config, task.checkpoint, state, batch.features,
+                               observe(config, task, state, batch, seed)))
         # dropped here, so that the stream does not corrupt the next batch while this one is alive
-        del batch, x
+        del batch
     if not records:
         raise HarnessError("scenario produced no batches")
     return records

@@ -48,7 +48,6 @@ same at any buffer size.
 
 from __future__ import annotations
 
-import copy
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -230,11 +229,6 @@ def named_state(model: MlpModel) -> list[tuple[str, np.ndarray]]:
 def named_parameters(model: MlpModel) -> list[tuple[str, np.ndarray]]:
     """Trainable tensors only, in ``named_state`` order; running statistics are state."""
     return [(name, arr) for name, arr in named_state(model) if ".running_" not in name]
-
-
-def clone(model: MlpModel) -> MlpModel:
-    """Deep copy; every array is independent."""
-    return copy.deepcopy(model)
 
 
 def adaptable_copy(model: MlpModel) -> MlpModel:

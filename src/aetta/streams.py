@@ -78,6 +78,14 @@ class Split:
         change after the first read, as a ``prepared_task`` split's cannot."""
         return float(self.features.std())
 
+    @cached_property
+    def feature_range(self) -> np.ndarray:
+        """Each feature's max minus its min, taken once on the same terms as
+        ``feature_std`` and returned read-only, as the split's arrays are."""
+        spread = self.features.max(axis=0) - self.features.min(axis=0)
+        spread.flags.writeable = False
+        return spread
+
 
 def class_means(spec: DatasetSpec) -> np.ndarray:
     """(K, D) cluster centres: orthonormal directions scaled by the separation."""

@@ -3,6 +3,8 @@ and the relu kink margin it relies on."""
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from aetta import nn
@@ -40,11 +42,11 @@ def finite_difference_gradients(
     values, so it can serve as its oracle. Each evaluation runs on a throwaway
     clone so TrainBN's running-stat side effect cannot leak between probes.
     """
-    work = nn.clone(model)
+    work = copy.deepcopy(model)
     params = dict(nn.named_parameters(work))
 
     def eval_loss() -> float:
-        probs = nn.forward(nn.clone(work), x, mode)
+        probs = nn.forward(copy.deepcopy(work), x, mode)
         return nn.entropy_loss(probs) if labels is None else cross_entropy_loss(probs, labels)
 
     grads: dict[str, np.ndarray] = {}
@@ -73,7 +75,7 @@ def relu_kink_margin(model: nn.MlpModel, x: np.ndarray, mode: nn.ForwardMode = n
     comfortably larger than the step. ``keep_inputs`` makes every block keep
     its ``xhat``, block 0's included.
     """
-    cache = nn._forward_cached(nn.clone(model), x, mode, keep_inputs=True)
+    cache = nn._forward_cached(copy.deepcopy(model), x, mode, keep_inputs=True)
     return min(
         float(np.min(np.abs(blk.norm.gamma * bc.xhat + blk.norm.beta)))
         for blk, bc in zip(model.blocks, cache.blocks)

@@ -1,5 +1,6 @@
 """Estimator tests: brute-force recounts, frozen closed forms, EMA traces."""
 
+import copy
 import hashlib
 import math
 from unittest import mock
@@ -295,11 +296,11 @@ class TestComparisonEstimators:
 
     def test_gde_self_agreement_is_one(self):
         model, x = model_and_batch(seed=3)
-        assert est.gde_agreement(labels_of(model, x), nn.clone(model), x) == 1.0
+        assert est.gde_agreement(labels_of(model, x), copy.deepcopy(model), x) == 1.0
 
     def test_gde_counts_matching_argmax(self):
         model, x = model_and_batch(seed=4)
-        other = nn.clone(model)
+        other = copy.deepcopy(model)
         other.head.weights[...] = np.roll(other.head.weights, 1, axis=1)
         a = np.argmax(nn.forward(model, x), axis=1)
         b = np.argmax(nn.forward(other, x), axis=1)
@@ -341,18 +342,18 @@ class TestComparisonEstimators:
 
     def test_adv_perturb_zero_epsilon_is_clean_agreement(self):
         model, x = model_and_batch(seed=8)
-        adapted = nn.clone(model)
+        adapted = copy.deepcopy(model)
         adapted.head.bias += 0.3
         clean = est.gde_agreement(labels_of(adapted, x), model, x)
         assert_allclose(est.adv_perturb_agreement(model, adapted, x, feature_scale=0.0), clean, rtol=1e-15)
 
     def test_adv_perturb_identical_models_agree(self):
         model, x = model_and_batch(seed=10)
-        assert est.adv_perturb_agreement(model, nn.clone(model), x, feature_scale=0.05 / est.ADV_EPSILON) == 1.0
+        assert est.adv_perturb_agreement(model, copy.deepcopy(model), x, feature_scale=0.05 / est.ADV_EPSILON) == 1.0
 
     def test_adv_perturb_moves_inputs_by_scaled_epsilon(self):
         model, x = model_and_batch(seed=12)
-        adapted = nn.clone(model)
+        adapted = copy.deepcopy(model)
         adapted.head.bias += 0.3 * np.arange(model.class_count)
         grad = nn.input_gradient(model, x)
         scale = np.linspace(5.0, 20.0, x.shape[1])

@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import io
@@ -70,6 +71,47 @@ def test_first_batch_estimates_come_from_unadapted_source():
         task.checkpoint, task.holdout.features[:rows], task.holdout.labels[:rows]
     )
     assert first.estimates["gde"] == 1.0
+
+
+def test_states_driven_by_hand_through_the_stages_give_the_runs_records():
+    """Two adapted states of seed 0, one healthy and one collapsing with AETTA
+    rollbacks, each observed and advanced on every batch of one shared stream,
+    give exactly the records ``run_experiment`` gives. A probe that compares
+    models batch by batch drives the stages this way."""
+    default = harness.ExperimentConfig(seeds=(0,))
+    collapsing = dataclasses.replace(
+        default,
+        adaptation=AdaptConfig(method="tent", learning_rate=harness.COLLAPSE_LEARNING_RATE),
+        recovery=RecoveryPolicy(kind="aetta_reset"),
+    )
+    configs = (default, collapsing)
+    task = prepared_task(default.dataset, default.architecture, default.train_epochs, train_seed=0)
+    states = [harness.adapted_state(config, task.checkpoint) for config in configs]
+    driven = ([], [])
+    segments = harness._segments(default, 0, len(task.holdout))
+    for batch in streams.make_stream(segments, task.holdout, batch_size=default.batch_size, seed=0):
+        for config, state, records in zip(configs, states, driven):
+            record = harness.observe(config, task, state, batch, 0)
+            records.append(harness.advance(config, task.checkpoint, state, batch.features, record))
+    assert any(r.reset for r in driven[1]) and not any(r.reset for r in driven[0])
+    for config, records in zip(configs, driven):
+        assert harness.run_experiment(config).records_by_seed[0] == records
+
+
+def test_observe_writes_no_array_of_the_model():
+    """Scoring a batch with every estimator leaves each of the model's arrays
+    bitwise as it was, on the source's first batch and after adaptation steps,
+    so several states can be observed before any of them steps."""
+    config = tiny_config(recovery=RecoveryPolicy(kind="mrs"))
+    assert config.estimators_enabled == harness.ESTIMATOR_NAMES
+    task = prepared_task(TINY, architecture=(8,), epochs=3, train_seed=0)
+    state = harness.adapted_state(config, task.checkpoint)
+    stream = streams.make_stream(harness._segments(config, 0, len(task.holdout)), task.holdout, batch_size=16, seed=0)
+    for batch in stream:
+        before = [(name, arr.tobytes()) for name, arr in named_state(state.model)]
+        record = harness.observe(config, task, state, batch, 0)
+        assert [(name, arr.tobytes()) for name, arr in named_state(state.model)] == before
+        harness.advance(config, task.checkpoint, state, batch.features, record)
 
 
 def writable_state(model, name):
@@ -539,7 +581,7 @@ def test_a_source_model_that_predicts_one_class_is_rolled_back_on_the_first_batc
 
     def one_class(*args, **kwargs):
         task = real(*args, **kwargs)
-        checkpoint = nn.clone(task.checkpoint)
+        checkpoint = copy.deepcopy(task.checkpoint)
         checkpoint.head.bias[0] += 50.0
         return dataclasses.replace(task, checkpoint=checkpoint)
 

@@ -1,5 +1,6 @@
 """Engine tests: forward modes, losses, analytic gradients vs finite differences."""
 
+import copy
 import dataclasses
 import inspect
 import math
@@ -288,8 +289,8 @@ class TestBatchNorm:
     def test_train_bn_differs_from_deterministic(self):
         model = tiny_model()
         x = batch()
-        det = nn.forward(nn.clone(model), x, nn.Deterministic())
-        trn = nn.forward(nn.clone(model), x, nn.TrainBN())
+        det = nn.forward(copy.deepcopy(model), x, nn.Deterministic())
+        trn = nn.forward(copy.deepcopy(model), x, nn.TrainBN())
         assert not np.allclose(det, trn)
 
 
@@ -398,7 +399,7 @@ class TestBackward:
     def test_entropy_gradients_match_finite_differences(self, mode):
         model = tiny_model(seed=2)
         x = kink_safe_batch(model, start_seed=3)
-        analytic = nn.backward(nn.clone(model), x, mode=mode)
+        analytic = nn.backward(copy.deepcopy(model), x, mode=mode)
         numeric = finite_differences.finite_difference_gradients(model, x, mode=mode)
         assert finite_differences.gradcheck_max_error(analytic, numeric) <= 1e-4
 
@@ -407,7 +408,7 @@ class TestBackward:
         model = tiny_model(seed=4)
         x = kink_safe_batch(model, start_seed=5)
         y = np.random.default_rng(6).integers(0, 3, size=x.shape[0])
-        analytic = nn.backward(nn.clone(model), x, labels=y, mode=mode)
+        analytic = nn.backward(copy.deepcopy(model), x, labels=y, mode=mode)
         numeric = finite_differences.finite_difference_gradients(model, x, labels=y, mode=mode)
         assert finite_differences.gradcheck_max_error(analytic, numeric) <= 1e-4
 
@@ -419,7 +420,7 @@ class TestBackward:
     def test_bn_only_gradients_match_finite_differences(self):
         model = tiny_model(seed=9)
         x = kink_safe_batch(model, start_seed=10)
-        analytic = nn.backward(nn.clone(model), x, mode=nn.TrainBN(), trainable="bn")
+        analytic = nn.backward(copy.deepcopy(model), x, mode=nn.TrainBN(), trainable="bn")
         numeric = finite_differences.finite_difference_gradients(model, x, mode=nn.TrainBN(), trainable="bn")
         assert finite_differences.gradcheck_max_error(analytic, numeric) <= 1e-4
 
@@ -591,8 +592,8 @@ class TestBackward:
         with ``keep_inputs``, keeps in every block."""
         model = tiny_model(seed=seed % 1000, hidden=hidden)
         x = np.random.default_rng(seed).normal(size=(rows, 5))
-        lean = nn._forward_cached(nn.clone(model), x, mode)
-        kept = nn._forward_cached(nn.clone(model), x, mode, keep_inputs=True)
+        lean = nn._forward_cached(copy.deepcopy(model), x, mode)
+        kept = nn._forward_cached(copy.deepcopy(model), x, mode, keep_inputs=True)
         assert lean.blocks[0].xhat is None and lean.blocks[0].x_in is x
         assert all(bc.x_in is None and bc.mean is None for bc in lean.blocks[1:])
         assert all(bc.xhat is not None and bc.mean is None for bc in kept.blocks)
@@ -611,8 +612,8 @@ class TestBackward:
         dense gradients below them."""
         model = tiny_model(seed=seed % 1000, hidden=hidden)
         x = np.random.default_rng(seed).normal(size=(rows, 5))
-        bn = nn.backward(nn.clone(model), x, mode=mode, trainable="bn")
-        full = nn.backward(nn.clone(model), x, mode=mode, trainable="all")
+        bn = nn.backward(copy.deepcopy(model), x, mode=mode, trainable="bn")
+        full = nn.backward(copy.deepcopy(model), x, mode=mode, trainable="all")
         assert set(bn) == set(nn.resolve_trainable(model, "bn"))
         for name, grad in bn.items():
             assert_array_equal(grad, full[name])
@@ -684,7 +685,7 @@ class TestOptimizer:
     def test_flat_update_matches_per_parameter_loop(self, subset, kind):
         """Steps over one fixed parameter set equal a per-parameter update loop."""
         model = tiny_model(seed=4)
-        reference = nn.clone(model)
+        reference = copy.deepcopy(model)
         params = dict(nn.named_parameters(reference))
         names = nn.resolve_trainable(model, subset) if isinstance(subset, str) else subset
         state = nn.OptimizerState(kind=kind, learning_rate=0.01)
@@ -736,16 +737,9 @@ class TestCheckpoint:
         assert len({name for name, _ in listed}) == len(listed)
         assert sorted(id(a) for _, a in listed) == sorted(id(a) for a in arrays)
 
-    def test_clone_is_independent(self):
-        model = tiny_model()
-        twin = nn.clone(model)
-        assert state_bytes(twin) == state_bytes(model)
-        for (name, a), (_, b) in zip(nn.named_state(model), nn.named_state(twin)):
-            assert not np.shares_memory(a, b), name
-
     def test_copy_into_restores_bitwise(self):
         model = tiny_model(seed=1)
-        source = nn.clone(model)
+        source = copy.deepcopy(model)
         nn.forward(model, batch(), nn.TrainBN())
         model.head.weights += 0.5
         nn.copy_into(model, source)
@@ -798,7 +792,7 @@ class TestCheckpoint:
         assert traced_peak(lambda: nn.adaptable_copy(checkpoint)) <= bn_bytes + 4096
         # the measure sees numpy's array buffers: a deep copy's peak holds every array
         every_array = sum(a.nbytes for _, a in nn.named_state(checkpoint))
-        assert traced_peak(lambda: nn.clone(checkpoint)) >= every_array
+        assert traced_peak(lambda: copy.deepcopy(checkpoint)) >= every_array
 
 
 class TestValidation:

@@ -1,5 +1,6 @@
 """Dataset generation, source training gates, corruption algebra, stream shape."""
 
+import copy
 import hashlib
 import logging
 import tracemalloc
@@ -170,9 +171,20 @@ class TestPreparedTask:
         assert again.checkpoint is task.checkpoint
         with pytest.raises(ValueError):
             task.checkpoint.head.bias[0] = 1.0
-        copy = nn.clone(task.checkpoint)
-        assert all(arr.flags.writeable for _, arr in nn.named_state(copy))
-        copy.head.bias[0] = 1.0
+        twin = copy.deepcopy(task.checkpoint)
+        assert all(arr.flags.writeable for _, arr in nn.named_state(twin))
+        twin.head.bias[0] = 1.0
+
+    def test_feature_range_is_taken_once_and_read_only(self):
+        """The per-feature range AdvPerturb scales its step by is bitwise the
+        split's max minus its min, one array for every seed, and no caller can
+        write into it."""
+        train = self.task().train
+        spread = train.feature_range
+        assert spread.tobytes() == (train.features.max(axis=0) - train.features.min(axis=0)).tobytes()
+        assert train.feature_range is spread
+        with pytest.raises(ValueError):
+            spread[0] = 1.0
 
     def test_one_spec_shares_one_read_only_dataset(self, monkeypatch):
         """Seeds of one spec train on the same split objects, and the pinned
@@ -198,7 +210,7 @@ class TestPreparedTask:
 
     def test_reset_from_the_read_only_checkpoint_is_bitwise(self):
         task = self.task()
-        model = nn.clone(task.checkpoint)
+        model = copy.deepcopy(task.checkpoint)
         for _, arr in nn.named_state(model):
             arr += 0.5
         optimizer = nn.OptimizerState(kind="adam", learning_rate=1e-3)

@@ -1,5 +1,6 @@
 """Adaptation step isolation, recovery-policy triggers, reset semantics."""
 
+import copy
 import hashlib
 
 import numpy as np
@@ -75,9 +76,9 @@ class TestTentStep:
         for seed in range(20):
             model = make_model(seed=seed)
             x = make_batch(seed=seed + 50)
-            before = nn.entropy_loss(nn.forward(nn.clone(model), x, nn.TrainBN()))
+            before = nn.entropy_loss(nn.forward(copy.deepcopy(model), x, nn.TrainBN()))
             tta.tent_step(model, x, tta.make_optimizer(cfg))
-            after = nn.entropy_loss(nn.forward(nn.clone(model), x, nn.TrainBN()))
+            after = nn.entropy_loss(nn.forward(copy.deepcopy(model), x, nn.TrainBN()))
             assert after <= before + 1e-12, f"seed {seed}: {before} -> {after}"
 
     def test_bn_stats_step_touches_only_stats(self):
@@ -164,7 +165,7 @@ class TestShouldReset:
 class TestApplyReset:
     def test_reset_restores_outputs_bitwise_after_adaptation(self):
         model = make_model(seed=3)
-        source = nn.clone(model)
+        source = copy.deepcopy(model)
         cfg = tta.AdaptConfig(method="tent", learning_rate=0.05)
         opt = tta.make_optimizer(cfg)
         for i in range(10):
@@ -177,7 +178,7 @@ class TestApplyReset:
 
     def test_reset_reinitialises_optimizer(self):
         model = make_model()
-        source = nn.clone(model)
+        source = copy.deepcopy(model)
         cfg = tta.AdaptConfig(method="tent", learning_rate=0.01)
         opt = tta.make_optimizer(cfg)
         tta.tent_step(model, make_batch(), opt)
@@ -210,7 +211,7 @@ class TestStochasticRestore:
 
     def test_restored_fraction_matches_binomial(self):
         model = nn.build_mlp(100, 10, hidden=(256, 256), seed=1)
-        source = nn.clone(model)
+        source = copy.deepcopy(model)
         for _, p in nn.named_parameters(model):
             p += 1.0  # make every scalar distinguishable from source
         tta.stochastic_restore_step(model, source, restore_prob=0.01, seed=7)
@@ -243,7 +244,7 @@ class TestStochasticRestore:
             arr.flags.writeable = False
         sharing = nn.adaptable_copy(source)
         tta.tent_step(sharing, make_batch(), nn.OptimizerState(learning_rate=0.1))
-        twin = nn.clone(sharing)
+        twin = copy.deepcopy(sharing)
         assert any(a is s for (_, a), (_, s) in zip(nn.named_state(sharing), nn.named_state(source)))
         for model in (sharing, twin):
             tta.stochastic_restore_step(model, source, 0.5, seed=3)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import logging
 import sys
@@ -64,10 +65,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     written = harness.emit_outputs(result, args.out or Path("out"))
     for path in written:
         log.info("wrote %s", path)
-    for row in harness.summarize(result):
-        if row.scope == "overall":
-            print(f"{row.estimator:12s} MAE {row.mae_mean:.4f} +/- {row.mae_std:.4f} "
-                  f"({100 * row.mae_mean:.2f}%)")
+    # the summary that emit_outputs wrote, whose repr floats read back exactly
+    summary = next(path for path in written if path.name == "summary.csv")
+    with open(summary, newline="") as fh:
+        for row in csv.DictReader(fh):
+            if row["scope"] == "overall":
+                mean, std = float(row["mae_mean"]), float(row["mae_std"])
+                print(f"{row['estimator']:12s} MAE {mean:.4f} +/- {std:.4f} ({100 * mean:.2f}%)")
     for outcome in result.outcomes:
         if outcome.error is not None:
             print(f"seed {outcome.seed} FAILED: {outcome.error}", file=sys.stderr)

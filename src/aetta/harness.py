@@ -79,6 +79,7 @@ COLLAPSE_LEARNING_RATE = 1.5
 
 SRCVALID_ROWS = 1000  # SrcValid scores at most this many leading rows of the labelled holdout
 MRS_EMA = 0.9  # weight on history in the entropy-loss EMA that MRS recovery reads
+RESTORE_PROB = 0.01  # chance that stochastic restore reverts each scalar parameter after a step
 
 
 @dataclass(frozen=True)
@@ -403,21 +404,21 @@ def observe(
 def advance(
     config: ExperimentConfig, source: nn.MlpModel, state: AdaptedState, x: np.ndarray, record: RunRecord
 ) -> RunRecord:
-    """Adapt ``state``'s model on the batch ``x`` that ``record`` scored: roll it
-    back to ``source`` first if the record's trigger says so, then take the step
-    and the recovery kinds that act after it. Returns the record with the
-    batch's final trigger."""
+    """Adapt ``state``'s model on the batch ``x`` that ``record`` scored: replace
+    the model and optimizer with fresh ones from ``source`` first if the record's
+    trigger says so, then take the step and the recovery kinds that act after it.
+    Returns the record with the batch's final trigger."""
     if record.trigger:
-        state.optimizer = apply_reset(state.model, state.optimizer, source)
+        state.model, state.optimizer = apply_reset(state.optimizer, source)
         state.entropy_ema = None
     if state.prev_model is not None:
         state.prev_model = nn.adaptable_copy(state.model)
     _adaptation_step(config, state.model, x, state.optimizer)
     if config.recovery.kind == "stochastic_restore":
-        stochastic_restore_step(state.model, source, restore_prob=config.recovery.restore_prob,
+        stochastic_restore_step(state.model, source, restore_prob=RESTORE_PROB,
                                 seed=record.seed * 1_000_003 + record.batch_index)
     if config.recovery.kind == "episodic":
-        state.optimizer = apply_reset(state.model, state.optimizer, source)
+        state.model, state.optimizer = apply_reset(state.optimizer, source)
         return replace(record, trigger=TRIGGER_EXTERNAL)
     return record
 
@@ -640,9 +641,3 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     with open(path) as fh:
         return config_from_dict(json.load(fh))
-
-
-def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(dataclasses.asdict(config), fh, indent=2)
-        fh.write("\n")

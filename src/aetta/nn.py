@@ -210,8 +210,8 @@ def build_mlp(
 def named_state(model: MlpModel) -> list[tuple[str, np.ndarray]]:
     """Every array of the model, running statistics included, in a fixed order.
 
-    The one place that knows the model's layout: ``copy_into``, the parameter
-    list and the harness's finiteness check all read it.
+    The one place that knows the model's layout: the parameter list and the
+    harness's finiteness check read it.
     """
     out: list[tuple[str, np.ndarray]] = []
     for i, blk in enumerate(model.blocks):
@@ -235,8 +235,9 @@ def adaptable_copy(model: MlpModel) -> MlpModel:
     """A copy to adapt: new layers, each BN array (gamma, beta, running
     statistics) a writable copy, and each dense and head array shared where it is
     read-only, as a ``streams.prepared_task`` checkpoint's are, and copied where
-    it is writable. TENT and every rollback write only BN arrays, so a shared
-    array is never written; a write into one raises numpy's read-only error."""
+    it is writable. TENT writes only BN arrays, and a rollback replaces the model
+    by a new copy, so a shared array is never written; a write into one raises
+    numpy's read-only error."""
 
     def dense(layer: DenseLayer) -> DenseLayer:
         return DenseLayer(*(a.copy() if a.flags.writeable else a for a in (layer.weights, layer.bias)))
@@ -246,18 +247,6 @@ def adaptable_copy(model: MlpModel) -> MlpModel:
 
     blocks = [HiddenBlock(dense(blk.dense), norm(blk.norm)) for blk in model.blocks]
     return MlpModel(blocks, dense(model.head), model.dropout_rate)
-
-
-def copy_into(target: MlpModel, source: MlpModel) -> None:
-    """Overwrite every array of target with source's, in place. An array the two
-    models share already holds the source's values, and may be read-only, so it
-    is skipped."""
-    targets, sources = named_state(target), named_state(source)
-    if [t.shape for _, t in targets] != [s.shape for _, s in sources]:
-        raise EngineError("models are not the same shape")
-    for (_, t), (_, s) in zip(targets, sources):
-        if t is not s:
-            t[...] = s
 
 
 def resolve_trainable(model: MlpModel, trainable: str) -> tuple[str, ...]:

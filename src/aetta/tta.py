@@ -28,6 +28,8 @@ TRIGGER_EXTERNAL = "external"
 TRIGGER_NON_FINITE = "non_finite"
 TRIGGER_CONSTANT_OUTPUT = "constant_output"
 
+MRS_THRESHOLD = 0.2  # MRS rolls back when the entropy-loss EMA falls below this
+
 
 class AdaptationError(ValueError):
     """Raised for invalid adaptation or recovery configuration."""
@@ -78,8 +80,6 @@ class RecoveryPolicy:
     kind: str = "none"
     window: int = 5
     hard_threshold: float = 0.2  # on smoothed accuracy
-    mrs_threshold: float = 0.2  # on the entropy-loss EMA
-    restore_prob: float = 0.01
 
     def __post_init__(self) -> None:
         if self.kind not in RECOVERY_KINDS:
@@ -88,10 +88,6 @@ class RecoveryPolicy:
             raise AdaptationError("window must be at least 1")
         if not 0.0 <= self.hard_threshold <= 1.0:
             raise AdaptationError("hard_threshold must lie in [0, 1]")
-        if not (math.isfinite(self.mrs_threshold) and self.mrs_threshold >= 0):
-            raise AdaptationError(f"mrs_threshold must be finite and >= 0, not {self.mrs_threshold}")
-        if not 0.0 <= self.restore_prob <= 1.0:
-            raise AdaptationError("restore_prob must lie in [0, 1]")
 
 
 def _window_degraded(policy: RecoveryPolicy, history: list[float]) -> bool:
@@ -129,7 +125,7 @@ def should_reset(
     if constant_output:
         return TRIGGER_CONSTANT_OUTPUT
     if policy.kind == "mrs":
-        low = entropy_ema is not None and entropy_ema < policy.mrs_threshold
+        low = entropy_ema is not None and entropy_ema < MRS_THRESHOLD
         return TRIGGER_EXTERNAL if low else None
     if policy.kind == "dist_shift":
         return TRIGGER_EXTERNAL if at_boundary else None
@@ -142,19 +138,16 @@ def should_reset(
     return None
 
 
-def apply_reset(
-    model: nn.MlpModel, optimizer: nn.OptimizerState, source_checkpoint: nn.MlpModel
-) -> nn.OptimizerState:
-    """Restore ``model``'s parameters and running stats bitwise, in place, from the
-    checkpoint; return a fresh optimizer of the same kind and learning rate. An
-    array the model shares with the checkpoint is the checkpoint's already and is
-    not written.
+def apply_reset(optimizer: nn.OptimizerState, source_checkpoint: nn.MlpModel) -> tuple[nn.MlpModel, nn.OptimizerState]:
+    """A model and optimizer to replace the failed ones: an ``nn.adaptable_copy``
+    of the checkpoint, bitwise equal to it and sharing its read-only arrays, and a
+    fresh optimizer of ``optimizer``'s kind and learning rate.
 
     The caller's accuracy history is deliberately kept: it survives resets so
     repeated rollbacks stay visible in the logs.
     """
-    nn.copy_into(model, source_checkpoint)
-    return nn.OptimizerState(kind=optimizer.kind, learning_rate=optimizer.learning_rate)
+    fresh = nn.OptimizerState(kind=optimizer.kind, learning_rate=optimizer.learning_rate)
+    return nn.adaptable_copy(source_checkpoint), fresh
 
 
 def stochastic_restore_step(

@@ -95,6 +95,26 @@ def test_run_writes_outputs_and_exits_zero(tmp_path, capsys):
         assert (tmp_path / "out" / name).exists()
 
 
+def test_run_summarizes_once(tmp_path, monkeypatch, capsys):
+    """The printed MAEs come from the summary.csv that emit_outputs wrote, so
+    every record is built for one summary, and they match that summary."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(tiny_config_dict()))
+    calls, real = [], harness.summarize
+
+    def counted(result):
+        calls.append(result)
+        return real(result)
+
+    monkeypatch.setattr(harness, "summarize", counted)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    printed = capsys.readouterr().out.splitlines()
+    expected = [f"{row.estimator:12s} MAE {row.mae_mean:.4f} +/- {row.mae_std:.4f} ({100 * row.mae_mean:.2f}%)"
+                for row in real(calls[0]) if row.scope == "overall"]
+    assert printed == expected
+
+
 def test_run_exit_code_reflects_seed_failure(tmp_path, monkeypatch):
     path = tmp_path / "config.json"
     cfg = tiny_config_dict()
@@ -128,17 +148,16 @@ NAN, INF = float("nan"), float("inf")
         ({"adaptation": {"learning_rate": NAN}}, [], "learning_rate"),
         ({"estimator": {"alpha": NAN}}, [], "alpha"),
         ({"estimator": {"alpha": INF}}, [], "alpha"),
-        ({"recovery": {"kind": "mrs", "mrs_threshold": NAN}}, [], "mrs_threshold"),
         ({"dataset": {"cluster_separation": NAN}}, [], "cluster_separation"),
         ({}, ["--alpha", "nan"], "alpha"),
         ({}, ["--alpha", "inf"], "alpha"),
     ],
-    ids=["lr-nan", "alpha-nan", "alpha-inf", "mrs-nan", "separation-nan", "flag-alpha-nan", "flag-alpha-inf"],
+    ids=["lr-nan", "alpha-nan", "alpha-inf", "separation-nan", "flag-alpha-nan", "flag-alpha-inf"],
 )
 def test_non_finite_float_settings_are_rejected(tmp_path, caplog, update, flags, field):
     """json reads NaN and Infinity and argparse's float reads nan and inf; a
     non-finite setting passes a bare range check and would run to NaN estimates,
-    a pinned AETTA, an MRS reset that never fires, or a failure in every seed."""
+    a pinned AETTA, or a failure in every seed."""
     cfg = tiny_config_dict()
     for section, values in update.items():
         cfg[section] = {**cfg.get(section, {}), **values}

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import itertools
+import json
 import logging
 import math
 import os
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aetta import harness, nn, plots, streams
+from aetta import harness, nn, plots, streams, tta
 from aetta.estimators import AettaConfig, EstimateReport, softmax_score, src_valid
 from aetta.nn import build_mlp, forward_logits, named_parameters, named_state
 from aetta.streams import CorruptionSpec, DatasetSpec, prepared_task
@@ -125,6 +126,36 @@ def writable_state(model, name):
     arr = getattr(owner, attr).copy()
     setattr(owner, attr, arr)
     return arr
+
+
+def test_a_rollback_shares_the_checkpoints_read_only_arrays_again():
+    """A fault that swapped a dense or head array for a writable copy does not
+    outlive a rollback: the rolled-back model shares every dense and head array
+    with the checkpoint, owns writable BN arrays equal to its, and has a fresh
+    optimizer, and the checkpoint is not written."""
+    config = tiny_config()
+    task = prepared_task(TINY, architecture=(8,), epochs=3, train_seed=0)
+    checkpoint = task.checkpoint
+    before = [(name, arr.tobytes()) for name, arr in named_state(checkpoint)]
+    state = harness.adapted_state(config, checkpoint)
+    stream = streams.make_stream(harness._segments(config, 0, len(task.holdout)), task.holdout, batch_size=16, seed=0)
+    first, second = list(stream)[:2]
+    harness.advance(config, checkpoint, state, first.features,
+                    dataclasses.replace(harness.observe(config, task, state, first, 0), trigger=""))
+    assert state.optimizer.step == 1
+    writable_state(state.model, "head.bias")[0] += 1.0
+    record = dataclasses.replace(harness.observe(config, task, state, second, 0), trigger="external")
+    # no step after the rollback, so the model is the rollback's own
+    frozen = dataclasses.replace(config, adaptation=AdaptConfig(method="none"))
+    harness.advance(frozen, checkpoint, state, second.features, record)
+    assert state.model.head.bias is checkpoint.head.bias
+    for (name, arr), (_, source) in zip(named_state(state.model), named_state(checkpoint)):
+        if ".norm." in name:
+            assert arr is not source and arr.flags.writeable and arr.tobytes() == source.tobytes(), name
+        else:
+            assert arr is source, name
+    assert state.optimizer.step == 0
+    assert [(name, arr.tobytes()) for name, arr in named_state(checkpoint)] == before
 
 
 def test_estimates_precede_adaptation(monkeypatch):
@@ -606,21 +637,26 @@ def test_only_advperturb_reads_the_training_split(monkeypatch):
 # tiny_config over 9 batches of 8 rows: one config per recovery kind under
 # TENT, each set so that it fires, and one per other adaptation method with no
 # recovery. Each config's expected run.csv is tests/pins/<kind>.csv, compared
-# byte for byte. The recovery pins were recorded when run.csv gained its seed
-# column and AETTA's masks became per-batch draws of 16-bit raw words, the
-# method pins before the model with no hidden block was removed. A change to
-# output bytes writes the files again, so its diff shows every value that
-# moved, and says why in CHANGES.md.
+# byte for byte, with the module constants in PINNED_CONSTANTS set as given. The
+# recovery pins were recorded when run.csv gained its seed column and AETTA's
+# masks became per-batch draws of 16-bit raw words, the method pins before the
+# model with no hidden block was removed. A change to output bytes writes the
+# files again, so its diff shows every value that moved, and says why in
+# CHANGES.md.
 PINS = Path(__file__).parent / "pins"
 PINNED_RUN_CSV = {
     "none": dict(recovery=RecoveryPolicy()),
     "aetta_reset": dict(recovery=RecoveryPolicy(kind="aetta_reset", window=2, hard_threshold=0.65)),
     "episodic": dict(recovery=RecoveryPolicy(kind="episodic")),
-    "mrs": dict(recovery=RecoveryPolicy(kind="mrs", mrs_threshold=1.0)),
-    "stochastic_restore": dict(recovery=RecoveryPolicy(kind="stochastic_restore", restore_prob=0.5)),
+    "mrs": dict(recovery=RecoveryPolicy(kind="mrs")),
+    "stochastic_restore": dict(recovery=RecoveryPolicy(kind="stochastic_restore")),
     "dist_shift": dict(recovery=RecoveryPolicy(kind="dist_shift")),
     "method_none": dict(adaptation=AdaptConfig(method="none")),
     "method_bn_stats": dict(adaptation=AdaptConfig(method="bn_stats")),
+}
+PINNED_CONSTANTS = {
+    "mrs": (tta, "MRS_THRESHOLD", 1.0),
+    "stochastic_restore": (harness, "RESTORE_PROB", 0.5),
 }
 
 
@@ -646,7 +682,9 @@ def csv_changes(expected: str, actual: str) -> str:
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_RUN_CSV))
-def test_run_csv_bytes_are_pinned(tmp_path, kind):
+def test_run_csv_bytes_are_pinned(tmp_path, monkeypatch, kind):
+    if kind in PINNED_CONSTANTS:
+        monkeypatch.setattr(*PINNED_CONSTANTS[kind])
     result = harness.run_experiment(tiny_config(**PINNED_RUN_CSV[kind], n_batches=9, batch_size=8))
     harness.write_run_csv(result, tmp_path / "run.csv")
     expected, actual = (PINS / f"{kind}.csv").read_bytes(), (tmp_path / "run.csv").read_bytes()
@@ -719,12 +757,12 @@ def test_aetta_reset_needs_the_aetta_estimator():
 STATE_NAMES = [name for name, _ in named_state(build_mlp(4, 3, hidden=(8,)))]
 
 
-# policies that roll back but would not fire on a finite model here, and the
-# triggers they give without a non-finite parameter (dist_shift fires on the one
-# segment boundary)
+# policies that roll back but would not fire on a finite model here, with MRS's
+# threshold at 0, and the triggers they give without a non-finite parameter
+# (dist_shift fires on the one segment boundary)
 QUIET_ROLLBACKS = {
     "aetta_reset": (RecoveryPolicy(kind="aetta_reset", hard_threshold=0.0), [""] * 9),
-    "mrs": (RecoveryPolicy(kind="mrs", mrs_threshold=0.0), [""] * 9),
+    "mrs": (RecoveryPolicy(kind="mrs"), [""] * 9),
     "dist_shift": (RecoveryPolicy(kind="dist_shift"), ["external"] + [""] * 8),
 }
 
@@ -754,11 +792,12 @@ def test_non_finite_model_is_rolled_back_on_that_batch(kind, at, name, index, va
         # the step after batch at-1 leaves the model that batch at sees
         real(cfg, model, x, optimizer)
         if next(steps) == at:
-            # a rollback writes the checkpoint's values into the poisoned copy
+            # a rollback replaces the model, poisoned copy and all, by a new copy of the checkpoint
             arr = writable_state(model, name)
             arr.flat[index % arr.size] = value
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tta, "MRS_THRESHOLD", 0.0)
         patch.setattr(harness, "_adaptation_step", poison)
         records = harness.run_experiment(config).records_by_seed[0]
     expected = ["non_finite" if t == at else trigger for t, trigger in enumerate(triggers)]
@@ -788,6 +827,7 @@ def test_dead_model_is_rolled_back_on_the_next_batch(kind, at, seed):
             writable_state(model, f"{last}.beta")[:] = 0.0
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tta, "MRS_THRESHOLD", 0.0)
         patch.setattr(harness, "_adaptation_step", kill)
         result = harness.run_experiment(config)
     expected = ["constant_output" if t == at else trigger for t, trigger in enumerate(triggers)]
@@ -798,9 +838,10 @@ def test_dead_model_is_rolled_back_on_the_next_batch(kind, at, seed):
     assert [r.trigger for r in loaded] == expected and [r.reset for r in loaded] == [bool(t) for t in expected]
 
 
-def test_a_one_row_batch_is_not_constant_output():
+def test_a_one_row_batch_is_not_constant_output(monkeypatch):
     """One row is constant by definition, so a one-row stream never rolls back for it."""
-    config = tiny_config(recovery=RecoveryPolicy(kind="mrs", mrs_threshold=0.0), n_batches=6, batch_size=1)
+    monkeypatch.setattr(tta, "MRS_THRESHOLD", 0.0)
+    config = tiny_config(recovery=RecoveryPolicy(kind="mrs"), n_batches=6, batch_size=1)
     assert [r.trigger for r in harness.run_experiment(config).records_by_seed[0]] == [""] * 6
 
 
@@ -1123,7 +1164,7 @@ def test_config_json_round_trip(tmp_path):
         tiny_config(fully_corruption=CorruptionSpec(kind="mixup", severity=4, seed=9), n_batches=None),
         harness.collapse_preset(harness.ExperimentConfig(seeds=(3, 7), architecture=(32, 16))),
     ):
-        harness.save_config(config, path)
+        path.write_text(json.dumps(dataclasses.asdict(config)))
         assert harness.load_config(path) == config
 
 
@@ -1151,6 +1192,8 @@ def test_config_from_dict_rejects_unknown_keys():
         ("estimator", "ema_coefficient"),
         ("estimator", "entropy_floor"),
         ("recovery", "comparison"),
+        ("recovery", "mrs_threshold"),
+        ("recovery", "restore_prob"),
         ("dataset", "label_noise"),
     ):
         with pytest.raises(harness.HarnessError, match=f"unknown {section} keys \\['{key}'\\]"):

@@ -135,11 +135,13 @@ class TestShouldReset:
         for kind in ("episodic", "stochastic_restore", "none"):
             assert tta.should_reset(tta.RecoveryPolicy(kind=kind), [], constant_output=True) is None
 
-    def test_mrs_threshold_on_entropy_ema(self):
+    def test_mrs_threshold_on_entropy_ema(self, monkeypatch):
         policy = tta.RecoveryPolicy(kind="mrs")
         assert tta.should_reset(policy, [0.9], entropy_ema=0.15) == tta.TRIGGER_EXTERNAL
         assert tta.should_reset(policy, [0.9], entropy_ema=0.25) is None
         assert tta.should_reset(policy, [0.9], entropy_ema=None) is None
+        monkeypatch.setattr(tta, "MRS_THRESHOLD", 0.3)
+        assert tta.should_reset(policy, [0.9], entropy_ema=0.25) == tta.TRIGGER_EXTERNAL
 
     def test_dist_shift_fires_only_on_boundaries(self):
         policy = tta.RecoveryPolicy(kind="dist_shift")
@@ -158,8 +160,6 @@ class TestShouldReset:
             tta.RecoveryPolicy(window=0)
         with pytest.raises(tta.AdaptationError):
             tta.RecoveryPolicy(hard_threshold=1.5)
-        with pytest.raises(tta.AdaptationError):
-            tta.RecoveryPolicy(restore_prob=-0.1)
 
 
 class TestApplyReset:
@@ -172,9 +172,10 @@ class TestApplyReset:
             tta.tent_step(model, make_batch(seed=i), opt)
         x = make_batch(seed=99)
         assert not np.array_equal(nn.forward(model, x), nn.forward(source, x))
-        opt = tta.apply_reset(model, opt, source)
+        before = state_bytes(source)
+        model, opt = tta.apply_reset(opt, source)
         assert np.array_equal(nn.forward(model, x), nn.forward(source, x))
-        assert state_bytes(model) == state_bytes(source)
+        assert state_bytes(model) == state_bytes(source) == before
 
     def test_reset_reinitialises_optimizer(self):
         model = make_model()
@@ -183,15 +184,9 @@ class TestApplyReset:
         opt = tta.make_optimizer(cfg)
         tta.tent_step(model, make_batch(), opt)
         assert opt.step == 1 and opt.m is not None
-        opt = tta.apply_reset(model, opt, source)
+        _, opt = tta.apply_reset(opt, source)
         assert opt.step == 0 and opt.m is None and opt.v is None
         assert opt.kind == "adam" and opt.learning_rate == 0.01
-
-    def test_incompatible_checkpoint_rejected(self):
-        model = make_model()
-        other = nn.build_mlp(6, 4, hidden=(8,), seed=0)
-        with pytest.raises(nn.EngineError):
-            tta.apply_reset(model, nn.OptimizerState(), other)
 
 
 class TestStochasticRestore:

@@ -1,15 +1,16 @@
 """Label-free accuracy estimators for (possibly adapted) classifiers.
 
-The headline estimator runs N seeded dropout forwards, measures how often
-their predictions flip against the base (deterministic) prediction, and
-reweights that disagreement by how concentrated the aggregated dropout
-distribution is: a confidently wrong model disagrees little under dropout but
-also collapses its aggregate entropy, and the weight blows the error estimate
-back up. The remaining estimators are the usual comparison
-points: labeled source holdout accuracy, temperature-scaled max softmax,
-agreement with the previous model state, and agreement under a gradient-sign
-input perturbation. Estimators that read the current model's deterministic
-forward on the batch take its logits or labels, so one forward serves them all.
+The headline estimator drops units of the last hidden activation in N seeded
+members, measures how often their predictions flip against the base
+(deterministic) prediction, and reweights that disagreement by how
+concentrated the aggregated dropout distribution is: a confidently wrong model
+disagrees little under dropout but also collapses its aggregate entropy, and
+the weight blows the error estimate back up. The remaining estimators are the
+usual comparison points: labeled source holdout accuracy, temperature-scaled
+max softmax, agreement with the previous model state, and agreement under a
+gradient-sign input perturbation. Estimators that read the current model's
+deterministic forward on the batch take its logits, labels or last hidden
+activation, so one forward serves them all.
 
 Only ``src_valid`` ever sees labels, and those are source holdout labels; the
 test stream's labels stay out of this module entirely.
@@ -102,7 +103,7 @@ def robust_weight(e_avg: float, class_count: int, alpha: float) -> float:
 
 def aetta_estimate(
     model: nn.MlpModel,
-    x: np.ndarray,
+    hidden: np.ndarray,
     base_labels: np.ndarray,
     config: AettaConfig,
     ema_error: float | None,
@@ -110,12 +111,14 @@ def aetta_estimate(
 ) -> EstimateReport:
     """One batch of dropout-disagreement accuracy estimation.
 
-    ``base_labels`` are the deterministic predictions of ``model`` on ``x``,
-    ``ema_error`` is the previous batch's ``smoothed_error`` (None on the first),
-    and ``position`` is the batch's place in its stream, ``(run_seed,
-    batch_index)``. The members' masks come from one generator seeded with
-    ``(config.base_seed, run_seed, batch_index)``, so every batch draws fresh
-    masks and a rerun draws the same ones.
+    ``hidden`` is the batch's last hidden activation from the deterministic
+    forward of ``model`` (``nn.last_hidden``), on which every member drops
+    units, and ``base_labels`` are that forward's predictions; no hidden block
+    runs again. ``ema_error`` is the previous batch's ``smoothed_error`` (None
+    on the first), and ``position`` is the batch's place in its stream,
+    ``(run_seed, batch_index)``. The members' masks come from one generator
+    seeded with ``(config.base_seed, run_seed, batch_index)``, so every batch
+    draws fresh masks and a rerun draws the same ones.
 
     The dropout members are reduced one at a time, so the working memory does
     not grow with ``n_dropout``. Each member adds its count of flipped labels,
@@ -134,11 +137,11 @@ def aetta_estimate(
     ``alpha == 0`` the error is the raw disagreement, bitwise.
     """
     base = np.asarray(base_labels)
-    n, rows = config.n_dropout, np.shape(x)[0]
+    n, rows = config.n_dropout, np.shape(hidden)[0]
     if base.shape != (rows,):
-        raise EstimatorError("base_labels must be one label per row of x")
+        raise EstimatorError("base_labels must be one label per row of hidden")
     flips, total = 0, np.zeros(model.class_count)
-    for member in nn.dropout_forwards(model, x, n, (config.base_seed, *position)):
+    for member in nn.dropout_forwards(model, hidden, n, (config.base_seed, *position)):
         flips += int(np.count_nonzero(predicted_labels(member) != base))
         total = np.add.reduce(np.concatenate((total[None], member)), axis=0)
         del member  # before the next member allocates

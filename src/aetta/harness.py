@@ -359,7 +359,8 @@ def observe(
     the batch's record, whose trigger is that decision."""
     x, model, enabled = batch.features, state.model, config.estimators_enabled
     # one deterministic forward of the current model serves every consumer
-    logits = nn.forward_logits(model, x, nn.Deterministic())
+    hidden = nn.last_hidden(model, x)
+    logits = hidden @ model.head.weights + model.head.bias
     probs = nn.softmax(logits)
     labels = predicted_labels(probs)
     # an infinite bias can vanish behind a relu or the softmax, and an infinite
@@ -377,8 +378,13 @@ def observe(
     report: EstimateReport | None = None
     if "softmax" in enabled:
         estimates["softmax"] = softmax_score(logits)
+    if "aetta" in enabled:
+        report = aetta_estimate(model, hidden, labels, config.estimator, state.ema_error, (seed, batch.batch_index))
+        state.ema_error = report.smoothed_error
+        state.history.append(report.smoothed_accuracy)
+        estimates["aetta"] = report.smoothed_accuracy
     # dropped before the other estimators allocate, to keep the batch's peak memory down
-    del logits, probs
+    del hidden, logits, probs
 
     if "srcvalid" in enabled:
         estimates["srcvalid"] = src_valid(model, task.holdout.features[:SRCVALID_ROWS],
@@ -388,11 +394,6 @@ def observe(
     if "advperturb" in enabled:
         estimates["advperturb"] = adv_perturb_agreement(
             task.checkpoint, model, x, feature_scale=task.train.feature_range)
-    if "aetta" in enabled:
-        report = aetta_estimate(model, x, labels, config.estimator, state.ema_error, (seed, batch.batch_index))
-        state.ema_error = report.smoothed_error
-        state.history.append(report.smoothed_accuracy)
-        estimates["aetta"] = report.smoothed_accuracy
 
     trigger = should_reset(config.recovery, state.history, entropy_ema=state.entropy_ema,
                            at_boundary=batch.at_boundary, non_finite=non_finite, constant_output=constant_output)

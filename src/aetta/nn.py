@@ -2,20 +2,21 @@
 
 The model is a stack of one or more dense -> batchnorm -> relu blocks ending
 in a linear head; ``named_state`` is the one list of a model's arrays. Only
-``dropout_forwards``, the members of AETTA's inference-time ensemble, drops units.
+``dropout_forwards``, the members of AETTA's inference-time ensemble, drops
+units, and only in the last hidden activation, which the members share with
+the batch's deterministic forward (``last_hidden``).
 
 Layers are about 64 wide, so numpy's per-call overhead sets the cost. Forward,
 backward and the optimizer step therefore work in place on arrays they
 allocated, with the plain expressions' operations in the same order (IEEE
 multiplication commutes, so ``z *= gamma`` is ``gamma * z``): every result is
-bitwise that of the plain code. They never write into the caller's input, into
-the block-0 activation that ``dropout_forwards`` shares between its members
-once the first member has read it, or into an array while backward's cache holds
-it, except an ``xhat`` that backward has read for the last time. Every forward
-rebinds its running activation to each block's dense product, so a block input
-that nothing keeps goes before the bias add allocates anything: an inference
-forward (``_logits``) holds at most a block's input and its product, two
-(rows, width) arrays.
+bitwise that of the plain code. They never write into the caller's input or
+into an array while backward's cache holds it, except an ``xhat`` that
+backward has read for the last time. Every forward rebinds its running
+activation to each block's dense product, so a block input that nothing keeps
+goes before the bias add allocates anything: an inference forward
+(``_last_hidden``) holds at most a block's input and its product, two (rows,
+width) arrays.
 ``_forward_cached``, which ``backward`` replays, keeps per block ``xhat``,
 ``inv_std`` and a bool relu gate; it keeps each block's input and the head
 input only when a dense or head weight gradient needs them, and lets any other
@@ -24,12 +25,13 @@ input, the caller's batch, which is alive anyway and narrower than a block, and
 the mean it subtracted in place of ``xhat``, which backward rebuilds bitwise
 only if it reads it. ``_backprop`` consumes the cache, dropping the
 probabilities once d loss/d logits exists and that once the head's input
-gradient does, each block's entry once it is used and each block's gradient
-once the next exists. It takes the column sums of a (rows, width) product 64
-rows at a time (``_product_sums``) and stops after block 0's BN gradients when
-nothing below them is wanted. So a BN-only TENT step holds at most two (rows,
-width) arrays at once, besides the bool gates and the row-block buffer, and a
-dropout member three.
+gradient does, each gate once applied, each block's entry once it is used and
+each block's gradient once the next exists. It takes the column sums of a
+(rows, width) product 64 rows at a time (``_product_sums``) and stops after
+block 0's BN gradients when nothing below them is wanted. So a BN-only TENT
+step holds at most two (rows, width) arrays at once, besides the gates still
+to apply and the row-block buffer, and a dropout member one besides the shared
+activation.
 
 Layer and optimizer hyperparameters that no caller varies are module
 constants, not fields: ``BN_MOMENTUM`` and ``BN_EPS`` for every batchnorm
@@ -148,7 +150,7 @@ def default_dropout_rate(class_count: int) -> float:
 class MlpModel:
     blocks: list[HiddenBlock]
     head: DenseLayer
-    dropout_rate: float  # after every hidden activation of a ``dropout_forwards`` member
+    dropout_rate: float  # of the last hidden activation in a ``dropout_forwards`` member
 
     def __post_init__(self) -> None:
         # from 1 - 1/131072 on, the mask threshold rounds to MASK_LEVELS and keeps no unit
@@ -174,8 +176,9 @@ def build_mlp(
     hidden: tuple[int, ...],
     seed: int = 0,
 ) -> MlpModel:
-    """He-initialised MLP; BN starts at identity (gamma 1, beta 0). Every hidden
-    block drops at the model's one rate, ``default_dropout_rate(class_count)``."""
+    """He-initialised MLP; BN starts at identity (gamma 1, beta 0). A dropout
+    member drops units of the last hidden activation at the model's one rate,
+    ``default_dropout_rate(class_count)``."""
     if input_dim < 1:
         raise EngineError("input_dim must be positive")
     rng = np.random.default_rng(seed)
@@ -285,7 +288,7 @@ class _BlockCache:
     xhat: np.ndarray | None
     mean: np.ndarray | None  # batch or running depending on mode
     inv_std: np.ndarray  # 1/sqrt(var + eps), batch or running depending on mode
-    gate: np.ndarray  # bool
+    gate: np.ndarray | None  # bool; None once ``_backprop`` has applied it
 
     def normalised(self, dense: DenseLayer) -> np.ndarray:
         """``xhat``, rebuilt on first read, if it was not kept, by the forward's
@@ -417,26 +420,32 @@ def _forward_cached(
     return _ForwardCache(caches, h if keep_inputs else None, logits, softmax(logits))
 
 
-def _logits(
+def _last_hidden(
     model: MlpModel, h: np.ndarray, train_bn: bool, inv_stds: list[np.ndarray] | None = None
 ) -> np.ndarray:
-    """Logits of the checked input ``h``, keeping only the current activation:
-    each block's input goes once its dense product exists, before the bias add
-    allocates numpy's ufunc buffer. Outside TrainBN a caller may pass each
-    block's ``_running_inv_std`` to reuse them."""
+    """The last hidden activation of the checked input ``h``, keeping only the
+    current activation: each block's input goes once its dense product exists,
+    before the bias add allocates numpy's ufunc buffer. Outside TrainBN a caller
+    may pass each block's ``_running_inv_std`` to reuse them."""
     for blk, inv_std in zip(model.blocks, inv_stds or [None] * len(model.blocks)):
         h = h @ blk.dense.weights
         h = _finish_block(blk, h, train_bn, inv_std=inv_std)[0]
-    return _dense(model.head, h)
+    return h
 
 
 def forward(model: MlpModel, x: np.ndarray, mode: ForwardMode = Deterministic()) -> np.ndarray:
     """Class probabilities, shape (batch, class_count). TrainBN mutates running stats."""
-    return softmax(_logits(model, _check_input(model, x), _train_bn(mode)))
+    return softmax(_dense(model.head, _last_hidden(model, _check_input(model, x), _train_bn(mode))))
 
 
 def forward_logits(model: MlpModel, x: np.ndarray, mode: ForwardMode = Deterministic()) -> np.ndarray:
-    return _logits(model, _check_input(model, x), _train_bn(mode))
+    return _dense(model.head, _last_hidden(model, _check_input(model, x), _train_bn(mode)))
+
+
+def last_hidden(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """The deterministic forward's last hidden activation, (batch, last width);
+    the head applied to it, ``h @ weights + bias``, is bitwise ``forward_logits``."""
+    return _last_hidden(model, _check_input(model, x), False)
 
 
 def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
@@ -444,9 +453,9 @@ def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
 
     Row blocks bound the activations whatever the number of rows. The input is
     checked and each hidden block's running inverse std computed once per call;
-    a row block goes through ``_logits`` with them, so it holds at most two
-    (128, width) arrays, and its softmax is taken in place on its logits. A
-    count of correct rows is exact, so this is bitwise
+    a row block goes through ``_last_hidden`` with them and the head, so it
+    holds at most two (128, width) arrays, and its softmax is taken in place on
+    its logits. A count of correct rows is exact, so this is bitwise
     ``np.mean(argmax(forward(model, x), 1) == labels)``.
     """
     x, y = _check_input(model, x), np.asarray(labels)
@@ -456,52 +465,37 @@ def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
     correct = 0
     for start in range(0, x.shape[0], _ACCURACY_BLOCK_ROWS):
         rows = slice(start, start + _ACCURACY_BLOCK_ROWS)
-        logits = _logits(model, x[rows], False, inv_stds)
+        logits = _dense(model.head, _last_hidden(model, x[rows], False, inv_stds))
         correct += int(np.count_nonzero(np.argmax(softmax(logits, out=logits), axis=1) == y[rows]))
     return correct / x.shape[0]
 
 
 def dropout_forwards(
-    model: MlpModel, x: np.ndarray, n: int, seed: int | tuple[int, ...] | np.random.Generator
+    model: MlpModel, hidden: np.ndarray, n: int, seed: int | tuple[int, ...] | np.random.Generator
 ) -> Iterator[np.ndarray]:
-    """Yield ``n`` dropout forwards of ``x``, one (batch, K) array at a time, so a
-    caller that reduces each member as it comes holds one member whatever ``n``.
+    """Yield ``n`` dropout members of a batch, one (batch, K) array at a time, so
+    a caller that reduces each member as it comes holds one member whatever ``n``.
 
-    Member k is the deterministic forward with inverted dropout, ``h * mask /
-    keep``, after each hidden block's relu; its masks are the k-th draw from one
-    generator, ``np.random.default_rng(seed)``. What no member changes is done
-    once per batch: each block's running inverse std, and block 0, finished in
-    place on its dense product of ``x`` and then divided by the keep probability
-    in place, so a member only multiplies it by its mask.
-    ``(h * m) / keep`` is ``(h / keep) * m`` for ``m`` in {0, 1}, NaN, inf and
-    -0 included; only an ``h / keep`` that overflows would read NaN where a
-    dropped unit reads 0. Each block's mask takes the next ``ceil(size / 4)``
-    raw words, block by block, so the generator advances by the same words at
+    ``hidden`` is the batch's deterministic last hidden activation
+    (``last_hidden``), which no member writes; no hidden block runs again.
+    Member k is the head's softmax of ``(hidden * mask_k) / keep``, inverted
+    dropout after the last hidden block only, where ``mask_k`` is the k-th
+    ``_keep_mask`` draw from ``np.random.default_rng(seed)``, the same words at
     every rate. At rate 0 every mask keeps every unit and ``keep`` is 1.0, so
-    each member is bitwise the deterministic forward.
-
-    What is alive when: a member draws each block's mask just before applying
-    it and lets go of it once applied, lets go of a block's input once that
-    block's dense product exists, and of its activation and probabilities
-    before the next member draws. So a member peaks at three (rows, width)
-    arrays, block 0's shared activation and a block's input and dense product,
-    and a caller that also drops each member before pulling the next never holds
-    two members at once.
+    each member is bitwise the deterministic forward. Only the shape is
+    checked: a non-finite model's activation, and so its members, may be
+    non-finite. A member divides its masked copy by ``keep`` in place and lets
+    it go once its logits exist, and those before the next member draws, so it
+    holds one (rows, width) array besides ``hidden``.
     """
-    x = _check_input(model, x)
+    width = model.head.weights.shape[0]
+    if hidden.ndim != 2 or hidden.shape[0] == 0 or hidden.shape[1] != width:
+        raise EngineError(f"hidden activation must be (rows >= 1, {width}), not {hidden.shape}")
     rng = np.random.default_rng(seed)
     threshold, keep = _keep_threshold(model.dropout_rate)
-    blocks = model.blocks
-    inv_stds = [_running_inv_std(blk.norm) for blk in blocks]
-    shared = _finish_block(blocks[0], x @ blocks[0].dense.weights, False, inv_std=inv_stds[0])[0]
-    shared /= keep
     for _ in range(n):
-        h = shared * _keep_mask(rng, shared.shape, threshold)
-        for blk, inv_std in zip(blocks[1:], inv_stds[1:]):
-            h = h @ blk.dense.weights  # the member's previous activation goes once the product exists
-            h = _finish_block(blk, h, False, inv_std=inv_std)[0]
-            h *= _keep_mask(rng, h.shape, threshold)
-            h /= keep
+        h = hidden * _keep_mask(rng, hidden.shape, threshold)
+        h /= keep
         logits = _dense(model.head, h)
         del h
         yield softmax(logits, out=logits)
@@ -620,7 +614,7 @@ def _backprop(
     summed by ``_product_sums`` in row blocks, and TrainBN's ``xhat * dot`` is
     written into ``xhat``, which nothing reads after it. A BN-only step's
     largest moment is then two (rows, width) arrays, the gradient and ``xhat``,
-    besides the relu gates and the row-block buffer.
+    besides the gates not yet applied and the row-block buffer.
     """
     if labels is None:
         dlogits = _entropy_logit_grad(cache.probs)
@@ -641,6 +635,7 @@ def _backprop(
         blk = model.blocks[i]
         bc = cache.blocks.pop()
         dh *= bc.gate
+        bc.gate = None  # freed once applied
         if f"blocks.{i}.norm.gamma" in wanted:
             grads[f"blocks.{i}.norm.gamma"] = _product_sums(dh, bc.normalised(blk.dense))
         if f"blocks.{i}.norm.beta" in wanted:

@@ -43,21 +43,21 @@ def _reference_members(model, x, n, seed):
     """``n`` dropout members of ``x`` as plain expressions, stacked (n, rows, K).
 
     Each hidden block is ``((h @ W + b) - rm) * inv_std * gamma + beta``, then
-    relu, then ``h * mask / keep``; every mask is drawn in turn from the one
-    generator ``np.random.default_rng(seed)``, one ``nn._keep_mask`` call per
-    block. At rate 0 every mask keeps every unit and ``keep`` is 1.0.
+    relu, run once and shared by every member; member k is the head's softmax of
+    ``h * mask / keep`` on the last block's activation, its mask the k-th
+    ``nn._keep_mask`` draw from the one generator ``np.random.default_rng(seed)``.
+    At rate 0 every mask keeps every unit and ``keep`` is 1.0.
     """
+    h = np.asarray(x, dtype=np.float64)
+    for blk in model.blocks:
+        inv_std = 1.0 / np.sqrt(blk.norm.running_var + nn.BN_EPS)
+        h = ((h @ blk.dense.weights + blk.dense.bias) - blk.norm.running_mean) * inv_std * blk.norm.gamma
+        h = np.maximum(h + blk.norm.beta, 0.0)
     rng = np.random.default_rng(seed)
     threshold, keep = nn._keep_threshold(model.dropout_rate)
     members = []
     for _ in range(n):
-        h = np.asarray(x, dtype=np.float64)
-        for blk in model.blocks:
-            inv_std = 1.0 / np.sqrt(blk.norm.running_var + nn.BN_EPS)
-            h = ((h @ blk.dense.weights + blk.dense.bias) - blk.norm.running_mean) * inv_std * blk.norm.gamma
-            h = np.maximum(h + blk.norm.beta, 0.0)
-            h = h * nn._keep_mask(rng, h.shape, threshold) / keep
-        logits = h @ model.head.weights + model.head.bias
+        logits = (h * nn._keep_mask(rng, h.shape, threshold) / keep) @ model.head.weights + model.head.bias
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         members.append(e / e.sum(axis=1, keepdims=True))
     return np.stack(members)

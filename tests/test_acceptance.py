@@ -1,4 +1,4 @@
-"""Acceptance suite: ten numbered gates, one printed pass/fail line each.
+"""Acceptance suite: eleven numbered gates, one printed pass/fail line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they go.
 """
@@ -86,9 +86,10 @@ def test_criterion_03_estimator_unit_identities():
         x = rng.normal(size=(8, 6))
         config = AettaConfig(n_dropout=4, alpha=0.0, base_seed=i)
         base = np.argmax(nn.forward(model, x, nn.Deterministic()), axis=-1)
-        report = aetta_estimate(model, x, base, config, None, (0, 0))
+        hidden = nn.last_hidden(model, x)
+        report = aetta_estimate(model, hidden, base, config, None, (0, 0))
 
-        ensemble = np.stack(list(nn.dropout_forwards(model, x, 4, (i, 0, 0))))
+        ensemble = np.stack(list(nn.dropout_forwards(model, hidden, 4, (i, 0, 0))))
         expected = pdd(base, np.argmax(ensemble, axis=-1))
         bitwise = bitwise and report.smoothed_error == expected and report.pdd == expected
 
@@ -253,6 +254,19 @@ def test_criterion_09_outputs_are_deterministic_and_parseable(tmp_path):
         "identical configs yield bitwise-identical CSV; CSV round-trips; SVG parses",
         bitwise and round_trips and svgs_parse,
     )
+
+
+def test_criterion_11_aetta_beats_the_mean_baseline(collapse_result):
+    """Criterion 10 times the whole suite, so it stays last in file order."""
+    continual = harness.run_experiment(harness.ExperimentConfig()).records_by_seed
+    ok, details = True, []
+    for name, by_seed in (("continual", continual), ("collapse", collapse_result[0].records_by_seed)):
+        aetta = harness.seed_mean_mae(by_seed, "aetta")
+        others = [e for e in harness.ESTIMATOR_NAMES if e != "aetta"]
+        baselines = float(np.mean([harness.seed_mean_mae(by_seed, e) for e in others]))
+        ok = ok and aetta < baselines
+        details.append(f"{name}: aetta {aetta:.4f} vs baseline mean {baselines:.4f}")
+    _report(11, "the estimate's MAE is below the four baselines' mean", ok, "; ".join(details))
 
 
 def test_criterion_10_suite_finishes_inside_the_budget():

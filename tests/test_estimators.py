@@ -26,8 +26,8 @@ def labels_of(model, x):
 
 
 def estimate(model, x, cfg, ema_error=None, position=(0, 0)):
-    """aetta_estimate with the base labels from a deterministic forward."""
-    return est.aetta_estimate(model, x, labels_of(model, x), cfg, ema_error, position)
+    """aetta_estimate with the last hidden activation and base labels of a deterministic forward."""
+    return est.aetta_estimate(model, nn.last_hidden(model, x), labels_of(model, x), cfg, ema_error, position)
 
 
 class TestPdd:
@@ -125,24 +125,26 @@ class TestAggregateAndWeight:
         assert not math.isnan(est.robust_weight(frac * math.log(k), k, alpha))
 
 
-# sha256 of nn.dropout_forwards(model, x, 10, (0, 0, 0)), the masks of batch 0 of run
-# seed 0 under the default base_seed, for the default (64, 64) model after 2 epochs,
-# by training seed; x is 256 holdout rows under severity-5 gaussian noise
+# sha256 of nn.dropout_forwards(model, nn.last_hidden(model, x), 10, (0, 0, 0)), the
+# masks of batch 0 of run seed 0 under the default base_seed, for the default (64, 64)
+# model after 2 epochs, by training seed; x is 256 holdout rows under severity-5
+# gaussian noise
 PINNED_ENSEMBLES = {
-    0: "4c1de0c296192c49c0c422e4dc907b9d521cbc6236c7928cb0791e8acd0be609",
-    1: "7749fcc7c7bb27438bff2dc3d9af6927582e2cda2b91ced37f33f9fa6e607793",
+    0: "d7028cccbb0c1c9ecc9591951bb8b9ce540670a842bd0f6eddee4437072405f9",
+    1: "27941b98ec484a5bf93b8d470b0c3d3ae6a596c5558620947e68d689f43286ba",
 }
 
 
 class TestDropoutEnsemble:
     @pytest.mark.parametrize("seed", sorted(PINNED_ENSEMBLES))
     def test_two_block_ensemble_is_pinned(self, seed):
-        """Every seed's dropout runs through block 1 after the shared block 0."""
+        """Every seed's members share both hidden blocks with the deterministic
+        forward and drop units of block 1's activation only."""
         train, holdout = streams.make_source_dataset(streams.DatasetSpec())
         model = streams.train_source_model(train, architecture=(64, 64), epochs=2, seed=seed)
         noise = streams.CorruptionSpec(kind="gaussian_noise", severity=5, seed=0)
         x = streams.corrupt(holdout.features[:256], noise)
-        ens = np.stack(list(nn.dropout_forwards(model, x, 10, (0, 0, 0))))
+        ens = np.stack(list(nn.dropout_forwards(model, nn.last_hidden(model, x), 10, (0, 0, 0))))
         assert ens.shape == (10, 256, 10)
         assert hashlib.sha256(ens.tobytes()).hexdigest() == PINNED_ENSEMBLES[seed]
 
@@ -153,32 +155,41 @@ class TestAettaEstimate:
         peak within one (256, K) array of two."""
         model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
         x = np.random.default_rng(1).normal(size=(256, 16))
-        base = labels_of(model, x)
+        shared, base = nn.last_hidden(model, x), labels_of(model, x)
 
         def peak(n):
             cfg = est.AettaConfig(n_dropout=n)
-            return traced_peak(lambda: est.aetta_estimate(model, x, base, cfg, None, (0, 0)))
+            return traced_peak(lambda: est.aetta_estimate(model, shared, base, cfg, None, (0, 0)))
 
         assert peak(20) - peak(2) < 256 * model.class_count * 8
 
     def test_ensemble_holds_one_member_at_a_time(self, traced_peak):
-        """At 256 rows, N = 10, on the default model, a member's activation and
-        probabilities go before the next member allocates, each mask is drawn
-        just before it is applied, a member's block input goes once the block's
-        dense product exists, and only the K-float running sum is kept between
-        members. So the estimate peaks at three (256, 64) arrays, block 0's
-        shared activation, a member's activation and the next block's dense
-        product, and a few KB: it reads 3.03, under a bound of 3.15. Drawing block
-        1's mask up front and keeping the (rows + 1, K) reduction buffer across
-        members reads 3.38; keeping the previous member's activation alive as
-        well, 3.67."""
+        """At 256 rows, N = 10, on the default model, a member's masked copy of
+        the shared activation is divided by ``keep`` in place and goes once its
+        logits exist, those go before the next member draws, and only the
+        K-float running sum is kept between members. So the estimate peaks at
+        one (256, 64) array, its bool mask and a few KB: it reads 1.25, under a
+        bound of 1.4. Running both hidden blocks again in every member, with
+        block 0 shared between them, read 3.03."""
         model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
         x = np.random.default_rng(1).normal(size=(256, 16))
-        base = labels_of(model, x)
+        shared, base = nn.last_hidden(model, x), labels_of(model, x)
         cfg = est.AettaConfig(n_dropout=10)
         with nn.small_ufunc_buffer():
-            peak = traced_peak(lambda: est.aetta_estimate(model, x, base, cfg, None, (0, 0)))
-        assert peak < 3.15 * 256 * 64 * 8
+            peak = traced_peak(lambda: est.aetta_estimate(model, shared, base, cfg, None, (0, 0)))
+        assert peak < 1.4 * 256 * 64 * 8
+
+    def test_ensemble_runs_no_hidden_block(self, monkeypatch):
+        """The members read the deterministic forward's last hidden activation,
+        so on the default model the estimate finishes no hidden block; running
+        the blocks in every member finished N + 1 of them, 11 at N = 10."""
+        model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
+        x = np.random.default_rng(1).normal(size=(64, 16))
+        shared, base = nn.last_hidden(model, x), labels_of(model, x)
+        calls, real = [], nn._finish_block
+        monkeypatch.setattr(nn, "_finish_block", lambda *a, **k: calls.append(1) or real(*a, **k))
+        est.aetta_estimate(model, shared, base, est.AettaConfig(n_dropout=10), None, (0, 0))
+        assert calls == []
 
     def test_full_trace_recomputed_independently(self, reference_members):
         """Re-derive every report field from plain-expression dropout members that
@@ -216,7 +227,8 @@ class TestAettaEstimate:
         model, x = model_and_batch(seed=seed % 1000, class_count=k)
         model.head.bias[seed % k] += bias
         cfg = est.AettaConfig()
-        members = np.stack(list(nn.dropout_forwards(model, x, cfg.n_dropout, (cfg.base_seed, *position))))
+        shared = nn.last_hidden(model, x)
+        members = np.stack(list(nn.dropout_forwards(model, shared, cfg.n_dropout, (cfg.base_seed, *position))))
         report = estimate(model, x, cfg, position=position)
         assume(np.all(np.argmax(members, axis=-1) == seed % k) and report.e_avg < 1e-3)
         assert report.pdd == 0.0

@@ -594,9 +594,9 @@ def test_every_batch_draws_its_own_dropout_masks(monkeypatch):
     seeds = []
     real = nn.dropout_forwards
 
-    def spy(model, x, n, seed):
+    def spy(model, hidden, n, seed):
         seeds.append(seed)
-        return real(model, x, n, seed)
+        return real(model, hidden, n, seed)
 
     monkeypatch.setattr(nn, "dropout_forwards", spy)
     harness.run_experiment(tiny_config(seeds=(0, 1)))

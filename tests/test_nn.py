@@ -90,10 +90,10 @@ class TestForward:
 
     def test_dropout_is_reproducible_per_seed(self):
         model = tiny_model()
-        x = batch()
-        a = np.stack(list(nn.dropout_forwards(model, x, 2, 7)))
-        b = np.stack(list(nn.dropout_forwards(model, x, 2, 7)))
-        c = np.stack(list(nn.dropout_forwards(model, x, 2, 8)))
+        hidden = nn.last_hidden(model, batch())
+        a = np.stack(list(nn.dropout_forwards(model, hidden, 2, 7)))
+        b = np.stack(list(nn.dropout_forwards(model, hidden, 2, 7)))
+        c = np.stack(list(nn.dropout_forwards(model, hidden, 2, 8)))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -101,7 +101,7 @@ class TestForward:
         model = tiny_model()
         before = state_bytes(model)
         nn.forward(model, batch(), nn.Deterministic())
-        list(nn.dropout_forwards(model, batch(), 2, 3))
+        list(nn.dropout_forwards(model, nn.last_hidden(model, batch()), 2, 3))
         assert state_bytes(model) == before
 
     @pytest.mark.parametrize("mode", ["train", None, object()], ids=["string", "none", "object"])
@@ -134,13 +134,17 @@ class TestForward:
     )
     @settings(max_examples=40, deadline=None)
     def test_input_is_left_bitwise_unchanged(self, seed, rows, hidden, mode):
-        """The engine writes in place only into arrays it allocated itself."""
+        """The engine writes in place only into arrays it allocated itself, and
+        the dropout members not into the activation they share."""
         model = tiny_model(seed=seed % 1000, hidden=hidden)
         x = np.random.default_rng(seed).normal(size=(rows, 5))
         before = x.tobytes()
         nn.forward(model, x, mode)
         nn.forward_logits(model, x, mode)
-        list(nn.dropout_forwards(model, x, 2, 3))
+        shared = nn.last_hidden(model, x)
+        shared_before = shared.tobytes()
+        list(nn.dropout_forwards(model, shared, 2, 3))
+        assert shared.tobytes() == shared_before
         y = np.arange(rows) % model.class_count
         nn.backward(model, x, labels=y, mode=mode)
         nn.input_gradient(model, x)
@@ -163,16 +167,18 @@ class TestForward:
         self, seed, rows, hidden, rate, n, mask_seed, reference_members
     ):
         """The forwards that keep nothing give exactly the bits of the forward
-        that keeps backward's cache, and the ensemble that shares block 0 gives
-        exactly those of the plain-expression members, whose masks come from one
-        generator in turn, one draw per block, also when a member's blocks
-        differ in width."""
+        that keeps backward's cache, the head applied to ``last_hidden``
+        included, and the ensemble on that activation gives exactly those of the
+        plain-expression members, whose masks come from one generator in turn,
+        one draw per member, also when the blocks differ in width."""
         model = tiny_model(seed=seed % 1000, hidden=hidden, rate=rate)
         x = np.random.default_rng(seed).normal(size=(rows, 5))
         cache = nn._forward_cached(model, x, nn.Deterministic())
         assert_array_equal(nn.forward(model, x), cache.probs)
         assert_array_equal(nn.forward_logits(model, x), cache.logits)
-        ensemble = np.stack(list(nn.dropout_forwards(model, x, n, mask_seed)))
+        shared = nn.last_hidden(model, x)
+        assert_array_equal(shared @ model.head.weights + model.head.bias, cache.logits)
+        ensemble = np.stack(list(nn.dropout_forwards(model, shared, n, mask_seed)))
         assert ensemble.shape == (n, rows, model.class_count)
         assert_array_equal(ensemble, reference_members(model, x, n, mask_seed))
 
@@ -257,7 +263,7 @@ class TestForward:
     def test_forward_distribution_property(self, seed, rows, k):
         model = nn.build_mlp(4, k, hidden=(6,), seed=seed % 1000)
         x = np.random.default_rng(seed).normal(size=(rows, 4))
-        (p,) = nn.dropout_forwards(model, x, 1, seed)
+        (p,) = nn.dropout_forwards(model, nn.last_hidden(model, x), 1, seed)
         assert p.shape == (rows, k)
         assert np.all(p > 0)
         assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
@@ -314,7 +320,7 @@ class TestDropout:
         """At rate 0 the mask threshold is 0 and the keep probability 1, so every
         member is bitwise the deterministic forward."""
         model, x = tiny_model(rate=0.0), batch()
-        for member in nn.dropout_forwards(model, x, 3, 4):
+        for member in nn.dropout_forwards(model, nn.last_hidden(model, x), 3, 4):
             assert_array_equal(member, nn.forward(model, x))
 
     @given(
@@ -326,15 +332,27 @@ class TestDropout:
     )
     @settings(max_examples=40, deadline=None)
     def test_generator_advances_by_the_same_words_at_every_rate(self, rate, hidden, rows, n, seed):
-        """Every rate, 0 included, draws the same words from the generator, so
-        with the same seed a higher rate drops a superset of the units."""
-        x = batch(seed=seed % 1000, rows=rows)
-        states = []
-        for r in (0.0, rate):
-            rng = np.random.default_rng(seed)
-            list(nn.dropout_forwards(tiny_model(hidden=hidden, rate=r), x, n, rng))
-            states.append(rng.bit_generator.state)
-        assert states[0] == states[1]
+        """Each member draws one mask over the last hidden activation, its next
+        ``ceil(size / 4)`` raw words at every rate, 0 included, so with the same
+        seed a higher rate drops a superset of the units."""
+        model = tiny_model(hidden=hidden, rate=rate)
+        shared = nn.last_hidden(model, batch(seed=seed % 1000, rows=rows))
+        rng, expected = np.random.default_rng(seed), np.random.default_rng(seed)
+        list(nn.dropout_forwards(model, shared, n, rng))
+        expected.bit_generator.random_raw(n * -(-shared.size // 4))
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_members_check_the_activation_shape_but_not_its_values(self):
+        """A member takes the last block's width, so a batch or a narrower
+        activation is rejected; a non-finite activation, as a poisoned model's,
+        gives non-finite members rather than an error."""
+        model = tiny_model(hidden=(8, 6))
+        for wrong in (batch(), np.ones((4, 8)), np.ones(6), np.ones((0, 6))):
+            with pytest.raises(nn.EngineError, match="hidden activation"):
+                list(nn.dropout_forwards(model, wrong, 2, 0))
+        shared = np.full((4, 6), np.inf)
+        assert not np.isfinite(np.stack(list(nn.dropout_forwards(model, shared, 2, 0)))).any()
 
     def test_rate_validation(self):
         with pytest.raises(nn.EngineError):
@@ -354,7 +372,8 @@ class TestDropout:
         threshold, keep = nn._keep_threshold(rate)
         assert (threshold, keep) == (nn.MASK_LEVELS - 1, 1.0 / nn.MASK_LEVELS)
         model = tiny_model(rate=rate)
-        assert np.all(np.isfinite(np.stack(list(nn.dropout_forwards(model, batch(), 3, 0)))))
+        shared = nn.last_hidden(model, batch())
+        assert np.all(np.isfinite(np.stack(list(nn.dropout_forwards(model, shared, 3, 0)))))
 
     def test_default_rates_by_class_count(self):
         assert nn.default_dropout_rate(10) == 0.4
@@ -536,6 +555,17 @@ class TestBackward:
         step = lambda: nn.backward(model, x, mode=nn.TrainBN(), trainable="bn")
         with nn.small_ufunc_buffer():
             assert traced_peak(step) < 2.8 * 256 * 64 * 8
+
+    def test_bn_only_backward_frees_each_gate_once_applied(self, traced_peak):
+        """At 64 rows the row-block buffer and the bool gates weigh as much as a
+        gradient, so freeing block 1's gate once applied shows: with the small
+        ufunc buffer a BN-only step reads 3.33 (64, 64) arrays, under a bound of
+        3.4; keeping every gate to the end reads 3.46."""
+        model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
+        x = np.random.default_rng(1).normal(size=(64, 16))
+        step = lambda: nn.backward(model, x, mode=nn.TrainBN(), trainable="bn")
+        with nn.small_ufunc_buffer():
+            assert traced_peak(step) < 3.4 * 64 * 64 * 8
 
     def test_input_gradient_peaks_below_three_block_arrays(self, traced_peak):
         """No gradient of ``input_gradient`` reads block 0's ``xhat``, so it is

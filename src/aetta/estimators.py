@@ -179,7 +179,11 @@ def gde_agreement(labels: np.ndarray, previous_model: nn.MlpModel, x: np.ndarray
 
 
 def src_valid(model: nn.MlpModel, features: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy on a labeled holdout split, scored in blocks by ``nn.accuracy``."""
+    """Top-1 accuracy on a labeled holdout split, by ``nn.accuracy``: 64-row
+    blocks through the model with each block's running batchnorm folded into its
+    dense weights. It is the count of rows that ``nn.forward`` predicts
+    correctly, except on a row whose two largest logits agree to within
+    rounding."""
     return nn.accuracy(model, features, labels)
 
 

@@ -16,7 +16,12 @@ backward has read for the last time. Every forward rebinds its running
 activation to each block's dense product, so a block input that nothing keeps
 goes before the bias add allocates anything: an inference forward
 (``_last_hidden``) holds at most a block's input and its product, two (rows,
-width) arrays.
+width) arrays. ``accuracy`` alone folds each block's running batchnorm into its
+dense weights and shift, once per call, and scores 64-row blocks through them,
+holding two (64, width) arrays besides the folded weights. Its rounding differs
+from ``forward``'s, so its count can differ only on a row whose two largest
+logits agree to within rounding; the other forwards, whose floats reach
+``run.csv``, keep their exact arithmetic.
 ``_forward_cached``, which ``backward`` replays, keeps per block ``xhat``,
 ``inv_std`` and a bool relu gate; it keeps each block's input and the head
 input only when a dense or head weight gradient needs them, and lets any other
@@ -57,7 +62,7 @@ from typing import Iterator
 import numpy as np
 
 _LOG_GUARD = 1e-300
-_ACCURACY_BLOCK_ROWS = 128
+_ACCURACY_BLOCK_ROWS = 64  # rows ``accuracy`` scores at once
 _SUM_BLOCK_ROWS = 64  # rows of products ``_product_sums`` holds; a 64-row batch is one block
 UFUNC_BUFFER_ELEMENTS = 1024  # numpy's ufunc buffer inside ``small_ufunc_buffer``: 8 KB of float64
 
@@ -321,10 +326,6 @@ def _check_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _running_inv_std(norm: BatchNormLayer) -> np.ndarray:
-    return 1.0 / np.sqrt(norm.running_var + BN_EPS)
-
-
 def _dense(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
     """``x @ weights + bias``, the bias added in place."""
     out = x @ layer.weights
@@ -333,7 +334,7 @@ def _dense(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
 
 
 def _finish_block(
-    blk: HiddenBlock, z: np.ndarray, train_bn: bool, keep_xhat: bool = False, inv_std: np.ndarray | None = None
+    blk: HiddenBlock, z: np.ndarray, train_bn: bool, keep_xhat: bool = False
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
     """One hidden block from the product ``z = x_in @ weights`` on: the bias,
     BN and relu, as (activation, xhat, mean, inv_std), where ``mean`` is what was
@@ -344,8 +345,7 @@ def _finish_block(
     overwrite ``z``, so the activation is ``z`` and ``xhat`` comes back as None.
     With it, ``z`` becomes ``xhat`` and the activation is a second array, which
     TrainBN's variance first uses for its squares; an axis-0 sum's bits do not
-    depend on where its input lives. Outside TrainBN, a caller may pass in the
-    block's ``_running_inv_std`` to reuse it.
+    depend on where its input lives.
     """
     z += blk.dense.bias
     # with keep_xhat the activation needs an array of its own; TrainBN's squares borrow it first
@@ -368,8 +368,7 @@ def _finish_block(
         blk.norm.running_var *= 1.0 - BN_MOMENTUM
         blk.norm.running_var += BN_MOMENTUM * var_running
     else:
-        if inv_std is None:
-            inv_std = _running_inv_std(blk.norm)
+        inv_std = 1.0 / np.sqrt(blk.norm.running_var + BN_EPS)
         mean = blk.norm.running_mean
         z -= mean
     z *= inv_std
@@ -420,16 +419,13 @@ def _forward_cached(
     return _ForwardCache(caches, h if keep_inputs else None, logits, softmax(logits))
 
 
-def _last_hidden(
-    model: MlpModel, h: np.ndarray, train_bn: bool, inv_stds: list[np.ndarray] | None = None
-) -> np.ndarray:
+def _last_hidden(model: MlpModel, h: np.ndarray, train_bn: bool) -> np.ndarray:
     """The last hidden activation of the checked input ``h``, keeping only the
     current activation: each block's input goes once its dense product exists,
-    before the bias add allocates numpy's ufunc buffer. Outside TrainBN a caller
-    may pass each block's ``_running_inv_std`` to reuse them."""
-    for blk, inv_std in zip(model.blocks, inv_stds or [None] * len(model.blocks)):
+    before the bias add allocates numpy's ufunc buffer."""
+    for blk in model.blocks:
         h = h @ blk.dense.weights
-        h = _finish_block(blk, h, train_bn, inv_std=inv_std)[0]
+        h = _finish_block(blk, h, train_bn)[0]
     return h
 
 
@@ -449,24 +445,39 @@ def last_hidden(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 accuracy of the deterministic forward, scored in blocks of 128 rows.
+    """Top-1 accuracy of the deterministic forward, scored 64 rows at a time
+    with each hidden block's running batchnorm folded into its dense layer.
 
-    Row blocks bound the activations whatever the number of rows. The input is
-    checked and each hidden block's running inverse std computed once per call;
-    a row block goes through ``_last_hidden`` with them and the head, so it
-    holds at most two (128, width) arrays, and its softmax is taken in place on
-    its logits. A count of correct rows is exact, so this is bitwise
-    ``np.mean(argmax(forward(model, x), 1) == labels)``.
+    The input is checked once and each block folded once per call:
+    ``W' = W * s`` and ``c = (b - running_mean) * s + beta`` with
+    ``s = gamma / sqrt(running_var + BN_EPS)`` (Jacob et al., 2018), so a block
+    is ``relu(h @ W' + c)``, in real arithmetic the bias, normalisation, affine
+    and relu that ``forward`` keeps. A row counts when the argmax of its logits, with no
+    softmax, is its label. A row block holds its input and its product, two
+    (64, width) arrays, besides the folded weights. The rounding differs from
+    ``forward``'s, so a row can score differently only where its two largest
+    logits agree to within a few units in the last place; otherwise the count
+    is that of ``np.mean(argmax(forward(model, x), 1) == labels)``.
     """
     x, y = _check_input(model, x), np.asarray(labels)
     if y.shape != (x.shape[0],):
         raise EngineError(f"labels must be one per row: {y.shape} for {x.shape[0]} rows")
-    inv_stds = [_running_inv_std(blk.norm) for blk in model.blocks]
+    folded = []
+    for blk in model.blocks:
+        s = blk.norm.gamma / np.sqrt(blk.norm.running_var + BN_EPS)
+        shift = blk.dense.bias - blk.norm.running_mean
+        shift *= s
+        shift += blk.norm.beta
+        folded.append((blk.dense.weights * s, shift))
     correct = 0
     for start in range(0, x.shape[0], _ACCURACY_BLOCK_ROWS):
         rows = slice(start, start + _ACCURACY_BLOCK_ROWS)
-        logits = _dense(model.head, _last_hidden(model, x[rows], False, inv_stds))
-        correct += int(np.count_nonzero(np.argmax(softmax(logits, out=logits), axis=1) == y[rows]))
+        h = x[rows]
+        for weights, shift in folded:
+            h = h @ weights  # the block input goes once the product exists
+            h += shift
+            np.maximum(h, 0.0, out=h)
+        correct += int(np.count_nonzero(np.argmax(_dense(model.head, h), axis=1) == y[rows]))
     return correct / x.shape[0]
 
 

@@ -326,9 +326,9 @@ class TestComparisonEstimators:
         assert_allclose(est.src_valid(model, x, labels), 0.75, rtol=1e-15)
 
     def test_src_valid_scores_in_blocks(self, traced_peak):
-        """4096 holdout rows are forwarded 256 at a time, so the peak is one
-        block's input and output, two (256, 64) arrays, not two (4096, 64)
-        arrays."""
+        """4096 holdout rows are scored in row blocks, so the peak stays under
+        three (256, 64) arrays, far below the two (4096, 64) arrays of one
+        forward over every row."""
         model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4096, 16))
@@ -337,9 +337,9 @@ class TestComparisonEstimators:
 
     def test_src_valid_holds_one_small_row_block(self, traced_peak):
         """With numpy's ufunc buffer at ``nn.UFUNC_BUFFER_ELEMENTS``, scoring
-        SrcValid's 1000 holdout rows peaks at about two (128, 64) arrays: one
-        row block's input and output, with no per-block input check, inverse
-        stds or separate softmax array."""
+        SrcValid's 1000 holdout rows peaks at about 1.7 (128, 64) arrays: the
+        40 KB of folded weights and one 64-row block's input and output, with
+        no per-block input check or softmax array."""
         model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(1000, 16))

@@ -206,15 +206,55 @@ class TestForward:
         with nn.small_ufunc_buffer():
             assert traced_peak(lambda: nn.forward(model, x)) < 2.15 * 64 * 64 * 8
 
-    def test_accuracy_lets_each_block_input_go_before_the_bias_add(self, traced_peak):
-        """Each 128-row block of ``accuracy`` runs the same inference loop, so
-        1000 rows with the small ufunc buffer peak at 2.20 (128, 64) arrays;
-        keeping a block's input through the bias add's buffer reads 2.34."""
+    def test_accuracy_holds_the_folded_weights_and_one_64_row_block(self, traced_peak):
+        """``accuracy`` folds each block's batchnorm into 40 KB of dense weights
+        and shifts once per call, then scores 64-row blocks whose input goes
+        once its product exists, so 1000 rows with the small ufunc buffer peak
+        at 3.35 (64, 64) arrays: the folded weights, one block's input and
+        product, and the buffer. Unfolded 128-row blocks read 4.41."""
         model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
         rng = np.random.default_rng(0)
         x, labels = rng.normal(size=(1000, 16)), rng.integers(0, 10, size=1000)
         with nn.small_ufunc_buffer():
-            assert traced_peak(lambda: nn.accuracy(model, x, labels)) < 2.25 * 128 * 64 * 8
+            assert traced_peak(lambda: nn.accuracy(model, x, labels)) < 3.45 * 64 * 64 * 8
+
+    def test_accuracy_runs_no_hidden_block(self, monkeypatch):
+        """The folded blocks are ``accuracy``'s own loop, so 1000 rows finish no
+        hidden block; running each 128-row block through ``_last_hidden``
+        finished 16."""
+        model = nn.build_mlp(16, 10, hidden=(64, 64), seed=0)
+        rng = np.random.default_rng(0)
+        x, labels = rng.normal(size=(1000, 16)), rng.integers(0, 10, size=1000)
+        calls, real = [], nn._finish_block
+        monkeypatch.setattr(nn, "_finish_block", lambda *a, **k: calls.append(1) or real(*a, **k))
+        nn.accuracy(model, x, labels)
+        assert calls == []
+
+    @given(rows=st.integers(1, 1100), seed=st.integers(0, 2**31 - 1))
+    @example(rows=1, seed=11)
+    @example(rows=63, seed=12)
+    @example(rows=64, seed=13)
+    @example(rows=65, seed=14)
+    @example(rows=1000, seed=15)
+    @example(rows=1025, seed=16)
+    @settings(max_examples=30, deadline=None)
+    def test_folded_accuracy_counts_what_the_forward_predicts(self, rows, seed):
+        """With every batchnorm array moved off its initial value, the folded
+        64-row blocks score exactly the rows that the unfolded forward over all
+        rows at once predicts correctly."""
+        model = nn.build_mlp(16, 10, hidden=(64, 64), seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        for blk in model.blocks:
+            width = blk.norm.gamma.shape
+            blk.norm.gamma[...] = rng.uniform(0.2, 3.0, size=width) * rng.choice([-1.0, 1.0], size=width)
+            blk.norm.beta[...] = rng.normal(0.0, 1.0, size=width)
+            blk.norm.running_mean[...] = rng.normal(0.0, 2.0, size=width)
+            blk.norm.running_var[...] = rng.uniform(0.05, 5.0, size=width)
+        x = rng.normal(size=(rows, 16))
+        preds = np.argmax(nn.forward(model, x), axis=1)
+        # about a third of the rows relabelled, so the count of correct rows varies
+        labels = np.where(rng.random(rows) < 0.3, rng.integers(0, 10, size=rows), preds)
+        assert nn.accuracy(model, x, labels) == float(np.mean(preds == labels))
 
     @given(rows=st.integers(1, 1100), seed=st.integers(0, 2**31 - 1))
     @example(rows=127, seed=8)
